@@ -11,11 +11,12 @@ from .anharmonic import (FockWeights, OscillatorConfig, OscillatorTimescales,
                          oscillator_phase_rates, oscillator_timescales,
                          squeezed_weights)
 from .errors import (AmbiguousWindowError, CompletenessWarning,
-                     ConvergenceError, CutoffTooSmallError,
+                     ConvergenceError, CutoffTooSmallError, EdgePeakError,
                      HorizonTooShortError)
 from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
                       autocorrelation, detect_revival, detect_superrevival,
-                      detection_grid, table1_report, timescales)
+                      detection_grid, principal_revival, table1_report,
+                      timescales)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         WellSystem, load_scenario)
 from .spectrum import (BarkerApproximation, BoundState, WellConfig, barker,
@@ -31,7 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousWindowError", "AutocorrSeries", "BarkerApproximation",
     "BoundState", "BUILTIN_SCENARIOS", "CompletenessWarning",
-    "ConvergenceError", "CutoffTooSmallError", "FockWeights", "GaussianSpec",
+    "ConvergenceError", "CutoffTooSmallError", "EdgePeakError", "FockWeights",
+    "GaussianSpec",
     "HorizonTooShortError", "InfiniteWellState", "OscillatorConfig",
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
     "ScenarioConfig", "SpectralDecomposition", "TimescaleHierarchy",
@@ -40,7 +42,8 @@ __all__ = [
     "detect_superrevival", "detection_grid", "eigenfunction_value", "evolve",
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
     "orthonormality_matrix", "oscillator_autocorr", "oscillator_phase_rates",
-    "oscillator_timescales", "parity_filtered", "phase_rates", "project",
+    "oscillator_timescales", "parity_filtered", "phase_rates",
+    "principal_revival", "project",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
     "timescales", "transcendental_residual",
 ]

@@ -3,7 +3,7 @@
 Emits deterministic CSV or JSON for every bundled scenario.  Numbers are
 printed with 17 significant digits so repeated runs diff clean.  Exit codes:
 0 success, 2 validation error, 3 numerical non-convergence, 4 detection
-ambiguity or an exhausted scan horizon.
+ambiguity, a window-edge peak or an exhausted scan horizon.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ import numpy as np
 from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .errors import (AmbiguousWindowError, ConvergenceError,
-                     CutoffTooSmallError, HorizonTooShortError)
-from .revival import (autocorrelation, detect_revival, detect_superrevival,
-                      detection_grid, table1_report)
+                     CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
+from .revival import (DETECTION_MAX_STEP, autocorrelation, detect_superrevival,
+                      principal_revival, table1_report)
 from .scenarios import (OscillatorSystem, ScenarioConfig, WellSystem,
                         load_scenario)
 from .spectrum import (WellConfig, barker, phase_rates, solve_spectrum,
                        transcendental_residual)
 from .wavepacket import GaussianSpec, infinite_project, project, snapshot
 
-DETECTION_STEP = 1e-4
 ENVELOPE_STEP = 1e-3
-WINDOW = (0.9, 1.5)
 
 
 def _fmt(value) -> str:
@@ -56,7 +54,7 @@ def cli_errors(fn):
             return fn(*args, **kwargs)
         except (click.ClickException, click.Abort):
             raise
-        except (AmbiguousWindowError, HorizonTooShortError) as exc:
+        except (AmbiguousWindowError, EdgePeakError, HorizonTooShortError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
         except ConvergenceError as exc:
@@ -244,7 +242,8 @@ def cmd_autocorr(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
 @click.option("--x0", type=float, default=0.2, show_default=True)
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--epsilons", type=str, default="12,30,100", show_default=True)
-@click.option("--grid-step", type=float, default=DETECTION_STEP, show_default=True)
+@click.option("--grid-step", type=float, default=DETECTION_MAX_STEP,
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @cli_errors
@@ -298,20 +297,8 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
         raise ValueError(f"horizon must be at least 2, got {horizon}")
     weights, rates, completeness = _series_inputs(cfg)
     predicted = _revival_prediction(cfg)
-
-    # Packets with near-equal recurrences spaced a fraction of the revival
-    # period apart make the wide default window ambiguous; retry once with a
-    # window tight enough to isolate the peak nearest the prediction.
-    try:
-        window = (WINDOW[0] * predicted, WINDOW[1] * predicted)
-        taus = detection_grid(window[0], window[1], DETECTION_STEP)
-        series = autocorrelation(weights, rates, taus, provenance=cfg.name)
-        detected, height = detect_revival(series, window)
-    except AmbiguousWindowError:
-        window = (0.95 * predicted, 1.05 * predicted)
-        taus = detection_grid(window[0], window[1], DETECTION_STEP)
-        series = autocorrelation(weights, rates, taus, provenance=cfg.name)
-        detected, height = detect_revival(series, window)
+    detected, height = principal_revival(weights, rates, predicted,
+                                         provenance=cfg.name)
 
     super_tau = None
     if superrevival:
@@ -329,7 +316,7 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
         "detected_superrevival": super_tau,
         "completeness": completeness,
         "horizon": horizon,
-        "grid_step": DETECTION_STEP,
+        "grid_step": DETECTION_MAX_STEP,
         "envelope_step": ENVELOPE_STEP,
         "superrevival_scanned": bool(superrevival),
     }

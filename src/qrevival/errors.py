@@ -9,6 +9,10 @@ class AmbiguousWindowError(RuntimeError):
     """A detection window holds competing peaks of nearly equal height."""
 
 
+class EdgePeakError(RuntimeError):
+    """A detection window's highest sample is its first or last one."""
+
+
 class HorizonTooShortError(RuntimeError):
     """A scan ended before the sought feature could be confirmed."""
 

@@ -9,11 +9,12 @@ cubic-nonlinear oscillator (``theta = 2 pi n^2 + 2 pi beta n^3``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousWindowError, HorizonTooShortError
+from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
 from .spectrum import WellConfig, barker, phase_rates, solve_spectrum
 from .wavepacket import GaussianSpec, project
 
@@ -22,6 +23,7 @@ DETECTION_MAX_STEP = 1e-4
 AMBIGUITY_BAND = 0.01
 SUPERREVIVAL_THRESHOLD = 0.95
 DEFAULT_WINDOW = (0.9, 1.5)
+RETRY_WINDOW = (0.95, 1.05)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,12 @@ class RevivalReport:
 
 
 def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrSeries:
-    """Squared autocorrelation for nonnegative weights and phase rates."""
+    """Squared autocorrelation for nonnegative weights and phase rates.
+
+    Grids of more than ``_CHUNK`` samples whose ``|tau|`` form one uniform
+    progression take the block-factored kernel; every other grid is summed
+    directly, ``_CHUNK`` samples at a time.
+    """
     w = np.asarray(weights, dtype=float)
     th = np.asarray(rates, dtype=float)
     if w.shape != th.shape:
@@ -79,17 +86,70 @@ def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrS
     taus = np.asarray(tau_grid, dtype=float)
     carry = w > 0  # zero weights contribute exactly nothing
     w, th = w[carry], th[carry]
-    out = np.empty(len(taus))
-    for start in range(0, len(taus), _CHUNK):
-        t = taus[start:start + _CHUNK]
-        amps = np.exp(-1j * np.outer(t, th)) @ w
-        out[start:start + _CHUNK] = np.abs(amps) ** 2
+    progression = _uniform_progression(taus) if len(taus) > _CHUNK else None
+    if progression is not None:
+        start, step, descending = progression
+        out = np.abs(_blocked_amplitudes(w, th, start, step, len(taus))) ** 2
+        if descending:
+            out = out[::-1].copy()
+    else:
+        out = np.empty(len(taus))
+        for start in range(0, len(taus), _CHUNK):
+            t = taus[start:start + _CHUNK]
+            amps = np.exp(-1j * np.outer(t, th)) @ w
+            out[start:start + _CHUNK] = np.abs(amps) ** 2
     return AutocorrSeries(tau=taus.copy(), values=out, provenance=provenance)
+
+
+def _uniform_progression(taus):
+    """``(a_0, step, descending)`` when ``|taus|`` is ``a_0 + j*step`` for
+    ``j = 0, 1, ...`` in ascending order to within rounding, else None.
+
+    ``descending`` says the caller's grid runs through that progression
+    backwards, as a grid of negative times does.
+    """
+    a = np.abs(taus)
+    descending = bool(a[-1] < a[0])
+    if descending:
+        a = a[::-1]
+    step = (a[-1] - a[0]) / (len(a) - 1)
+    if not step > 0:
+        return None
+    # Grids built as k*step or by linspace sit within an ulp of the line.
+    drift = np.max(np.abs(a - (a[0] + np.arange(len(a)) * step)))
+    if not drift <= 4.0 * np.finfo(float).eps * a[-1]:
+        return None
+    return float(a[0]), float(step), descending
+
+
+def _blocked_amplitudes(w, th, start, step, count):
+    """``A`` at ``start + j*step``, ``j < count``, as one complex GEMM.
+
+    With ``B = floor(sqrt(count))`` and ``j = b*B + r``, the phase factors
+    into ``exp(-i th (start + b*B*step))`` and ``exp(-i th r*step)``, so
+    ``N*(B + count/B)`` exponentials replace ``N*count``.  The time of every
+    sample is a function of ``j`` alone, and the weights enter one GEMM
+    operand linearly, so mirrored grids and power-of-two weight scalings
+    give bit-identical and exactly scaled series.
+    """
+    block = math.isqrt(count)
+    rows = -(-count // block)
+    heads = start + (np.arange(rows) * block) * step
+    lead = w * np.exp(-1j * np.outer(heads, th))
+    tail = np.exp(-1j * np.outer(th, np.arange(block) * step))
+    return (lead @ tail).ravel()[:count]
 
 
 def _local_maxima(values):
     interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
     return np.flatnonzero(interior) + 1
+
+
+def _window_bounds(tau, window):
+    """Slice bounds of the samples of ``tau`` inside ``window``."""
+    lo, hi = window
+    i0, i1 = np.searchsorted(tau, [lo, hi + 1e-15])
+    return int(i0), int(i1)
 
 
 def detect_revival(series: AutocorrSeries, window, refine_tol: float = 1e-9):
@@ -107,7 +167,7 @@ def detect_revival(series: AutocorrSeries, window, refine_tol: float = 1e-9):
     if series.tau[0] > lo + DETECTION_MAX_STEP or \
             series.tau[-1] < hi - DETECTION_MAX_STEP:
         raise ValueError("window is not covered by the sampled range")
-    i0, i1 = np.searchsorted(series.tau, [lo, hi + 1e-15])
+    i0, i1 = _window_bounds(series.tau, window)
     taus = series.tau[i0:i1]
     vals = series.values[i0:i1]
     if len(taus) < 3:
@@ -141,6 +201,26 @@ def detect_revival(series: AutocorrSeries, window, refine_tol: float = 1e-9):
     return float(taus[peak] + offset * dt), height
 
 
+def _cycle_envelope(tau, values, period, n_cycles):
+    """Peak height and its time in each of ``n_cycles`` consecutive cycles.
+
+    Cycle ``k`` holds the samples with ``floor((tau - tau[0]) / period) == k``;
+    a cycle without samples has height ``-inf`` and time 0.  That index never
+    decreases along a sorted grid, so each cycle is one contiguous slice and
+    its first maximum is found in one pass over the series.
+    """
+    cycle = np.floor((tau - tau[0]) / period).astype(int)
+    bounds = np.searchsorted(cycle, np.arange(n_cycles + 1))
+    heights = np.full(n_cycles, -np.inf)
+    peak_taus = np.zeros(n_cycles)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            i = lo + int(np.argmax(values[lo:hi]))
+            heights[k] = values[i]
+            peak_taus[k] = tau[i]
+    return heights, peak_taus
+
+
 def detect_superrevival(series: AutocorrSeries, revival_period: float,
                         threshold: float = SUPERREVIVAL_THRESHOLD):
     """First time the per-cycle peak envelope recovers after a collapse.
@@ -162,18 +242,8 @@ def detect_superrevival(series: AutocorrSeries, revival_period: float,
     n_cycles = int(np.floor(span / revival_period))
     if n_cycles < 2:
         raise ValueError("series must span at least two revival cycles")
-    cycle = np.floor((series.tau - t0) / revival_period).astype(int)
-    heights = np.full(n_cycles, -np.inf)
-    peak_taus = np.zeros(n_cycles)
-    valid = cycle < n_cycles
-    for k in range(n_cycles):
-        m = valid & (cycle == k)
-        if not m.any():
-            continue
-        vals = series.values[m]
-        i = int(np.argmax(vals))
-        heights[k] = vals[i]
-        peak_taus[k] = series.tau[m][i]
+    heights, peak_taus = _cycle_envelope(series.tau, series.values,
+                                         revival_period, n_cycles)
 
     global_max = heights.max()
     dipped = heights < threshold * global_max
@@ -240,15 +310,50 @@ def detection_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(k0, k1 + 1, dtype=float) * step
 
 
+def principal_revival(weights, rates, predicted: float,
+                      grid_step: float = DETECTION_MAX_STEP,
+                      provenance: str = ""):
+    """Principal revival near ``predicted`` as ``(time, height)``.
+
+    ``|A|^2`` is sampled on ``DEFAULT_WINDOW`` times the prediction.  Packets
+    with near-equal recurrences spaced a fraction of the revival period apart
+    make that window ambiguous; it is then retried once on ``RETRY_WINDOW``,
+    tight enough to isolate the peak nearest the prediction.  A window whose
+    highest sample is its first or last holds no interior peak to refine, and
+    is refused with :class:`EdgePeakError`.
+    """
+    try:
+        return _window_revival(weights, rates, predicted, DEFAULT_WINDOW,
+                               grid_step, provenance)
+    except AmbiguousWindowError:
+        return _window_revival(weights, rates, predicted, RETRY_WINDOW,
+                               grid_step, provenance)
+
+
+def _window_revival(weights, rates, predicted, scale, grid_step, provenance):
+    window = (scale[0] * predicted, scale[1] * predicted)
+    taus = detection_grid(window[0], window[1], grid_step)
+    series = autocorrelation(weights, rates, taus, provenance=provenance)
+    detected, height = detect_revival(series, window)
+    i0, i1 = _window_bounds(series.tau, window)
+    peak = i0 + int(np.argmax(series.values[i0:i1]))
+    if peak in (i0, i1 - 1):
+        raise EdgePeakError(
+            f"window ({window[0]:.6g}, {window[1]:.6g}) peaks at its edge "
+            f"sample {float(series.tau[peak])!r}; its maximum lies outside "
+            f"the window")
+    return detected, height
+
+
 def table1_report(packet: GaussianSpec, epsilons,
-                  grid_step: float = 1e-4,
+                  grid_step: float = DETECTION_MAX_STEP,
                   refine_tol: float = 1e-9) -> list[RevivalReport]:
     """End-to-end revival comparison for a list of well strengths.
 
-    For each strength: solve the spectrum, project the packet, sample the
-    autocorrelation on a window around the effective-length prediction,
-    detect the principal revival and report the percentage discrepancy.
-    Completeness warnings from the projection propagate to the caller.
+    For each strength: solve the spectrum, project the packet, find the
+    principal revival around the effective-length prediction and report the
+    percentage discrepancy.  Completeness warnings from the projection
+    propagate to the caller.
     """
     reports = []
     for eps in epsilons:
@@ -258,11 +363,9 @@ def table1_report(packet: GaussianSpec, epsilons,
         weights = np.abs(decomp.coefficients) ** 2
         rates = phase_rates(states)
         predicted = barker(config).approx_revival_time
-        window = (DEFAULT_WINDOW[0] * predicted, DEFAULT_WINDOW[1] * predicted)
-        taus = detection_grid(window[0], window[1], grid_step)
-        series = autocorrelation(weights, rates, taus,
-                                 provenance=f"well(epsilon={eps})")
-        detected, height = detect_revival(series, window, refine_tol)
+        detected, height = principal_revival(
+            weights, rates, predicted, grid_step,
+            provenance=f"well(epsilon={eps})")
         reports.append(RevivalReport(
             epsilon=float(eps),
             detected_revival=detected,

@@ -185,6 +185,16 @@ def test_table1_json(runner):
     assert abs(payload[0]["barker"] - (13.0 / 12.0) ** 2) < 1e-12
 
 
+def test_table1_reports_the_revivals_time_after_a_retry(runner):
+    eps = "4.712860219282728"
+    table = runner.invoke(main, ["table1", "--epsilons", eps, "--format", "json"])
+    assert table.exit_code == 0
+    single = runner.invoke(main, ["revivals", "--epsilon", eps])
+    assert single.exit_code == 0
+    detected = json.loads(single.stdout)["detected_revival"]
+    assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846466397775
+
+
 # --- revivals command -----------------------------------------------------------
 
 
@@ -225,6 +235,15 @@ def test_revivals_short_horizon_exit_code(runner):
     result = runner.invoke(main, ["revivals", "--scenario", "fig2",
                                   "--horizon", "4", "--superrevival"])
     assert result.exit_code == 4
+
+
+def test_revivals_window_edge_exit_code(runner):
+    result = runner.invoke(main, ["revivals", "--epsilon", "4.712628857664328",
+                                  "--x0", "-0.15839646014543776",
+                                  "--sigma", "0.08053085345697969"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "peaks at its edge sample" in result.stderr
 
 
 # --- snapshot command ------------------------------------------------------------

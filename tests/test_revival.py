@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qrevival import (AmbiguousWindowError, AutocorrSeries, GaussianSpec,
-                      HorizonTooShortError, WellConfig, autocorrelation,
-                      barker, detect_revival, detect_superrevival,
-                      detection_grid, infinite_project, phase_rates, project,
-                      solve_spectrum, table1_report, timescales)
+from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
+                      GaussianSpec, HorizonTooShortError, WellConfig,
+                      autocorrelation, barker, detect_revival,
+                      detect_superrevival, detection_grid, infinite_project,
+                      load_scenario, oscillator_phase_rates, phase_rates,
+                      principal_revival, project, revival, solve_spectrum,
+                      squeezed_weights, table1_report, timescales)
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 
@@ -111,6 +113,92 @@ def test_box_partial_revivals_at_thirds(box_state):
         assert sub[best] > 0.5
 
 
+# --- block-factored kernel ---------------------------------------------
+
+LONG = revival._CHUNK + 1  # the shortest grid the blocked kernel takes
+
+
+def direct_series(weights, rates, taus):
+    """``|sum_n w_n exp(-i theta_n tau)|^2`` as one sum per sample."""
+    w = np.asarray(weights, dtype=float)
+    th = np.asarray(rates, dtype=float)[w > 0]
+    w = w[w > 0]
+    out = np.empty(len(taus))
+    for start in range(0, len(taus), 8192):
+        t = taus[start:start + 8192]
+        out[start:start + 8192] = np.abs(np.exp(-1j * np.outer(t, th)) @ w) ** 2
+    return out
+
+
+@pytest.fixture()
+def blocked_calls(monkeypatch):
+    """Sample counts of the calls that reach the blocked kernel."""
+    calls = []
+    kernel = revival._blocked_amplitudes
+
+    def spy(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(revival, "_blocked_amplitudes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("first", [0, 12345])
+def test_blocked_kernel_keeps_the_exact_invariants(first, blocked_calls):
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    taus = np.arange(first, first + LONG + 99, dtype=float) * 1e-3
+    fwd = autocorrelation(w, rates, taus).values
+    assert blocked_calls == [len(taus)]
+    bwd = autocorrelation(w, rates, -taus[::-1]).values[::-1]
+    assert np.array_equal(fwd, bwd)
+    assert np.array_equal(autocorrelation(w, rates, taus).values, fwd)
+    for power in (-3, 5):
+        scaled = autocorrelation(np.ldexp(w, power), rates, taus).values
+        assert np.array_equal(scaled, np.ldexp(fwd, 2 * power))
+
+
+def fig5_scan():
+    osc = load_scenario("fig5").oscillator
+    fock = squeezed_weights(osc.squeeze, osc.alpha)
+    taus = np.arange(600001, dtype=float) * 1e-3
+    return fock.weights, oscillator_phase_rates(fock.n, osc.beta), taus
+
+
+def well_scan_horizon_100():
+    w, rates, _ = well_inputs(100.0, PAPER_PACKET)
+    return w, rates, np.arange(100001, dtype=float) * 1e-3
+
+
+@pytest.mark.parametrize("scan", [fig5_scan, well_scan_horizon_100])
+def test_blocked_kernel_matches_the_direct_sum(scan, blocked_calls):
+    w, rates, taus = scan()
+    series = autocorrelation(w, rates, taus)
+    assert blocked_calls == [len(taus)]
+    # The direct sum is pointwise, so a spread subset of samples suffices.
+    picks = np.append(np.arange(0, len(taus), 29), len(taus) - 1)
+    gap = np.abs(series.values[picks] - direct_series(w, rates, taus[picks]))
+    assert gap.max() < 1e-9
+
+
+def test_other_grids_take_the_direct_path(blocked_calls):
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    uniform = np.arange(LONG, dtype=float) * 1e-3
+    nudged = uniform.copy()
+    nudged[LONG // 2] += 1e-9
+    grids = {
+        "short": uniform[:revival._CHUNK],
+        "nudged": nudged,
+        "jittered": np.sort(np.random.default_rng(5).uniform(0.0, 65.0, LONG)),
+        "geometric": np.geomspace(1e-3, 65.0, LONG),
+        "both signs": uniform - uniform[LONG // 2],
+    }
+    for name, taus in grids.items():
+        values = autocorrelation(w, rates, taus).values
+        assert np.abs(values - direct_series(w, rates, taus)).max() < 1e-12, name
+    assert blocked_calls == []
+
+
 # --- revival detection --------------------------------------------------
 
 
@@ -207,6 +295,80 @@ def test_short_horizon_is_distinguished_from_absence():
         detect_superrevival(series, period)
 
 
+def mask_envelope(tau, values, period, n_cycles):
+    """The per-cycle envelope with one boolean mask over the series per cycle."""
+    cycle = np.floor((tau - tau[0]) / period).astype(int)
+    heights = np.full(n_cycles, -np.inf)
+    peak_taus = np.zeros(n_cycles)
+    valid = cycle < n_cycles
+    for k in range(n_cycles):
+        m = valid & (cycle == k)
+        if not m.any():
+            continue
+        vals = values[m]
+        i = int(np.argmax(vals))
+        heights[k] = vals[i]
+        peak_taus[k] = tau[m][i]
+    return heights, peak_taus
+
+
+def mask_superrevival(series, period, threshold=0.95):
+    """Superrevival time from the mask-loop envelope (None if no dip)."""
+    n_cycles = int(np.floor((series.tau[-1] - series.tau[0]) / period))
+    heights, peak_taus = mask_envelope(series.tau, series.values, period, n_cycles)
+    dipped = heights < threshold * heights.max()
+    if not dipped.any():
+        return None
+    first_dip = int(np.argmax(dipped))
+    recovered = np.flatnonzero((np.arange(n_cycles) > first_dip)
+                               & (heights >= threshold * heights.max()))
+    return float(peak_taus[recovered[0]]) if len(recovered) else HorizonTooShortError
+
+
+def test_one_pass_envelope_matches_the_mask_loop():
+    rng = np.random.default_rng(20)
+    empty = 0
+    for _ in range(40):
+        n = int(rng.integers(20, 3000))
+        # rare long gaps leave whole cycles without samples
+        gaps = rng.exponential(1.0, n) * np.where(rng.random(n) < 0.03, 60.0, 1.0)
+        tau = rng.uniform(-50.0, 50.0) + np.cumsum(gaps)
+        values = rng.integers(0, 6, n) / 5.0  # coarse levels make ties common
+        period = rng.uniform(2.0, 30.0)
+        n_cycles = int(np.floor((tau[-1] - tau[0]) / period))
+        fast = revival._cycle_envelope(tau, values, period, n_cycles)
+        slow = mask_envelope(tau, values, period, n_cycles)
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1], slow[1])
+        empty += int(np.isinf(slow[0]).sum())
+    assert empty > 0
+
+
+def test_superrevival_matches_the_mask_loop():
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(200, 4000))
+        tau = rng.uniform(-20.0, 20.0) + np.cumsum(rng.uniform(0.5, 1.0, n))
+        period = rng.uniform(4.0, 80.0)
+        cycle = np.floor((tau - tau[0]) / period).astype(int)
+        scale = rng.choice([1.0, 0.5], cycle[-1] + 1, p=[0.3, 0.7])
+        kind = rng.integers(3)  # 0: no dip, 1: dip with no recovery
+        if kind < 2:
+            scale[kind:] = 1.0 - 0.5 * kind
+        values = scale[cycle] * rng.integers(1, 9, n) / 8.0
+        series = AutocorrSeries(tau=tau, values=values)
+        expected = mask_superrevival(series, period)
+        if expected is HorizonTooShortError:
+            with pytest.raises(HorizonTooShortError):
+                detect_superrevival(series, period)
+        else:
+            assert detect_superrevival(series, period) == expected
+        outcomes.add("none" if expected is None else
+                     "short" if expected is HorizonTooShortError else "time")
+    assert outcomes == {"none", "short", "time"}
+
+
 def test_superrevival_validates_period():
     series, _ = envelope_scan(12.0, 4.0)
     with pytest.raises(ValueError):
@@ -255,6 +417,32 @@ def test_stencil_center_shifts_inward_at_the_spectrum_edge():
 
 
 # --- comparison report ----------------------------------------------------
+
+
+def test_table1_retries_an_ambiguous_window():
+    # Both default-window peaks (near 1.508 and 2.009) lie within 1 %; the
+    # narrow retry window keeps the one nearest the prediction.
+    eps = 4.712860219282728
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (report,) = table1_report(PAPER_PACKET, [eps])
+    w, rates, _ = well_inputs(eps, PAPER_PACKET)
+    predicted = barker(WellConfig(epsilon=eps)).approx_revival_time
+    with pytest.raises(AmbiguousWindowError):
+        lo, hi = 0.9 * predicted, 1.5 * predicted
+        detect_revival(autocorrelation(w, rates, detection_grid(lo, hi, 1e-4)),
+                       (lo, hi))
+    assert report.detected_revival == principal_revival(w, rates, predicted)[0]
+    assert abs(report.detected_revival - 1.5081846466397775) < 1e-12
+
+
+def test_window_edge_peak_is_refused():
+    w, rates, _ = well_inputs(4.712628857664328,
+                              GaussianSpec(x0=-0.15839646014543776,
+                                           sigma=0.08053085345697969))
+    predicted = barker(WellConfig(epsilon=4.712628857664328)).approx_revival_time
+    with pytest.raises(EdgePeakError, match="edge"):
+        principal_revival(w, rates, predicted)
 
 
 @pytest.fixture(scope="module")
