@@ -6,8 +6,8 @@ state, evolve it, sample the squared autocorrelation, and detect revival and
 superrevival times.
 """
 
-from .anharmonic import (FockWeights, OscillatorConfig, OscillatorTimescales,
-                         coherent_weights, hermite_log, oscillator_autocorr,
+from .anharmonic import (FockWeights, OscillatorTimescales, coherent_weights,
+                         hermite_log, oscillator_autocorr,
                          oscillator_phase_rates, oscillator_timescales,
                          squeezed_weights)
 from .errors import (AmbiguousWindowError, CompletenessWarning,
@@ -34,7 +34,7 @@ __all__ = [
     "BoundState", "BUILTIN_SCENARIOS", "CompletenessWarning",
     "ConvergenceError", "CutoffTooSmallError", "EdgePeakError", "FockWeights",
     "GaussianSpec",
-    "HorizonTooShortError", "InfiniteWellState", "OscillatorConfig",
+    "HorizonTooShortError", "InfiniteWellState",
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
     "ScenarioConfig", "SpectralDecomposition", "TimescaleHierarchy",
     "WellConfig", "WellSystem", "autocorrelation", "barker",

@@ -28,20 +28,6 @@ _TAIL_MASS_AUTO = 1e-12
 
 
 @dataclass(frozen=True)
-class OscillatorConfig:
-    """Nonlinearity ratio and number-basis truncation."""
-
-    beta: float
-    fock_cutoff: int = FOCK_CUTOFF_CAP
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.fock_cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-
-
-@dataclass(frozen=True)
 class FockWeights:
     """Normalized number-basis weights ``|c_n|^2`` for ``n = 0..cutoff``."""
 

@@ -64,7 +64,6 @@ class RevivalReport:
     barker_predicted: float
     percent_error: float
     peak_height_at_revival: float
-    detected_superrevival: float | None
     completeness: float
     grid_step: float
     refine_tol: float
@@ -372,7 +371,6 @@ def table1_report(packet: GaussianSpec, epsilons,
             barker_predicted=predicted,
             percent_error=100.0 * abs(detected - predicted) / detected,
             peak_height_at_revival=height,
-            detected_superrevival=None,
             completeness=decomp.completeness,
             grid_step=grid_step,
             refine_tol=refine_tol,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import build_edges, integrate_batched
 from .errors import ConvergenceError
 
 _WEAK_BINDING_BETA = 1e-6
@@ -162,33 +161,22 @@ def _solve_roots(eps: float):
     return root, beta, even_mask
 
 
-def _interior_norm_integrals(alpha, even_mask, epsrel=1e-10):
-    """Integral of the squared unnormalized interior profile over the well.
+def edge_values(alpha, even):
+    """Unnormalized profile at the wall ``xbar = 1/2``: ``cos`` or ``sin``."""
+    return np.where(even, np.cos(alpha), np.sin(alpha))
 
-    Uses ``cos^2 = (1 + cos)/2`` and ``sin^2 = (1 - cos)/2`` so one cosine
-    evaluation per node serves both parities.
+
+def profile_overlaps(a1, b1, a2, b2, even):
+    """Overlap integrals of unnormalized same-parity level profiles.
+
+    Inside the well, product-to-sum turns ``cos cos`` and ``sin sin`` into a
+    difference- and a sum-frequency cosine whose integrals are sinc terms of
+    opposite relative sign; outside, the product of two decaying branches is
+    a pure exponential.  Arguments broadcast elementwise.
     """
-    alpha = np.asarray(alpha)
-    out = np.empty(len(alpha))
-    for start in range(0, len(alpha), 64):
-        sl = slice(start, min(start + 64, len(alpha)))
-        a_chunk = alpha[sl]
-        sign = np.where(even_mask[sl], 1.0, -1.0)
-
-        def f(x, a_chunk=a_chunk, sign=sign):
-            m = np.outer(4.0 * a_chunk, x)
-            np.cos(m, out=m)
-            m *= 0.5 * sign[:, None]
-            m += 0.5
-            return m
-
-        edges = build_edges(-0.5, 0.5,
-                            min_panels=max(8, int(a_chunk.max()) + 1))
-        vals, errs, conv = integrate_batched(f, edges, epsrel=epsrel)
-        if not conv.all():
-            raise ConvergenceError("interior normalization quadrature failed")
-        out[sl] = vals
-    return out
+    sign = np.where(even, 1.0, -1.0)
+    interior = 0.5 * (np.sinc((a1 - a2) / np.pi) + sign * np.sinc((a1 + a2) / np.pi))
+    return interior + edge_values(a1, even) * edge_values(a2, even) / (b1 + b2)
 
 
 def solve_spectrum(config: WellConfig, tol: float = 1e-12) -> list[BoundState]:
@@ -219,10 +207,7 @@ def solve_spectrum(config: WellConfig, tol: float = 1e-12) -> list[BoundState]:
         raise ConvergenceError(
             f"root {i + 1} did not converge: residual {residual[i]:.3e}")
 
-    interior = _interior_norm_integrals(root, even_mask)
-    tails = np.where(even_mask, np.cos(root), np.sin(root)) ** 2 \
-        / (2.0 * np.maximum(beta, 1e-300))
-    norms = 1.0 / np.sqrt(interior + tails)
+    norms = 1.0 / np.sqrt(profile_overlaps(root, beta, root, beta, even_mask))
 
     return [
         BoundState(
@@ -271,46 +256,22 @@ def orthonormality_matrix(states) -> np.ndarray:
     """Gram matrix of overlaps between the given states.
 
     Opposite-parity entries vanish identically by symmetry of the integrand
-    and are returned as exact zeros.  Same-parity entries combine an adaptive
-    interior quadrature with closed-form tails (the product of two decaying
-    branches is a pure exponential).  Entries whose quadrature fails to
-    converge are reported collectively.
+    and are returned as exact zeros.  Same-parity entries come from the
+    closed-form overlap of the computed roots, whose off-diagonal terms
+    cancel only at true roots, so the matrix still checks the spectrum.
     """
     if not states:
         raise ValueError("need at least one state")
-    n = len(states)
-    gram = np.zeros((n, n))
-    pairs = [(i, k) for i in range(n) for k in range(i, n)
-             if states[i].parity == states[k].parity]
+    alpha, beta, even, norm = state_arrays(states)
+    same = even[:, None] == even[None, :]
+    overlaps = profile_overlaps(alpha[:, None], beta[:, None], alpha[None, :],
+                                beta[None, :], even[:, None])
+    return np.where(same, norm[:, None] * norm[None, :] * overlaps, 0.0)
 
-    al = np.array([states[i].alpha for i, _ in pairs])
-    ak = np.array([states[k].alpha for _, k in pairs])
-    even = np.array([states[i].parity == "even" for i, _ in pairs])
-    sign = np.where(even, 1.0, -1.0)
 
-    def f(x):
-        # product-to-sum: cos*cos and sin*sin differ only in the sign of the
-        # sum-frequency term
-        diff = np.outer(2.0 * (al - ak), x)
-        np.cos(diff, out=diff)
-        total = np.outer(2.0 * (al + ak), x)
-        np.cos(total, out=total)
-        total *= sign[:, None]
-        diff += total
-        diff *= 0.5
-        return diff
-
-    edges = build_edges(-0.5, 0.5, min_panels=max(8, int(0.5 * (al + ak).max()) + 1))
-    vals, errs, conv = integrate_batched(f, edges, epsabs=1e-14, epsrel=1e-12)
-    if not conv.all():
-        failed = [pairs[q] for q in np.flatnonzero(~conv)]
-        raise ConvergenceError(f"overlap quadrature failed for entries {failed}")
-
-    for (i, k), interior in zip(pairs, vals):
-        si, sk = states[i], states[k]
-        edge_i = np.cos(si.alpha) if si.parity == "even" else np.sin(si.alpha)
-        edge_k = np.cos(sk.alpha) if sk.parity == "even" else np.sin(sk.alpha)
-        tails = edge_i * edge_k / (si.beta + sk.beta)
-        val = si.norm * sk.norm * (interior + tails)
-        gram[i, k] = gram[k, i] = val
-    return gram
+def state_arrays(states):
+    """``(alpha, beta, even, norm)`` arrays over a list of bound states."""
+    return (np.array([s.alpha for s in states]),
+            np.array([s.beta for s in states]),
+            np.array([s.parity == "even" for s in states]),
+            np.array([s.norm for s in states]))

@@ -1,24 +1,25 @@
 """Initial states, their expansion over bound states, and time evolution.
 
 A Gaussian packet (or a single designated eigenstate) is projected onto a
-bound-state set by overlap quadrature.  Evolution is diagonal: coefficient
-``n`` picks up ``exp(-i * rate_n * tau)`` where ``rate_n`` is the state's
-phase rate in scaled time.  The infinitely deep well gets its own projection
-and evolution path over the trigonometric basis ``sqrt(2) cos(n pi x)`` for
-odd ``n`` and ``sqrt(2) sin(n pi x)`` for even ``n``, whose phase law is
-exactly quadratic, ``exp(-2 pi i n^2 tau)``.
+bound-state set by closed-form overlap integrals.  Evolution is diagonal:
+coefficient ``n`` picks up ``exp(-i * rate_n * tau)`` where ``rate_n`` is the
+state's phase rate in scaled time.  The infinitely deep well gets its own
+projection and evolution path over the trigonometric basis
+``sqrt(2) cos(n pi x)`` for odd ``n`` and ``sqrt(2) sin(n pi x)`` for even
+``n``, whose phase law is exactly quadratic, ``exp(-2 pi i n^2 tau)``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import build_edges, integrate_batched, integrate
-from .errors import CompletenessWarning, ConvergenceError
-from .spectrum import BoundState, eigenfunction_value
+from .errors import CompletenessWarning
+from .spectrum import (BoundState, edge_values, eigenfunction_value,
+                       profile_overlaps, state_arrays)
 
 COMPLETENESS_FLOOR = 0.999
 _INFINITE_N_CAP = 512
@@ -73,33 +74,70 @@ class InfiniteWellState:
         return np.abs(self.coefficients) ** 2
 
 
-def _eigen_rows(alphas, betas, evens, norms, x):
-    """Matrix of normalized eigenfunction values, one row per state."""
-    x = np.asarray(x)
-    phase = np.outer(2.0 * alphas, x)
-    out = np.empty_like(phase)
-    mask = evens[:, None]
-    np.cos(phase, out=out, where=mask)
-    np.sin(phase, out=out, where=~mask)
-
-    cols_out = np.flatnonzero(np.abs(x) > 0.5)
-    if len(cols_out):
-        xo = x[cols_out]
-        decay = np.exp(-2.0 * np.outer(betas, np.abs(xo) - 0.5))
-        edge = np.where(evens, np.cos(alphas), np.sin(alphas))[:, None]
-        orient = np.where(evens[:, None], 1.0, np.sign(xo)[None, :])
-        out[:, cols_out] = edge * decay * orient
-    out *= norms[:, None]
-    return out
+def _weideman_coefficients():
+    # Weideman, SIAM J. Numer. Anal. 31, 1497 (1994): w(z) is expanded in
+    # powers of (L + iz) / (L - iz); the coefficients are one FFT of
+    # exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta / 2).
+    n_terms = 64
+    m = 2 * n_terms
+    scale = math.sqrt(n_terms / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(1 - m, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, a[n_terms:0:-1]
 
 
-def _tail_edges(xmax):
-    # Cubic clustering toward the well edge resolves fast-decaying tails.
-    u = np.linspace(0.0, 1.0, 25)
-    return 0.5 + (xmax - 0.5) * u ** 3
+_WEIDEMAN_L, _WEIDEMAN_COEFFS = _weideman_coefficients()
 
 
-def project(initial, states, *, epsrel=1e-10) -> SpectralDecomposition:
+def faddeeva(z):
+    """Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)`` for ``Im z >= 0``.
+
+    Weideman's rational approximation with 64 terms; relative error about
+    1e-14 across the closed upper half plane.
+    """
+    den = _WEIDEMAN_L - 1j * np.asarray(z, dtype=complex)
+    ratio = (2.0 * _WEIDEMAN_L - den) / den
+    poly = np.zeros_like(ratio)
+    for coeff in _WEIDEMAN_COEFFS:
+        poly = poly * ratio + coeff
+    return 2.0 * poly / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
+
+
+def _interior_transform(spec: GaussianSpec, alpha):
+    """``integral of g(x) exp(2i alpha x)`` over the well, packet ``g``.
+
+    Completing the square leaves one error function at each wall; each is
+    written as ``exp(-u^2) w(+-c + iu)`` with ``u >= 0`` the wall's distance
+    in units of ``sqrt(2) sigma`` and ``c = sqrt(2) alpha sigma``, which
+    cannot overflow however deep the level or narrow the packet.  The real
+    part is the overlap with ``cos(2 alpha x)``, the imaginary part the
+    overlap with ``sin(2 alpha x)``.
+    """
+    s = math.sqrt(2.0) * spec.sigma
+    c = s * alpha
+    u_right = (0.5 - spec.x0) / s
+    u_left = (0.5 + spec.x0) / s
+    right = np.exp(1j * alpha - u_right ** 2) * faddeeva(c + 1j * u_right)
+    left = np.exp(-1j * alpha - u_left ** 2) * faddeeva(-c + 1j * u_left)
+    centre = 2.0 * np.exp(2j * alpha * spec.x0 - c * c)
+    return spec.sigma * math.sqrt(0.5 * math.pi) * (centre - left - right)
+
+
+def _tail_overlap(spec: GaussianSpec, beta, wall_gap):
+    """``integral of g(x) exp(-2 beta (|x| - 1/2))`` beyond one wall.
+
+    ``wall_gap`` is the packet centre's distance from that wall.  The
+    integral is ``sigma sqrt(pi/2) exp(-u^2) erfcx(u + sqrt(2) beta sigma)``
+    with ``u = wall_gap / (sqrt(2) sigma)``, and ``erfcx(v) = w(iv)``.
+    """
+    s = math.sqrt(2.0) * spec.sigma
+    u = wall_gap / s
+    return spec.sigma * math.sqrt(0.5 * math.pi) * math.exp(-u * u) \
+        * faddeeva(1j * (u + s * beta)).real
+
+
+def project(initial, states) -> SpectralDecomposition:
     """Overlap coefficients of an initial state with each bound state.
 
     ``initial`` is a :class:`GaussianSpec` or a :class:`BoundState` drawn
@@ -111,51 +149,22 @@ def project(initial, states, *, epsrel=1e-10) -> SpectralDecomposition:
     """
     if not states:
         raise ValueError("need at least one bound state")
-    beta_min = min(s.beta for s in states)
+    alpha, beta, even, norm = state_arrays(states)
 
     if isinstance(initial, GaussianSpec):
-        xmax = 0.5 + max(10.0 * initial.sigma, 25.0 / (2.0 * beta_min))
-        sigma_scale = initial.sigma
-        norm = np.sqrt(integrate(
-            lambda x: initial.amplitude(x) ** 2,
-            -xmax, xmax,
-            breakpoints=(-0.5, 0.5),
-            min_panels=max(16, int(2.0 * xmax / sigma_scale) + 1),
-        ))
-
-        def psi0(x):
-            return initial.amplitude(x) / norm
+        edge = edge_values(alpha, even)
+        inside = _interior_transform(initial, alpha)
+        right = _tail_overlap(initial, beta, 0.5 - initial.x0)
+        left = _tail_overlap(initial, beta, 0.5 + initial.x0)
+        overlaps = np.where(even, inside.real + edge * (right + left),
+                            inside.imag + edge * (right - left))
+        coeffs = norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
     elif isinstance(initial, BoundState):
-        xmax = 0.5 + 25.0 / (2.0 * min(beta_min, initial.beta))
-        sigma_scale = 0.5
-
-        def psi0(x):
-            return eigenfunction_value(initial, x)
+        same = even == (initial.parity == "even")
+        overlaps = profile_overlaps(initial.alpha, initial.beta, alpha, beta, even)
+        coeffs = np.where(same, initial.norm * norm * overlaps, 0.0)
     else:
         raise TypeError(f"unsupported initial state {type(initial).__name__}")
-
-    coeffs = np.empty(len(states))
-    for start in range(0, len(states), 64):
-        chunk = states[start:start + 64]
-        al = np.array([s.alpha for s in chunk])
-        be = np.array([s.beta for s in chunk])
-        ev = np.array([s.parity == "even" for s in chunk])
-        no = np.array([s.norm for s in chunk])
-
-        def f(x, al=al, be=be, ev=ev, no=no):
-            rows = _eigen_rows(al, be, ev, no, x)
-            rows *= psi0(x)[None, :]
-            return rows
-
-        interior = build_edges(
-            -0.5, 0.5,
-            min_panels=max(8, int(0.75 * al.max()) + 1, int(3.0 / sigma_scale) + 1))
-        right = _tail_edges(xmax)
-        edges = np.concatenate([-right[::-1], interior[1:-1], right])
-        vals, errs, conv = integrate_batched(f, edges, epsrel=epsrel)
-        if not conv.all():
-            raise ConvergenceError("projection quadrature failed to converge")
-        coeffs[start:start + len(chunk)] = vals
 
     completeness = float(np.sum(coeffs ** 2))
     if completeness < COMPLETENESS_FLOOR:
@@ -186,49 +195,24 @@ def snapshot(decomp: SpectralDecomposition, states, tau: float, grid) -> np.ndar
     return np.abs(psi) ** 2
 
 
-def _infinite_rows(n_values, x):
-    phase = np.outer(n_values, np.pi * x)
-    odd_n = (n_values % 2 == 1)
-    return np.sqrt(2.0) * np.where(odd_n[:, None], np.cos(phase), np.sin(phase))
-
-
 def infinite_project(spec: GaussianSpec, n_max: int | None = None) -> InfiniteWellState:
     """Expand a Gaussian over the trigonometric basis of the box.
 
     The packet is normalized over the box interior, where the basis is
-    complete.  When ``n_max`` is omitted the expansion grows until the
-    captured weight reaches ``1 - 1e-10`` or the mode cap, whichever comes
-    first.
+    complete.  When ``n_max`` is omitted the expansion keeps the fewest
+    modes whose captured weight reaches ``1 - 1e-10``, or the mode cap if
+    none does.
     """
-    norm = np.sqrt(integrate(
-        lambda x: spec.amplitude(x) ** 2, -0.5, 0.5,
-        min_panels=max(16, int(2.0 / spec.sigma) + 1)))
-
-    target = None if n_max is not None else 1.0 - _INFINITE_TRUNCATION
-    cap = n_max if n_max is not None else _INFINITE_N_CAP
-
-    coeffs: list[float] = []
-    cumulative = 0.0
-    block = 32
-    while len(coeffs) < cap:
-        n_lo = len(coeffs) + 1
-        n_hi = min(n_lo + block - 1, cap)
-        n_values = np.arange(n_lo, n_hi + 1)
-
-        def f(x, n_values=n_values):
-            return _infinite_rows(n_values, x) * (spec.amplitude(x) / norm)[None, :]
-
-        edges = build_edges(
-            -0.5, 0.5,
-            min_panels=max(8, int(0.8 * n_hi) + 1, int(3.0 / spec.sigma) + 1))
-        vals, errs, conv = integrate_batched(f, edges, epsabs=1e-14, epsrel=1e-11)
-        if not conv.all():
-            raise ConvergenceError("box-basis projection failed to converge")
-        coeffs.extend(vals.tolist())
-        cumulative = float(np.sum(np.square(coeffs)))
-        if target is not None and cumulative >= target:
-            break
-    return InfiniteWellState(coefficients=np.asarray(coeffs, dtype=complex))
+    n = np.arange(1, (_INFINITE_N_CAP if n_max is None else n_max) + 1)
+    inside = _interior_transform(spec, 0.5 * np.pi * n)
+    box_norm2 = 0.5 * math.sqrt(math.pi) * spec.sigma * (
+        math.erf((0.5 - spec.x0) / spec.sigma) + math.erf((0.5 + spec.x0) / spec.sigma))
+    coeffs = math.sqrt(2.0 / box_norm2) * np.where(n % 2 == 1, inside.real, inside.imag)
+    if n_max is None:
+        reached = np.flatnonzero(np.cumsum(coeffs ** 2) >= 1.0 - _INFINITE_TRUNCATION)
+        if reached.size:
+            coeffs = coeffs[:reached[0] + 1]
+    return InfiniteWellState(coefficients=coeffs.astype(complex))
 
 
 def infinite_evolve(state: InfiniteWellState, tau: float) -> InfiniteWellState:

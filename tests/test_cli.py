@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qrevival
 from qrevival import BUILTIN_SCENARIOS, ScenarioConfig, load_scenario
 from qrevival.cli import main
 
@@ -192,10 +196,30 @@ def test_table1_reports_the_revivals_time_after_a_retry(runner):
     single = runner.invoke(main, ["revivals", "--epsilon", eps])
     assert single.exit_code == 0
     detected = json.loads(single.stdout)["detected_revival"]
-    assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846466397775
+    assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846466397668
 
 
 # --- revivals command -----------------------------------------------------------
+
+
+def test_revivals_loads_no_scipy():
+    # scipy is a test oracle only: importing it would add to the start-up
+    # time and memory of every command
+    code = ("import sys\n"
+            "from qrevival.cli import main\n"
+            "try:\n"
+            "    main(['revivals', '--epsilon', '12'])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(qrevival.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "detected_revival" in done.stdout
 
 
 def test_revivals_fig1a(runner):

@@ -476,4 +476,3 @@ def test_report_carries_scan_metadata(reports):
     for r in reports:
         assert r.grid_step == 1e-4
         assert r.completeness >= 0.999
-        assert r.detected_superrevival is None

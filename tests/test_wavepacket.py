@@ -1,12 +1,72 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import quad, quad_vec
+from scipy.optimize import brentq
+from scipy.special import wofz
 
 from qrevival import (CompletenessWarning, GaussianSpec, WellConfig, evolve,
                       infinite_evolve, infinite_project, parity_filtered,
                       project, snapshot, solve_spectrum)
+from qrevival.wavepacket import faddeeva
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 CENTERED_PACKET = GaussianSpec(x0=0.0, sigma=0.1)
+ORACLE_PACKETS = [(0.2, 0.1), (0.0, 0.1), (0.297, 0.129), (-0.15, 0.05),
+                  (0.45, 0.02)]
+# The oracles ask QUADPACK for near machine precision, where it reports
+# roundoff; each test bounds the oracle's difference from the program.
+quiet_quad = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+
+
+def quad_coefficients(packet, alphas, betas):
+    """Normalized overlaps of ``packet`` with the levels ``(alpha, beta)``.
+
+    Levels alternate even/odd from the ground state.  The interior uses
+    QUADPACK's oscillatory-weight rule, level by level; each exponential
+    tail is one adaptive integral over all levels at once.  Level norms
+    come from the elementary integrals of ``cos^2``/``sin^2`` and the tails.
+    """
+    def gauss(x):
+        return math.exp(-(x - packet.x0) ** 2 / (2.0 * packet.sigma ** 2))
+
+    alphas, betas = np.asarray(alphas), np.asarray(betas)
+    even = np.arange(len(alphas)) % 2 == 0
+    sign = np.where(even, 1.0, -1.0)
+    edge = np.where(even, np.cos(alphas), np.sin(alphas))
+    inside = np.array([
+        quad(gauss, -0.5, 0.5, weight="cos" if ev else "sin", wvar=2.0 * alpha,
+             epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+        for alpha, ev in zip(alphas, even)])
+
+    def tail(side):
+        return quad_vec(lambda u: gauss(side * (0.5 + u)) * np.exp(-2.0 * betas * u),
+                        0.0, np.inf, epsabs=1e-16, epsrel=1e-14, norm="max")[0]
+
+    level_norm2 = 0.5 + sign * np.sin(2.0 * alphas) / (4.0 * alphas) \
+        + edge ** 2 / (2.0 * betas)
+    overlap = inside + edge * (tail(1.0) + sign * tail(-1.0))
+    return overlap / np.sqrt(level_norm2 * packet.sigma * math.sqrt(math.pi))
+
+
+def brentq_levels(epsilon):
+    """Roots ``(alpha, beta)`` by Brent's method on the pole-free equations."""
+    def decay(a):
+        return math.sqrt(max(epsilon ** 2 - a * a, 0.0))
+
+    alphas = []
+    for j in range(int(2.0 * epsilon / math.pi) + 1):
+        if j % 2 == 0:
+            def matching(a):
+                return decay(a) * math.cos(a) - a * math.sin(a)
+        else:
+            def matching(a):
+                return a * math.cos(a) + decay(a) * math.sin(a)
+        alphas.append(brentq(matching, j * math.pi / 2.0,
+                             min((j + 1) * math.pi / 2.0, epsilon), xtol=1e-15))
+    return alphas, [decay(a) for a in alphas]
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +82,34 @@ def decomp12(well12):
 def test_projection_completeness(decomp12):
     assert decomp12.completeness >= 0.999
     assert decomp12.completeness <= 1.0 + 1e-9
+
+
+@quiet_quad
+@pytest.mark.parametrize("epsilon", [12.0, 15.0, 30.0, 100.0, 1000.0])
+@pytest.mark.parametrize("x0, sigma", ORACLE_PACKETS)
+def test_coefficients_match_quad_oracle(epsilon, x0, sigma):
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    packet = GaussianSpec(x0=x0, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompletenessWarning)
+        ours = project(packet, states).coefficients.real
+    oracle = quad_coefficients(packet, [s.alpha for s in states],
+                               [s.beta for s in states])
+    assert np.abs(ours - oracle).max() <= 1e-13
+
+
+@quiet_quad
+def test_near_threshold_completeness_matches_quad_oracle():
+    # the top level is bound by beta ~ 2e-5, so its tail reaches ~2e4 well
+    # lengths; the closed forms carry no cut-off that could clip it
+    epsilon = 1.5 * np.pi * (1.0 + 1e-6)
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompletenessWarning)
+        decomp = project(PAPER_PACKET, states)
+    alphas, betas = brentq_levels(epsilon)
+    oracle = float(np.sum(quad_coefficients(PAPER_PACKET, alphas, betas) ** 2))
+    assert abs(decomp.completeness - oracle) <= 1e-10
 
 
 def test_coefficients_real_for_real_packet(decomp12):
@@ -137,6 +225,40 @@ def test_box_centered_packet_uses_cosines_only():
 def test_box_completeness_for_centered_packet():
     state = infinite_project(CENTERED_PACKET)
     assert state.completeness >= 1.0 - 1e-10
+
+
+@quiet_quad
+@pytest.mark.parametrize("x0, sigma", ORACLE_PACKETS + [(0.2, 0.06)])
+def test_box_coefficients_match_quad_oracle(x0, sigma):
+    packet = GaussianSpec(x0=x0, sigma=sigma)
+    ours = infinite_project(packet).coefficients.real
+
+    def gauss(x):
+        return math.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2))
+
+    box_norm2 = quad(lambda x: gauss(x) ** 2, -0.5, 0.5, epsabs=1e-15, epsrel=1e-13)[0]
+    oracle = np.array([
+        quad(gauss, -0.5, 0.5, weight="cos" if n % 2 else "sin", wvar=n * math.pi,
+             epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+        for n in range(1, len(ours) + 1)]) * math.sqrt(2.0 / box_norm2)
+    assert np.abs(ours - oracle).max() <= 1e-13
+
+
+def test_box_keeps_the_fewest_modes_that_reach_the_target():
+    for packet in (CENTERED_PACKET, GaussianSpec(x0=-0.15, sigma=0.05)):
+        state = infinite_project(packet)
+        weights = state.weights
+        assert weights.sum() >= 1.0 - 1e-10 > weights[:-1].sum()
+
+
+def test_faddeeva_matches_scipy_wofz():
+    re = np.concatenate([-np.logspace(-6, 5, 221), [0.0], np.logspace(-6, 6, 241)])
+    im = np.concatenate([[0.0], np.logspace(-6, math.log10(50.0), 121)])
+    z = re[:, None] + 1j * im[None, :]
+    axis = 1j * np.concatenate([[0.0], np.logspace(-6, 7, 261)])
+    for points in (z, axis):
+        ref = wofz(points)
+        assert (np.abs(faddeeva(points) - ref) / np.abs(ref)).max() <= 5e-14
 
 
 def test_box_truncation_is_converged():
