@@ -117,13 +117,20 @@ def _resolve_scenario(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
                           horizon=600.0)
 
 
-def _fock_for(osc: OscillatorSystem):
+def _fock_for(cfg: ScenarioConfig):
+    """Number-basis weights of an oscillator scenario; None for a well.
+
+    Built once per command and passed to each helper that needs them.
+    """
+    osc = cfg.oscillator
+    if osc is None:
+        return None
     if osc.kind == "coherent":
         return coherent_weights(osc.alpha)
     return squeezed_weights(osc.squeeze, osc.alpha)
 
 
-def _series_inputs(cfg: ScenarioConfig):
+def _series_inputs(cfg: ScenarioConfig, fock):
     """Weights, phase rates and completeness for a scenario's system."""
     if cfg.well is not None:
         if cfg.well.is_infinite:
@@ -133,27 +140,24 @@ def _series_inputs(cfg: ScenarioConfig):
         decomp = project(cfg.packet, states)
         weights = np.abs(decomp.coefficients) ** 2
         return weights, phase_rates(states), decomp.completeness
-    fock = _fock_for(cfg.oscillator)
     return fock.weights, oscillator_phase_rates(fock.n, cfg.oscillator.beta), 1.0
 
 
-def _reference_inputs(cfg: ScenarioConfig):
+def _reference_inputs(cfg: ScenarioConfig, fock):
     """Dashed-line counterpart: the box for wells, the quadratic-spectrum
     oscillator for oscillator scenarios."""
     if cfg.well is not None:
         state = infinite_project(cfg.packet)
         return state.weights, state.phase_rates
-    fock = _fock_for(cfg.oscillator)
     return fock.weights, oscillator_phase_rates(fock.n, 0.0)
 
 
-def _revival_prediction(cfg: ScenarioConfig) -> float:
+def _revival_prediction(cfg: ScenarioConfig, fock) -> float:
     if cfg.well is not None:
         if cfg.well.is_infinite:
             return 1.0
         return barker(WellConfig(cfg.well.epsilon)).approx_revival_time
-    return oscillator_timescales(_fock_for(cfg.oscillator),
-                                 cfg.oscillator.beta).revival_time
+    return oscillator_timescales(fock, cfg.oscillator.beta).revival_time
 
 
 @click.group()
@@ -212,13 +216,14 @@ def cmd_autocorr(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
     """Squared autocorrelation series over the scenario's time grid."""
     cfg = _resolve_scenario(scenario, epsilon, x0, sigma, beta, alpha,
                             squeeze, tau_max, tau_step)
-    weights, rates, _completeness = _series_inputs(cfg)
+    fock = _fock_for(cfg)
+    weights, rates, _completeness = _series_inputs(cfg, fock)
     n_steps = int(math.floor(cfg.tau_max / cfg.tau_step + 1e-9))
     taus = np.arange(0, n_steps + 1, dtype=float) * cfg.tau_step
     series = autocorrelation(weights, rates, taus, provenance=cfg.name)
     ref_values = None
     if reference:
-        ref_w, ref_rates = _reference_inputs(cfg)
+        ref_w, ref_rates = _reference_inputs(cfg, fock)
         ref_values = autocorrelation(ref_w, ref_rates, taus).values
 
     if fmt == "csv":
@@ -295,8 +300,9 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
     horizon = cfg.horizon if horizon is None else horizon
     if horizon < 2.0:
         raise ValueError(f"horizon must be at least 2, got {horizon}")
-    weights, rates, completeness = _series_inputs(cfg)
-    predicted = _revival_prediction(cfg)
+    fock = _fock_for(cfg)
+    weights, rates, completeness = _series_inputs(cfg, fock)
+    predicted = _revival_prediction(cfg, fock)
     detected, height = principal_revival(weights, rates, predicted,
                                          provenance=cfg.name)
 

@@ -20,6 +20,8 @@ from .wavepacket import GaussianSpec, project
 
 _CHUNK = 65536
 DETECTION_MAX_STEP = 1e-4
+REFINE_TOL = 1e-9
+_NEWTON_STEPS = 20
 AMBIGUITY_BAND = 0.01
 SUPERREVIVAL_THRESHOLD = 0.95
 DEFAULT_WINDOW = (0.9, 1.5)
@@ -28,11 +30,18 @@ RETRY_WINDOW = (0.95, 1.05)
 
 @dataclass(frozen=True)
 class AutocorrSeries:
-    """Sampled ``|A(tau)|^2`` over a strictly increasing scaled-time grid."""
+    """Sampled ``|A(tau)|^2`` over a strictly increasing scaled-time grid.
+
+    A series from :func:`autocorrelation` also carries the weights and phase
+    rates of its levels, so ``A`` and its derivatives can be evaluated off
+    the grid; a series built from samples alone has neither.
+    """
 
     tau: np.ndarray
     values: np.ndarray
     provenance: str = ""
+    weights: np.ndarray | None = None
+    rates: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.tau) != len(self.values):
@@ -72,9 +81,9 @@ class RevivalReport:
 def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrSeries:
     """Squared autocorrelation for nonnegative weights and phase rates.
 
-    Grids of more than ``_CHUNK`` samples whose ``|tau|`` form one uniform
-    progression take the block-factored kernel; every other grid is summed
-    directly, ``_CHUNK`` samples at a time.
+    Grids whose ``|tau|`` form one uniform progression take the
+    block-factored kernel; every other grid is summed directly, ``_CHUNK``
+    samples at a time.  The series carries the levels of nonzero weight.
     """
     w = np.asarray(weights, dtype=float)
     th = np.asarray(rates, dtype=float)
@@ -85,7 +94,7 @@ def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrS
     taus = np.asarray(tau_grid, dtype=float)
     carry = w > 0  # zero weights contribute exactly nothing
     w, th = w[carry], th[carry]
-    progression = _uniform_progression(taus) if len(taus) > _CHUNK else None
+    progression = _uniform_progression(taus) if len(taus) > 1 else None
     if progression is not None:
         start, step, descending = progression
         out = np.abs(_blocked_amplitudes(w, th, start, step, len(taus))) ** 2
@@ -97,7 +106,8 @@ def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrS
             t = taus[start:start + _CHUNK]
             amps = np.exp(-1j * np.outer(t, th)) @ w
             out[start:start + _CHUNK] = np.abs(amps) ** 2
-    return AutocorrSeries(tau=taus.copy(), values=out, provenance=provenance)
+    return AutocorrSeries(tau=taus.copy(), values=out, provenance=provenance,
+                          weights=w, rates=th)
 
 
 def _uniform_progression(taus):
@@ -151,14 +161,18 @@ def _window_bounds(tau, window):
     return int(i0), int(i1)
 
 
-def detect_revival(series: AutocorrSeries, window, refine_tol: float = 1e-9):
+def detect_revival(series: AutocorrSeries, window):
     """Location and height of the principal peak inside ``window``.
 
     The grid peak is refined by parabolic interpolation through the peak
     triple; the triple is normalized by the peak value first, so rescaling
-    every weight by a constant cannot move the result.  A window holding two
-    distinct local maxima within ``AMBIGUITY_BAND`` of each other is refused
-    rather than silently resolved.
+    every weight by a constant cannot move the result.  When the series
+    carries its levels, Newton steps on ``d|A|^2/dtau`` then polish that
+    vertex until a step is shorter than ``REFINE_TOL``, and the height is
+    ``|A|^2`` there; if they do not converge within one grid step of the
+    grid peak, the parabolic vertex stands.  A window holding two distinct
+    local maxima within ``AMBIGUITY_BAND`` of each other is refused rather
+    than silently resolved.
     """
     lo, hi = window
     if not lo < hi:
@@ -187,17 +201,63 @@ def detect_revival(series: AutocorrSeries, window, refine_tol: float = 1e-9):
     if peak == 0 or peak == len(vals) - 1:
         return float(taus[peak]), float(vals[peak])
 
-    y0, y1, y2 = vals[peak - 1] / vals[peak], 1.0, vals[peak + 1] / vals[peak]
-    denom = y0 - 2.0 * y1 + y2
+    y0, y2 = vals[peak - 1] / vals[peak], vals[peak + 1] / vals[peak]
+    # (y0 + y2) is symmetric in the pair, so a mirrored grid mirrors the vertex
+    denom = (y0 + y2) - 2.0
     if denom == 0:
         offset = 0.0
         height = float(vals[peak])
     else:
         offset = 0.5 * (y0 - y2) / denom
         offset = float(np.clip(offset, -1.0, 1.0))
-        height = float(vals[peak] * (y1 - 0.125 * (y0 - y2) ** 2 / denom))
+        height = float(vals[peak] * (1.0 - 0.125 * (y0 - y2) ** 2 / denom))
     dt = taus[peak + 1] - taus[peak] if offset >= 0 else taus[peak] - taus[peak - 1]
-    return float(taus[peak] + offset * dt), height
+    vertex = float(taus[peak] + offset * dt)
+    if series.weights is None:
+        return vertex, height
+    # |A|^2 is even in time, so refine on |tau| and restore the sign.
+    sign = math.copysign(1.0, taus[peak])
+    near, far = sorted((abs(float(taus[peak - 1])), abs(float(taus[peak + 1]))))
+    if taus[peak - 1] < 0.0 < taus[peak + 1]:
+        near = 0.0
+    refined = _newton_peak(series.weights, series.rates, abs(vertex), (near, far))
+    if refined is None:
+        return vertex, height
+    return sign * refined[0], refined[1]
+
+
+def _newton_peak(w, th, tau, bounds):
+    """Maximum of ``|A|^2`` near ``tau`` and ``|A|^2`` there.
+
+    With ``f = Re(A* A')``, Newton steps ``-f / (|A'|^2 + Re(A* A''))``
+    move ``tau`` until a step is shorter than ``REFINE_TOL``.  Returns None,
+    leaving the peak unrefined, when the curvature is not negative along the
+    way, ``_NEWTON_STEPS`` steps do not converge, or the point reached lies
+    outside ``bounds``: the grid then does not resolve the peak.  ``A``,
+    ``A'`` and ``A''`` are linear in the weights, so a power-of-two rescaling
+    of the weights leaves every step bit-identical.
+    """
+    for _ in range(_NEWTON_STEPS):
+        terms = w * np.exp(-1j * th * tau)
+        a = terms.sum()
+        # A' = -i s1 and A'' = -s2
+        s1 = (th * terms).sum()
+        s2 = (th * th * terms).sum()
+        slope = (a.conjugate() * s1).imag
+        curvature = s1.real ** 2 + s1.imag ** 2 - (a.conjugate() * s2).real
+        if not curvature < 0:
+            return None
+        move = -slope / curvature
+        tau = tau + move
+        if abs(move) < REFINE_TOL:
+            break
+    else:
+        return None
+    lo, hi = bounds
+    if not lo <= tau <= hi:
+        return None
+    a = (w * np.exp(-1j * th * tau)).sum()
+    return float(tau), float(a.real ** 2 + a.imag ** 2)
 
 
 def _cycle_envelope(tau, values, period, n_cycles):
@@ -345,8 +405,7 @@ def _window_revival(weights, rates, predicted, scale, grid_step, provenance):
 
 
 def table1_report(packet: GaussianSpec, epsilons,
-                  grid_step: float = DETECTION_MAX_STEP,
-                  refine_tol: float = 1e-9) -> list[RevivalReport]:
+                  grid_step: float = DETECTION_MAX_STEP) -> list[RevivalReport]:
     """End-to-end revival comparison for a list of well strengths.
 
     For each strength: solve the spectrum, project the packet, find the
@@ -373,6 +432,6 @@ def table1_report(packet: GaussianSpec, epsilons,
             peak_height_at_revival=height,
             completeness=decomp.completeness,
             grid_step=grid_step,
-            refine_tol=refine_tol,
+            refine_tol=REFINE_TOL,
         ))
     return reports

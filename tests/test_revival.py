@@ -1,15 +1,17 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       GaussianSpec, HorizonTooShortError, WellConfig,
-                      autocorrelation, barker, detect_revival,
-                      detect_superrevival, detection_grid, infinite_project,
-                      load_scenario, oscillator_phase_rates, phase_rates,
-                      principal_revival, project, revival, solve_spectrum,
-                      squeezed_weights, table1_report, timescales)
+                      autocorrelation, barker, coherent_weights,
+                      detect_revival, detect_superrevival, detection_grid,
+                      infinite_project, load_scenario, oscillator_phase_rates,
+                      oscillator_timescales, phase_rates, principal_revival,
+                      project, revival, solve_spectrum, squeezed_weights,
+                      table1_report, timescales)
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 
@@ -21,6 +23,25 @@ def well_inputs(epsilon, packet):
         decomp = project(packet, states)
     weights = np.abs(decomp.coefficients) ** 2
     return weights, phase_rates(states), decomp
+
+
+def mp_peak(weights, rates, tau0):
+    """Root of ``d|A|^2/dtau`` near ``tau0`` and ``|A|^2`` there, at 40 digits."""
+    with mpmath.workdps(40):
+        levels = [(mpmath.mpf(float(x)), mpmath.mpf(float(r)))
+                  for x, r in zip(weights, rates) if x > 0]
+
+        def amplitudes(t):
+            terms = [x * mpmath.expj(-r * t) for x, r in levels]
+            derivative = [-1j * r * term for (_, r), term in zip(levels, terms)]
+            return mpmath.fsum(terms), mpmath.fsum(derivative)
+
+        def slope(t):  # half of d|A|^2/dtau
+            a, a1 = amplitudes(t)
+            return mpmath.re(mpmath.conj(a) * a1)
+
+        root = mpmath.findroot(slope, mpmath.mpf(float(tau0)))
+        return root, abs(amplitudes(root)[0]) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +136,7 @@ def test_box_partial_revivals_at_thirds(box_state):
 
 # --- block-factored kernel ---------------------------------------------
 
-LONG = revival._CHUNK + 1  # the shortest grid the blocked kernel takes
+LONG = revival._CHUNK + 1  # longer than one chunk of the direct sum
 
 
 def direct_series(weights, rates, taus):
@@ -181,13 +202,21 @@ def test_blocked_kernel_matches_the_direct_sum(scan, blocked_calls):
     assert gap.max() < 1e-9
 
 
+@pytest.mark.parametrize("count", [3, 6001, revival._CHUNK])
+def test_blocked_kernel_takes_every_uniform_grid(count, blocked_calls):
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    taus = np.arange(count, dtype=float) * 1e-3
+    values = autocorrelation(w, rates, taus).values
+    assert blocked_calls == [count]
+    assert np.abs(values - direct_series(w, rates, taus)).max() < 1e-12
+
+
 def test_other_grids_take_the_direct_path(blocked_calls):
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     uniform = np.arange(LONG, dtype=float) * 1e-3
     nudged = uniform.copy()
     nudged[LONG // 2] += 1e-9
     grids = {
-        "short": uniform[:revival._CHUNK],
         "nudged": nudged,
         "jittered": np.sort(np.random.default_rng(5).uniform(0.0, 65.0, LONG)),
         "geometric": np.geomspace(1e-3, 65.0, LONG),
@@ -236,6 +265,133 @@ def test_weight_rescaling_leaves_peak_bit_identical():
     # arbitrary positive factors keep the argmax and agree to rounding
     odd_scale = detect_revival(autocorrelation(3.0 * w, rates, taus), (1.0, 1.4))
     assert abs(odd_scale[0] - base[0]) < 1e-12
+
+
+# --- peak refinement ------------------------------------------------------
+
+# Peaks so lopsided on the 1e-4 grid that the parabola through the grid
+# triple misses their maximum by about 3e-5.  From the squeezed state's
+# vertex the first Newton step overshoots the grid step around the peak;
+# the later steps come back and converge inside it.
+LOPSIDED = [
+    ("coherent", 5.823313895990627, 0.0019011406844106464, 0.84409543, 0.379035),
+    ("squeezed", 11.054816503286249, 0.0026246719160104987, 0.98313441, 0.829061),
+]
+
+
+def oscillator_inputs(kind, value, beta):
+    fock = coherent_weights(value) if kind == "coherent" else \
+        squeezed_weights(value, 0.0)
+    rates = oscillator_phase_rates(fock.n, beta)
+    return fock.weights, rates, oscillator_timescales(fock, beta).revival_time
+
+
+def parabolic_vertex(series, window):
+    """Vertex of the parabola through the grid peak and its neighbours."""
+    i0, i1 = np.searchsorted(series.tau, window)
+    taus, vals = series.tau[i0:i1 + 1], series.values[i0:i1 + 1]
+    p = int(np.argmax(vals))
+    y0, y1, y2 = vals[p - 1:p + 2]
+    return taus[p] + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * (taus[p + 1] - taus[p])
+
+
+@pytest.mark.parametrize("kind, value, beta, expected, height", LOPSIDED)
+def test_newton_lands_on_the_maximum_of_lopsided_peaks(kind, value, beta,
+                                                       expected, height):
+    w, rates, predicted = oscillator_inputs(kind, value, beta)
+    tau_star, peak = principal_revival(w, rates, predicted)
+    root, mp_height = mp_peak(w, rates, tau_star)
+    assert abs(tau_star - float(root)) < 1e-12
+    assert abs(peak - float(mp_height)) < 1e-12
+    assert abs(tau_star - expected) < 1e-8
+    assert abs(peak - height) < 1e-6
+
+
+@pytest.mark.parametrize("kind, value, beta, expected, height", LOPSIDED)
+def test_series_without_levels_keeps_the_parabola(kind, value, beta,
+                                                  expected, height):
+    w, rates, _ = oscillator_inputs(kind, value, beta)
+    window = (expected - 0.01, expected + 0.01)
+    series = autocorrelation(w, rates, detection_grid(*window, 1e-4))
+    bare = AutocorrSeries(tau=series.tau, values=series.values)
+    vertex = parabolic_vertex(series, window)
+    assert abs(detect_revival(bare, window)[0] - vertex) < 1e-15
+    assert abs(vertex - expected) > 1e-5
+    assert abs(detect_revival(series, window)[0] - expected) < 1e-8
+
+
+def well_revival_inputs(epsilon):
+    w, rates, _ = well_inputs(epsilon, PAPER_PACKET)
+    return w, rates, barker(WellConfig(epsilon=epsilon)).approx_revival_time
+
+
+def test_parabolic_vertex_of_a_mirrored_series_is_mirrored():
+    taus = detection_grid(1.0, 1.0004, 1e-4)
+    window = (taus[0], taus[-1])
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        values = np.array([0.5, *rng.uniform(0.998, 1.0, 1), 1.0,
+                           *rng.uniform(0.998, 1.0, 1), 0.5])
+        fwd = detect_revival(AutocorrSeries(tau=taus, values=values), window)
+        bwd = detect_revival(AutocorrSeries(tau=-taus[::-1], values=values[::-1]),
+                             (-window[1], -window[0]))
+        assert bwd == (-fwd[0], fwd[1])
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: oscillator_inputs(*LOPSIDED[0][:3]),
+    lambda: well_revival_inputs(12.0),
+], ids=["lopsided coherent", "well 12"])
+def test_refinement_keeps_the_exact_invariants(inputs, blocked_calls):
+    w, rates, predicted = inputs()
+    tau_star = principal_revival(w, rates, predicted)[0]
+    taus = detection_grid(tau_star - 0.01, tau_star + 0.01, 1e-4)
+    window = (taus[0], taus[-1])
+    blocked_calls.clear()
+    base = detect_revival(autocorrelation(w, rates, taus), window)
+    mirrored = detect_revival(autocorrelation(w, rates, -taus[::-1]),
+                              (-window[1], -window[0]))
+    assert mirrored == (-base[0], base[1])
+    for power in (-3, 5):
+        scaled = detect_revival(autocorrelation(np.ldexp(w, power), rates, taus),
+                                window)
+        assert scaled == (base[0], np.ldexp(base[1], 2 * power))
+    assert blocked_calls == [len(taus)] * 4
+
+
+@pytest.mark.parametrize("taus", [
+    detection_grid(-0.01, 0.01, 1e-4),
+    (np.arange(-100, 100) + 0.5) * 1e-4,
+], ids=["sample at 0", "samples straddling 0"])
+def test_peak_at_time_zero_stays_at_zero(taus):
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    tau_star, height = detect_revival(autocorrelation(w, rates, taus),
+                                      (-0.005, 0.005))
+    assert abs(tau_star) < 1e-12
+    assert abs(height - w.sum() ** 2) < 1e-12
+
+
+# |A|^2 = 1.25 + cos(rate * tau) turns over about once per 1e-4 grid step,
+# so the grid sees only its slow alias and the peak is not resolved: Newton
+# from the parabolic vertex meets a convex point or converges to a maximum
+# more than one grid step from the grid peak.
+@pytest.mark.parametrize("rate", [63224.8, 63252.5],
+                         ids=["convex vertex", "maximum outside the bracket"])
+def test_unresolved_peak_keeps_the_parabola(rate):
+    window = (1.0, 1.01)
+    series = autocorrelation([1.0, 0.5], [0.0, rate], detection_grid(*window, 1e-4))
+    bare = AutocorrSeries(tau=series.tau, values=series.values)
+    assert detect_revival(series, window) == detect_revival(bare, window)
+
+
+def test_newton_that_does_not_converge_keeps_the_parabola(monkeypatch):
+    kind, value, beta, expected, _ = LOPSIDED[0]
+    w, rates, _ = oscillator_inputs(kind, value, beta)
+    window = (expected - 0.01, expected + 0.01)
+    series = autocorrelation(w, rates, detection_grid(*window, 1e-4))
+    bare = AutocorrSeries(tau=series.tau, values=series.values)
+    monkeypatch.setattr(revival, "_NEWTON_STEPS", 1)
+    assert detect_revival(series, window) == detect_revival(bare, window)
 
 
 def test_ambiguous_window_is_refused():
@@ -433,7 +589,12 @@ def test_table1_retries_an_ambiguous_window():
         detect_revival(autocorrelation(w, rates, detection_grid(lo, hi, 1e-4)),
                        (lo, hi))
     assert report.detected_revival == principal_revival(w, rates, predicted)[0]
-    assert abs(report.detected_revival - 1.5081846466397775) < 1e-12
+    # The maximum of |A|^2 there is 1.508184648792237993... (40 digits); the
+    # parabola through the grid triple put it at 1.5081846466397775.
+    assert report.detected_revival == 1.508184648792238
+    root, peak = mp_peak(w, rates, report.detected_revival)
+    assert abs(report.detected_revival - float(root)) < 1e-12
+    assert abs(report.peak_height_at_revival - float(peak)) < 1e-12
 
 
 def test_window_edge_peak_is_refused():
