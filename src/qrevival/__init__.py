@@ -15,8 +15,8 @@ from .errors import (AmbiguousWindowError, CompletenessWarning,
                      HorizonTooShortError)
 from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
                       autocorrelation, detect_revival, detect_superrevival,
-                      detection_grid, principal_revival, table1_report,
-                      timescales)
+                      detection_grid, principal_revival, scan_superrevival,
+                      table1_report, timescales)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         WellSystem, load_scenario)
 from .spectrum import (BarkerApproximation, BoundState, WellConfig, barker,
@@ -43,7 +43,7 @@ __all__ = [
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
     "orthonormality_matrix", "oscillator_autocorr", "oscillator_phase_rates",
     "oscillator_timescales", "parity_filtered", "phase_rates",
-    "principal_revival", "project",
+    "principal_revival", "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
     "timescales", "transcendental_residual",
 ]

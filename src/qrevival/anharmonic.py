@@ -61,23 +61,24 @@ def hermite_log(n_max: int, x: float):
     orders representable; exact zeros (odd order at the origin) come out
     with sign 0 and log magnitude ``-inf``.
     """
-    logs = np.full(n_max + 1, -np.inf)
-    signs = np.zeros(n_max + 1)
+    x = float(x)
+    logs = [-math.inf] * (n_max + 1)
+    signs = [0.0] * (n_max + 1)
     logs[0], signs[0] = 0.0, 1.0
     if n_max >= 1 and x != 0.0:
         logs[1], signs[1] = math.log(abs(2.0 * x)), math.copysign(1.0, x)
     for k in range(1, n_max):
         scale = max(logs[k], logs[k - 1])
-        if scale == -np.inf:
+        if scale == -math.inf:
             continue
         combo = 2.0 * x * signs[k] * math.exp(logs[k] - scale) \
             - 2.0 * k * signs[k - 1] * math.exp(logs[k - 1] - scale)
         if combo == 0.0:
-            logs[k + 1], signs[k + 1] = -np.inf, 0.0
+            logs[k + 1], signs[k + 1] = -math.inf, 0.0
         else:
             logs[k + 1] = scale + math.log(abs(combo))
             signs[k + 1] = math.copysign(1.0, combo)
-    return logs, signs
+    return np.array(logs), np.array(signs)
 
 
 def _finalize(raw: np.ndarray, cutoff, source: str) -> FockWeights:

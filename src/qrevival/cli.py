@@ -20,8 +20,8 @@ from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
-from .revival import (DETECTION_MAX_STEP, autocorrelation, detect_superrevival,
-                      principal_revival, table1_report)
+from .revival import (DETECTION_MAX_STEP, autocorrelation, principal_revival,
+                      scan_superrevival, table1_report)
 from .scenarios import (OscillatorSystem, ScenarioConfig, WellSystem,
                         load_scenario)
 from .spectrum import (WellConfig, barker, phase_rates, solve_spectrum,
@@ -40,7 +40,12 @@ def _emit(text: str, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # Not click.echo: it caches the stream it writes to, keyed weakly by
+        # the stream but holding it strongly, so a caller that swaps in a
+        # fresh sys.stdout or sys.stderr per in-process command would keep
+        # every stream alive with its text.
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _json_dump(payload) -> str:
@@ -55,13 +60,13 @@ def cli_errors(fn):
         except (click.ClickException, click.Abort):
             raise
         except (AmbiguousWindowError, EdgePeakError, HorizonTooShortError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(4)
         except ConvergenceError as exc:
-            click.echo(f"error: {exc}", err=True)
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(3)
         except (ValueError, CutoffTooSmallError, TypeError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(2)
     return wrapper
 
@@ -227,14 +232,13 @@ def cmd_autocorr(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
         ref_values = autocorrelation(ref_w, ref_rates, taus).values
 
     if fmt == "csv":
-        header = "tau,autocorr" + (",reference" if reference else "")
-        lines = [header]
-        for i, (t, v) in enumerate(zip(series.tau, series.values)):
-            row = f"{_fmt(t)},{_fmt(v)}"
-            if ref_values is not None:
-                row += f",{_fmt(ref_values[i])}"
-            lines.append(row)
-        _emit("\n".join(lines) + "\n", out)
+        columns = [series.tau.tolist(), series.values.tolist()]
+        header = "tau,autocorr"
+        if ref_values is not None:
+            columns.append(ref_values.tolist())
+            header += ",reference"
+        row = ",".join(["{:.16e}"] * len(columns)).format
+        _emit("\n".join([header, *map(row, *columns)]) + "\n", out)
     else:
         payload = {"scenario": cfg.to_dict(), "tau": list(series.tau),
                    "autocorr": list(series.values)}
@@ -308,10 +312,8 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
 
     super_tau = None
     if superrevival:
-        n_steps = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
-        scan = np.arange(0, n_steps + 1, dtype=float) * ENVELOPE_STEP
-        long_series = autocorrelation(weights, rates, scan, provenance=cfg.name)
-        super_tau = detect_superrevival(long_series, revival_period=predicted)
+        super_tau = scan_superrevival(weights, rates, horizon, predicted,
+                                      ENVELOPE_STEP)
 
     payload = {
         "scenario": cfg.to_dict(),

@@ -78,6 +78,18 @@ class RevivalReport:
     refine_tol: float
 
 
+def _carried_levels(weights, rates):
+    """Validated weights and phase rates of the levels of nonzero weight."""
+    w = np.asarray(weights, dtype=float)
+    th = np.asarray(rates, dtype=float)
+    if w.shape != th.shape:
+        raise ValueError("weights and phase rates must align")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    carry = w > 0  # zero weights contribute exactly nothing
+    return w[carry], th[carry]
+
+
 def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrSeries:
     """Squared autocorrelation for nonnegative weights and phase rates.
 
@@ -85,23 +97,17 @@ def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrS
     block-factored kernel; every other grid is summed directly, ``_CHUNK``
     samples at a time.  The series carries the levels of nonzero weight.
     """
-    w = np.asarray(weights, dtype=float)
-    th = np.asarray(rates, dtype=float)
-    if w.shape != th.shape:
-        raise ValueError("weights and phase rates must align")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    w, th = _carried_levels(weights, rates)
     taus = np.asarray(tau_grid, dtype=float)
-    carry = w > 0  # zero weights contribute exactly nothing
-    w, th = w[carry], th[carry]
     progression = _uniform_progression(taus) if len(taus) > 1 else None
+    out = np.empty(len(taus))
     if progression is not None:
         start, step, descending = progression
-        out = np.abs(_blocked_amplitudes(w, th, start, step, len(taus))) ** 2
+        for j0, amps in _blocked_amplitudes(w, th, start, step, len(taus)):
+            out[j0:j0 + len(amps)] = np.abs(amps) ** 2
         if descending:
             out = out[::-1].copy()
     else:
-        out = np.empty(len(taus))
         for start in range(0, len(taus), _CHUNK):
             t = taus[start:start + _CHUNK]
             amps = np.exp(-1j * np.outer(t, th)) @ w
@@ -132,21 +138,31 @@ def _uniform_progression(taus):
 
 
 def _blocked_amplitudes(w, th, start, step, count):
-    """``A`` at ``start + j*step``, ``j < count``, as one complex GEMM.
+    """``A`` at ``start + j*step``, ``j < count``, by one factored GEMM.
 
     With ``B = floor(sqrt(count))`` and ``j = b*B + r``, the phase factors
     into ``exp(-i th (start + b*B*step))`` and ``exp(-i th r*step)``, so
-    ``N*(B + count/B)`` exponentials replace ``N*count``.  The time of every
+    ``N*(B + count/B)`` exponentials replace ``N*count``.  The product is
+    taken in runs of whole rows of at most ``_CHUNK`` samples, yielded as
+    ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so no caller
+    need hold more than one run.  The runs are balanced, so none is a
+    single row of a longer product while three rows fit in ``_CHUNK``:
+    numpy sends a one-row product to GEMV, which sums in another order,
+    while longer runs give the bits of the whole product.  The time of every
     sample is a function of ``j`` alone, and the weights enter one GEMM
     operand linearly, so mirrored grids and power-of-two weight scalings
     give bit-identical and exactly scaled series.
     """
     block = math.isqrt(count)
     rows = -(-count // block)
-    heads = start + (np.arange(rows) * block) * step
-    lead = w * np.exp(-1j * np.outer(heads, th))
+    runs = -(-rows // max(1, _CHUNK // block))
     tail = np.exp(-1j * np.outer(th, np.arange(block) * step))
-    return (lead @ tail).ravel()[:count]
+    for k in range(runs):
+        b0, b1 = k * rows // runs, (k + 1) * rows // runs
+        heads = start + (np.arange(b0, b1) * block) * step
+        lead = w * np.exp(-1j * np.outer(heads, th))
+        j0 = b0 * block
+        yield j0, (lead @ tail).ravel()[:count - j0]
 
 
 def _local_maxima(values):
@@ -260,24 +276,54 @@ def _newton_peak(w, th, tau, bounds):
     return float(tau), float(a.real ** 2 + a.imag ** 2)
 
 
+def _fold_cycles(heights, peak_taus, tau, values, t0, period):
+    """Fold one sorted run of samples into the per-cycle envelope in place.
+
+    Sample ``i`` belongs to cycle ``floor((tau[i] - t0) / period)``; cycles
+    past ``len(heights)`` are dropped.  That index never decreases along the
+    run, so each cycle is one contiguous segment, and a cycle takes the
+    segment's first maximum only when it is strictly higher than what the
+    cycle holds.  Folding consecutive runs thus keeps a cycle's first
+    maximum across run edges.
+    """
+    cycle = np.floor((tau - t0) / period).astype(int)
+    n = int(np.searchsorted(cycle, len(heights)))
+    if n == 0:
+        return
+    cycle, tau, values = cycle[:n], tau[:n], values[:n]
+    starts = np.flatnonzero(np.diff(cycle, prepend=cycle[0] - 1))
+    best = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(best, np.diff(starts, append=n)))
+    first = hits[np.searchsorted(hits, starts)]
+    keys = cycle[starts]
+    higher = best > heights[keys]
+    heights[keys[higher]] = best[higher]
+    peak_taus[keys[higher]] = tau[first[higher]]
+
+
 def _cycle_envelope(tau, values, period, n_cycles):
     """Peak height and its time in each of ``n_cycles`` consecutive cycles.
 
     Cycle ``k`` holds the samples with ``floor((tau - tau[0]) / period) == k``;
-    a cycle without samples has height ``-inf`` and time 0.  That index never
-    decreases along a sorted grid, so each cycle is one contiguous slice and
-    its first maximum is found in one pass over the series.
+    a cycle without samples has height ``-inf`` and time 0.  The series is
+    one fold (:func:`_fold_cycles`), so each cycle keeps its first maximum.
     """
-    cycle = np.floor((tau - tau[0]) / period).astype(int)
-    bounds = np.searchsorted(cycle, np.arange(n_cycles + 1))
     heights = np.full(n_cycles, -np.inf)
     peak_taus = np.zeros(n_cycles)
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi > lo:
-            i = lo + int(np.argmax(values[lo:hi]))
-            heights[k] = values[i]
-            peak_taus[k] = tau[i]
+    _fold_cycles(heights, peak_taus, tau, values, tau[0], period)
     return heights, peak_taus
+
+
+def _cycle_count(span, period, step):
+    """Whole revival cycles in ``span``, refusing periods the grid can't resolve."""
+    if not period > 0:
+        raise ValueError(f"revival period must be positive, got {period}")
+    if period < 4.0 * step:
+        raise ValueError("revival period must cover several grid steps")
+    n_cycles = int(np.floor(span / period))
+    if n_cycles < 2:
+        raise ValueError("series must span at least two revival cycles")
+    return n_cycles
 
 
 def detect_superrevival(series: AutocorrSeries, revival_period: float,
@@ -291,31 +337,67 @@ def detect_superrevival(series: AutocorrSeries, revival_period: float,
     Returns ``None`` when the envelope never dips (no superrevival within
     the sampled horizon is distinguishable from none existing); raises
     :class:`HorizonTooShortError` when a dip is seen but the recovery is not.
+    :func:`scan_superrevival` gives the same answer on a uniform grid
+    without materialising the series.
     """
-    if not revival_period > 0:
-        raise ValueError(f"revival period must be positive, got {revival_period}")
-    t0 = series.tau[0]
-    span = series.tau[-1] - t0
-    if len(series.tau) > 1 and revival_period < 4.0 * np.max(np.diff(series.tau)):
-        raise ValueError("revival period must cover several grid steps")
-    n_cycles = int(np.floor(span / revival_period))
-    if n_cycles < 2:
-        raise ValueError("series must span at least two revival cycles")
-    heights, peak_taus = _cycle_envelope(series.tau, series.values,
+    tau = series.tau
+    step = np.max(np.diff(tau)) if len(tau) > 1 else 0.0
+    n_cycles = _cycle_count(tau[-1] - tau[0], revival_period, step)
+    heights, peak_taus = _cycle_envelope(tau, series.values,
                                          revival_period, n_cycles)
+    return _first_recovery(heights, peak_taus, threshold)
 
-    global_max = heights.max()
-    dipped = heights < threshold * global_max
+
+def scan_superrevival(weights, rates, horizon: float, revival_period: float,
+                      step: float, threshold: float = SUPERREVIVAL_THRESHOLD):
+    """:func:`detect_superrevival` over the grid ``j*step``, streamed.
+
+    The grid runs to ``j = floor(horizon/step + 1e-9)``.  The blocked
+    kernel's runs are folded into the envelope as they are computed, so
+    memory stays at one run plus one entry per cycle however long the
+    horizon.  Sample times, cycles and amplitudes are those of
+    ``detect_superrevival(autocorrelation(weights, rates, grid), ...)`` bit
+    for bit, and so are the result and the errors.
+    """
+    if not step > 0:
+        raise ValueError(f"scan step must be positive, got {step}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"scan horizon must be finite, got {horizon}")
+    w, th = _carried_levels(weights, rates)
+    last = int(math.floor(horizon / step + 1e-9))
+    n_cycles = _cycle_count(float(last) * step, revival_period, step)
+    heights, peak_taus = _scan_envelope(w, th, last, step, revival_period,
+                                        n_cycles)
+    return _first_recovery(heights, peak_taus, threshold)
+
+
+def _scan_envelope(w, th, last, step, period, n_cycles):
+    """Per-cycle envelope of ``|A|^2`` at ``j*step``, ``j <= last``."""
+    heights = np.full(n_cycles, -np.inf)
+    peak_taus = np.zeros(n_cycles)
+    # the spacing autocorrelation infers from this grid's end points
+    spacing = (float(last) * step) / last
+    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
+        tau = np.arange(j0, j0 + len(amps), dtype=float) * step
+        _fold_cycles(heights, peak_taus, tau, np.abs(amps) ** 2, 0.0, period)
+    return heights, peak_taus
+
+
+def _first_recovery(heights, peak_taus, threshold):
+    """Peak time of the first cycle back at ``threshold`` of the envelope's
+    maximum after a dip; None without a dip, and
+    :class:`HorizonTooShortError` for a dip without a recovery."""
+    level = threshold * heights.max()
+    dipped = heights < level
     if not dipped.any():
         return None
     first_dip = int(np.argmax(dipped))
-    recovered = np.flatnonzero((np.arange(n_cycles) > first_dip)
-                               & (heights >= threshold * global_max))
+    recovered = np.flatnonzero(heights[first_dip + 1:] >= level)
     if len(recovered) == 0:
         raise HorizonTooShortError(
             f"envelope dips below {threshold:.0%} at cycle {first_dip} but "
             f"never recovers within the sampled horizon")
-    return float(peak_taus[recovered[0]])
+    return float(peak_taus[first_dip + 1 + recovered[0]])
 
 
 def timescales(weights, energies, indices=None) -> TimescaleHierarchy:

@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +118,17 @@ def test_autocorr_reference_column(runner):
     assert abs(float(body[0][2]) - 1.0) < 1e-6
 
 
+def test_autocorr_csv_prints_every_value_at_sixteen_digits(runner):
+    args = ["autocorr", "--scenario", "fig2", "--reference"]
+    csv_text = runner.invoke(main, args).stdout
+    payload = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)
+    lines = ["tau,autocorr,reference"]
+    for t, v, r in zip(payload["tau"], payload["autocorr"], payload["reference"]):
+        lines.append(f"{t:.16e},{v:.16e},{r:.16e}")
+    assert len(lines) == 8002
+    assert csv_text == "\n".join(lines) + "\n"
+
+
 def test_autocorr_centered_scenario_warns_but_succeeds(runner):
     result = runner.invoke(main, ["autocorr", "--scenario", "fig2",
                                   "--tau-max", "0.1"])
@@ -204,6 +219,24 @@ def test_table1_reports_the_revivals_time_after_a_retry(runner):
 # --- revivals command -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("args, redirect, start", [
+    (["spectrum", "--epsilon", "12"], contextlib.redirect_stdout, "n,parity,alpha"),
+    (["revivals", "--scenario", "fig1a", "--horizon", "1"], contextlib.redirect_stderr,
+     "error: horizon must be at least 2"),
+])
+def test_in_process_runs_release_their_streams(args, redirect, start):
+    # a caller running many commands in one process swaps in fresh streams
+    # for each; none may stay alive, with its text, after the command
+    buf = io.StringIO()
+    alive = weakref.ref(buf)
+    with redirect(buf), contextlib.suppress(SystemExit):
+        main.main(args=args, standalone_mode=False)
+    assert buf.getvalue().startswith(start)
+    del buf
+    gc.collect()
+    assert alive() is None
+
+
 def test_revivals_loads_no_scipy():
     # scipy is a test oracle only: importing it would add to the start-up
     # time and memory of every command
@@ -251,9 +284,29 @@ def test_revivals_finite_well_superrevival(runner):
     assert payload["detected_superrevival"] == pytest.approx(5.738, abs=2e-3)
 
 
+def test_revivals_long_horizon_finds_the_fig1b_recovery(runner):
+    result = runner.invoke(main, ["revivals", "--scenario", "fig1b",
+                                  "--superrevival", "--horizon", "4000"])
+    assert result.exit_code == 0
+    tau = json.loads(result.stdout)["detected_superrevival"]
+    assert tau == 201.472
+    cfg = load_scenario("fig1b")
+    states = qrevival.solve_spectrum(qrevival.WellConfig(cfg.well.epsilon))
+    weights = np.abs(qrevival.project(cfg.packet, states).coefficients) ** 2
+    rates = qrevival.phase_rates(states)
+    recovered = abs(np.sum(weights * np.exp(-1j * rates * tau))) ** 2
+    assert recovered >= 0.95 * weights.sum() ** 2
+
+
 def test_revivals_horizon_validation(runner):
     result = runner.invoke(main, ["revivals", "--scenario", "fig2",
                                   "--horizon", "1"])
+    assert result.exit_code == 2
+
+
+def test_revivals_infinite_scan_horizon_is_a_validation_error(runner):
+    result = runner.invoke(main, ["revivals", "--scenario", "fig2",
+                                  "--horizon", "inf", "--superrevival"])
     assert result.exit_code == 2
 
 

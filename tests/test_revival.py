@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath
@@ -209,6 +210,21 @@ def test_blocked_kernel_takes_every_uniform_grid(count, blocked_calls):
     values = autocorrelation(w, rates, taus).values
     assert blocked_calls == [count]
     assert np.abs(values - direct_series(w, rates, taus)).max() < 1e-12
+
+
+@pytest.mark.parametrize("count", [3, revival._CHUNK, LONG, 600001, 4000001])
+def test_blocked_runs_tile_the_grid_in_whole_rows(count):
+    block = int(np.sqrt(count))
+    runs = list(revival._blocked_amplitudes(np.array([1.0, 0.5]), np.array([1.0, 7.0]),
+                                            0.0, 1e-3, count))
+    starts = [j0 for j0, _ in runs]
+    ends = [j0 + len(amps) for j0, amps in runs]
+    assert starts[0] == 0 and ends[-1] == count and starts[1:] == ends[:-1]
+    assert all(j0 % block == 0 for j0 in starts)
+    # no run is a lone row, which numpy would sum by GEMV in another order
+    assert all(len(amps) <= revival._CHUNK for _, amps in runs)
+    if len(runs) > 1:
+        assert all(len(amps) > block for _, amps in runs)
 
 
 def test_other_grids_take_the_direct_path(blocked_calls):
@@ -529,6 +545,148 @@ def test_superrevival_validates_period():
     series, _ = envelope_scan(12.0, 4.0)
     with pytest.raises(ValueError):
         detect_superrevival(series, 0.0)
+
+
+# --- streamed superrevival scan -------------------------------------------
+
+SCAN_STEP = 1e-3
+
+
+def scan_grid(horizon):
+    """The grid ``scan_superrevival`` streams, built in full."""
+    last = int(np.floor(horizon / SCAN_STEP + 1e-9))
+    return np.arange(last + 1, dtype=float) * SCAN_STEP
+
+
+def oscillator_scan_inputs(beta, squeeze=None, alpha=0.0):
+    fock = coherent_weights(alpha) if squeeze is None else squeezed_weights(squeeze, alpha)
+    period = oscillator_timescales(fock, beta).revival_time
+    return fock.weights, oscillator_phase_rates(fock.n, beta), period, 600.0
+
+
+def fig5_scan_inputs():
+    return oscillator_scan_inputs(0.002, squeeze=10.0)
+
+
+def fig2_scan_inputs():
+    w, rates, _ = well_inputs(12.0, GaussianSpec(x0=0.0, sigma=0.1))
+    return w, rates, barker(WellConfig(epsilon=12.0)).approx_revival_time, 40.0
+
+
+def squeezed_scan_inputs():  # a squeezed vacuum of the superrevival_scan bench
+    return oscillator_scan_inputs(0.001893939393939394, squeeze=5.455408877250766)
+
+
+def coherent_scan_inputs():  # a coherent state of the superrevival_scan bench
+    return oscillator_scan_inputs(0.0027548209366391185, alpha=4.54412780286066)
+
+
+def materialised_envelope(w, rates, period, horizon):
+    series = autocorrelation(w, rates, scan_grid(horizon))
+    n_cycles = int(np.floor((series.tau[-1] - series.tau[0]) / period))
+    return series, revival._cycle_envelope(series.tau, series.values, period, n_cycles)
+
+
+def streamed_envelope(series, period):
+    n_cycles = int(np.floor(series.tau[-1] / period))
+    return revival._scan_envelope(series.weights, series.rates, len(series.tau) - 1,
+                                  SCAN_STEP, period, n_cycles)
+
+
+@pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
+                                    squeezed_scan_inputs, coherent_scan_inputs])
+def test_streamed_scan_matches_the_materialised_path(inputs):
+    w, rates, period, horizon = inputs()
+    series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
+    streamed = streamed_envelope(series, period)
+    assert np.array_equal(streamed[0], heights)
+    assert np.array_equal(streamed[1], peak_taus)
+    expected = detect_superrevival(series, period)
+    assert expected is not None
+    assert revival.scan_superrevival(w, rates, horizon, period, SCAN_STEP) == expected
+
+
+def test_streamed_scan_folds_across_short_runs(monkeypatch):
+    # 10,501 samples: B = 102 does not divide the count, and runs of two or
+    # three rows end inside every revival cycle.
+    w, rates, period, _ = fig2_scan_inputs()
+    horizon = 10.5
+    reference, _ = materialised_envelope(w, rates, period, horizon)
+    monkeypatch.setattr(revival, "_CHUNK", 400)
+    runs = list(revival._blocked_amplitudes(reference.weights, reference.rates, 0.0,
+                                            SCAN_STEP, len(reference.tau)))
+    assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
+    series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
+    assert np.allclose(series.values, reference.values, rtol=0, atol=1e-12)
+    streamed = streamed_envelope(series, period)
+    assert np.array_equal(streamed[0], heights)
+    assert np.array_equal(streamed[1], peak_taus)
+    assert revival.scan_superrevival(w, rates, horizon, period, SCAN_STEP) == \
+        detect_superrevival(series, period)
+
+
+def test_fold_keeps_the_first_maximum_across_run_edges():
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        n = int(rng.integers(50, 3000))
+        tau = np.cumsum(rng.uniform(0.5, 1.0, n))
+        values = rng.integers(0, 4, n) / 3.0  # coarse levels make ties common
+        period = rng.uniform(4.0, 60.0)
+        n_cycles = int(np.floor((tau[-1] - tau[0]) / period))
+        whole = revival._cycle_envelope(tau, values, period, n_cycles)
+        heights, peak_taus = np.full(n_cycles, -np.inf), np.zeros(n_cycles)
+        edges = np.unique(np.r_[0, rng.integers(1, n, 12), n])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            revival._fold_cycles(heights, peak_taus, tau[lo:hi], values[lo:hi],
+                                 tau[0], period)
+        assert np.array_equal(heights, whole[0])
+        assert np.array_equal(peak_taus, whole[1])
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ValueError, HorizonTooShortError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", ["none", "short", "zero period", "negative period",
+                                  "period under four steps", "one cycle"])
+def test_streamed_scan_matches_detection_on_every_path(case, box_state):
+    w, rates, period, horizon = {
+        "none": (box_state.weights, box_state.phase_rates, 1.0, 8.0),
+        "short": fig2_scan_inputs()[:3] + (4.0,),
+        "zero period": fig2_scan_inputs()[:2] + (0.0, 4.0),
+        "negative period": fig2_scan_inputs()[:2] + (-1.0, 4.0),
+        "period under four steps": fig2_scan_inputs()[:2] + (3.5 * SCAN_STEP, 4.0),
+        "one cycle": fig2_scan_inputs()[:3] + (1.9,),
+    }[case]
+    series = autocorrelation(w, rates, scan_grid(horizon))
+    expected = outcome(lambda: detect_superrevival(series, period))
+    assert expected == {"none": None, "short": HorizonTooShortError}.get(case, ValueError)
+    assert outcome(lambda: revival.scan_superrevival(w, rates, horizon, period,
+                                                     SCAN_STEP)) == expected
+
+
+def test_streamed_scan_rejects_a_bad_step_or_horizon():
+    w, rates, period, horizon = fig2_scan_inputs()
+    for bad_horizon, step in ((horizon, 0.0), (horizon, -SCAN_STEP), (np.inf, SCAN_STEP),
+                              (np.nan, SCAN_STEP)):
+        with pytest.raises(ValueError):
+            revival.scan_superrevival(w, rates, bad_horizon, period, step)
+
+
+def test_streamed_scan_holds_one_run_in_memory():
+    w, rates, _ = well_inputs(30.0, PAPER_PACKET)
+    period = barker(WellConfig(epsilon=30.0)).approx_revival_time
+    tracemalloc.start()
+    try:
+        detected = revival.scan_superrevival(w, rates, 4000.0, period, SCAN_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert detected == 201.472  # 4,000,001 samples
+    assert peak < 16 * 2 ** 20
 
 
 # --- timescales ----------------------------------------------------------
