@@ -20,15 +20,13 @@ from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
-from .revival import (DETECTION_MAX_STEP, autocorrelation, principal_revival,
-                      scan_superrevival, table1_report)
+from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, autocorrelation,
+                      principal_revival, scan_superrevival, table1_report)
 from .scenarios import (OscillatorSystem, ScenarioConfig, WellSystem,
                         load_scenario)
 from .spectrum import (WellConfig, barker, phase_rates, solve_spectrum,
                        transcendental_residual)
 from .wavepacket import GaussianSpec, infinite_project, project, snapshot
-
-ENVELOPE_STEP = 1e-3
 
 
 def _fmt(value) -> str:
@@ -312,8 +310,7 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
 
     super_tau = None
     if superrevival:
-        super_tau = scan_superrevival(weights, rates, horizon, predicted,
-                                      ENVELOPE_STEP)
+        super_tau = scan_superrevival(weights, rates, horizon, predicted)
 
     payload = {
         "scenario": cfg.to_dict(),

@@ -24,6 +24,7 @@ REFINE_TOL = 1e-9
 _NEWTON_STEPS = 20
 AMBIGUITY_BAND = 0.01
 SUPERREVIVAL_THRESHOLD = 0.95
+ENVELOPE_STEP = 1e-3
 DEFAULT_WINDOW = (0.9, 1.5)
 RETRY_WINDOW = (0.95, 1.05)
 
@@ -143,19 +144,19 @@ def _blocked_amplitudes(w, th, start, step, count):
     With ``B = floor(sqrt(count))`` and ``j = b*B + r``, the phase factors
     into ``exp(-i th (start + b*B*step))`` and ``exp(-i th r*step)``, so
     ``N*(B + count/B)`` exponentials replace ``N*count``.  The product is
-    taken in runs of whole rows of at most ``_CHUNK`` samples, yielded as
-    ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so no caller
-    need hold more than one run.  The runs are balanced, so none is a
-    single row of a longer product while three rows fit in ``_CHUNK``:
-    numpy sends a one-row product to GEMV, which sums in another order,
-    while longer runs give the bits of the whole product.  The time of every
-    sample is a function of ``j`` alone, and the weights enter one GEMM
-    operand linearly, so mirrored grids and power-of-two weight scalings
-    give bit-identical and exactly scaled series.
+    taken in balanced runs of whole rows, yielded as ``(j0, amps)`` with
+    ``amps`` holding ``A`` from ``j0`` on, so no caller need hold more than
+    one run.  A run holds at most ``_CHUNK`` samples, or two or three rows
+    when fewer than three fit, and it is never a single row of a longer
+    product: numpy sends a one-row product to GEMV, which sums in another
+    order, while longer runs give the bits of the whole product.  The time
+    of every sample is a function of ``j`` alone, and the weights enter one
+    GEMM operand linearly, so mirrored grids and power-of-two weight
+    scalings give bit-identical and exactly scaled series.
     """
     block = math.isqrt(count)
     rows = -(-count // block)
-    runs = -(-rows // max(1, _CHUNK // block))
+    runs = max(1, min(-(-rows // max(1, _CHUNK // block)), rows // 2))
     tail = np.exp(-1j * np.outer(th, np.arange(block) * step))
     for k in range(runs):
         b0, b1 = k * rows // runs, (k + 1) * rows // runs
@@ -348,37 +349,34 @@ def detect_superrevival(series: AutocorrSeries, revival_period: float,
     return _first_recovery(heights, peak_taus, threshold)
 
 
-def scan_superrevival(weights, rates, horizon: float, revival_period: float,
-                      step: float, threshold: float = SUPERREVIVAL_THRESHOLD):
-    """:func:`detect_superrevival` over the grid ``j*step``, streamed.
+def scan_superrevival(weights, rates, horizon: float, revival_period: float):
+    """:func:`detect_superrevival` over the grid ``j*ENVELOPE_STEP``, streamed.
 
-    The grid runs to ``j = floor(horizon/step + 1e-9)``.  The blocked
+    The grid runs to ``j = floor(horizon/ENVELOPE_STEP + 1e-9)``.  The blocked
     kernel's runs are folded into the envelope as they are computed, so
     memory stays at one run plus one entry per cycle however long the
     horizon.  Sample times, cycles and amplitudes are those of
     ``detect_superrevival(autocorrelation(weights, rates, grid), ...)`` bit
     for bit, and so are the result and the errors.
     """
-    if not step > 0:
-        raise ValueError(f"scan step must be positive, got {step}")
     if not math.isfinite(horizon):
         raise ValueError(f"scan horizon must be finite, got {horizon}")
     w, th = _carried_levels(weights, rates)
-    last = int(math.floor(horizon / step + 1e-9))
-    n_cycles = _cycle_count(float(last) * step, revival_period, step)
-    heights, peak_taus = _scan_envelope(w, th, last, step, revival_period,
-                                        n_cycles)
-    return _first_recovery(heights, peak_taus, threshold)
+    last = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
+    n_cycles = _cycle_count(float(last) * ENVELOPE_STEP, revival_period,
+                            ENVELOPE_STEP)
+    heights, peak_taus = _scan_envelope(w, th, last, revival_period, n_cycles)
+    return _first_recovery(heights, peak_taus, SUPERREVIVAL_THRESHOLD)
 
 
-def _scan_envelope(w, th, last, step, period, n_cycles):
-    """Per-cycle envelope of ``|A|^2`` at ``j*step``, ``j <= last``."""
+def _scan_envelope(w, th, last, period, n_cycles):
+    """Per-cycle envelope of ``|A|^2`` at ``j*ENVELOPE_STEP``, ``j <= last``."""
     heights = np.full(n_cycles, -np.inf)
     peak_taus = np.zeros(n_cycles)
     # the spacing autocorrelation infers from this grid's end points
-    spacing = (float(last) * step) / last
+    spacing = (float(last) * ENVELOPE_STEP) / last
     for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
-        tau = np.arange(j0, j0 + len(amps), dtype=float) * step
+        tau = np.arange(j0, j0 + len(amps), dtype=float) * ENVELOPE_STEP
         _fold_cycles(heights, peak_taus, tau, np.abs(amps) ** 2, 0.0, period)
     return heights, peak_taus
 

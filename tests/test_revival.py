@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -225,6 +226,25 @@ def test_blocked_runs_tile_the_grid_in_whole_rows(count):
     assert all(len(amps) <= revival._CHUNK for _, amps in runs)
     if len(runs) > 1:
         assert all(len(amps) > block for _, amps in runs)
+
+
+@pytest.mark.parametrize("chunk", [500, 700, 1000, revival._CHUNK])
+def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
+    # 90,007 samples: B = 300 columns and 301 rows.  A _CHUNK of 500 or 700
+    # holds fewer than three rows, so runs of two or three rows replace it.
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    count, step = 90007, 1e-3
+    block = math.isqrt(count)
+    heads = (np.arange(-(-count // block)) * block) * step
+    lead = w * np.exp(-1j * np.outer(heads, rates))
+    tail = np.exp(-1j * np.outer(rates, np.arange(block) * step))
+    whole = (lead @ tail).ravel()[:count]
+    monkeypatch.setattr(revival, "_CHUNK", chunk)
+    runs = list(revival._blocked_amplitudes(w, rates, 0.0, step, count))
+    assert len(runs) > 1
+    assert all(2 * block <= len(amps) <= max(chunk, 3 * block) for _, amps in runs[:-1])
+    assert len(runs[-1][1]) > block
+    assert np.array_equal(np.concatenate([amps for _, amps in runs]), whole)
 
 
 def test_other_grids_take_the_direct_path(blocked_calls):
@@ -549,7 +569,7 @@ def test_superrevival_validates_period():
 
 # --- streamed superrevival scan -------------------------------------------
 
-SCAN_STEP = 1e-3
+SCAN_STEP = revival.ENVELOPE_STEP
 
 
 def scan_grid(horizon):
@@ -590,7 +610,7 @@ def materialised_envelope(w, rates, period, horizon):
 def streamed_envelope(series, period):
     n_cycles = int(np.floor(series.tau[-1] / period))
     return revival._scan_envelope(series.weights, series.rates, len(series.tau) - 1,
-                                  SCAN_STEP, period, n_cycles)
+                                  period, n_cycles)
 
 
 @pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
@@ -603,7 +623,7 @@ def test_streamed_scan_matches_the_materialised_path(inputs):
     assert np.array_equal(streamed[1], peak_taus)
     expected = detect_superrevival(series, period)
     assert expected is not None
-    assert revival.scan_superrevival(w, rates, horizon, period, SCAN_STEP) == expected
+    assert revival.scan_superrevival(w, rates, horizon, period) == expected
 
 
 def test_streamed_scan_folds_across_short_runs(monkeypatch):
@@ -621,7 +641,7 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     streamed = streamed_envelope(series, period)
     assert np.array_equal(streamed[0], heights)
     assert np.array_equal(streamed[1], peak_taus)
-    assert revival.scan_superrevival(w, rates, horizon, period, SCAN_STEP) == \
+    assert revival.scan_superrevival(w, rates, horizon, period) == \
         detect_superrevival(series, period)
 
 
@@ -664,16 +684,14 @@ def test_streamed_scan_matches_detection_on_every_path(case, box_state):
     series = autocorrelation(w, rates, scan_grid(horizon))
     expected = outcome(lambda: detect_superrevival(series, period))
     assert expected == {"none": None, "short": HorizonTooShortError}.get(case, ValueError)
-    assert outcome(lambda: revival.scan_superrevival(w, rates, horizon, period,
-                                                     SCAN_STEP)) == expected
+    assert outcome(lambda: revival.scan_superrevival(w, rates, horizon, period)) == expected
 
 
-def test_streamed_scan_rejects_a_bad_step_or_horizon():
-    w, rates, period, horizon = fig2_scan_inputs()
-    for bad_horizon, step in ((horizon, 0.0), (horizon, -SCAN_STEP), (np.inf, SCAN_STEP),
-                              (np.nan, SCAN_STEP)):
+def test_streamed_scan_rejects_a_non_finite_horizon():
+    w, rates, period, _ = fig2_scan_inputs()
+    for bad_horizon in (np.inf, np.nan):
         with pytest.raises(ValueError):
-            revival.scan_superrevival(w, rates, bad_horizon, period, step)
+            revival.scan_superrevival(w, rates, bad_horizon, period)
 
 
 def test_streamed_scan_holds_one_run_in_memory():
@@ -681,7 +699,7 @@ def test_streamed_scan_holds_one_run_in_memory():
     period = barker(WellConfig(epsilon=30.0)).approx_revival_time
     tracemalloc.start()
     try:
-        detected = revival.scan_superrevival(w, rates, 4000.0, period, SCAN_STEP)
+        detected = revival.scan_superrevival(w, rates, 4000.0, period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
