@@ -18,10 +18,10 @@ from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
                       detection_grid, principal_revival, scan_superrevival,
                       table1_report, timescales)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
-                        WellSystem, load_scenario)
-from .spectrum import (BarkerApproximation, BoundState, WellConfig, barker,
-                       closed_form_norm, eigenfunction_value,
-                       orthonormality_matrix, phase_rates, solve_spectrum,
+                        load_scenario)
+from .spectrum import (BarkerApproximation, BoundState, Spectrum, WellConfig,
+                       barker, closed_form_norm, eigenfunction_value,
+                       orthonormality_matrix, solve_spectrum,
                        transcendental_residual)
 from .wavepacket import (GaussianSpec, InfiniteWellState,
                          SpectralDecomposition, evolve, infinite_evolve,
@@ -36,14 +36,14 @@ __all__ = [
     "GaussianSpec",
     "HorizonTooShortError", "InfiniteWellState",
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
-    "ScenarioConfig", "SpectralDecomposition", "TimescaleHierarchy",
-    "WellConfig", "WellSystem", "autocorrelation", "barker",
+    "ScenarioConfig", "SpectralDecomposition", "Spectrum",
+    "TimescaleHierarchy", "WellConfig", "autocorrelation", "barker",
     "closed_form_norm", "coherent_weights", "detect_revival",
     "detect_superrevival", "detection_grid", "eigenfunction_value", "evolve",
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
     "orthonormality_matrix", "oscillator_autocorr", "oscillator_phase_rates",
-    "oscillator_timescales", "parity_filtered", "phase_rates",
-    "principal_revival", "project", "scan_superrevival",
+    "oscillator_timescales", "parity_filtered", "principal_revival",
+    "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
     "timescales", "transcendental_residual",
 ]

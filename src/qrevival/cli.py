@@ -22,11 +22,18 @@ from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, autocorrelation,
                       principal_revival, scan_superrevival, table1_report)
-from .scenarios import (OscillatorSystem, ScenarioConfig, WellSystem,
-                        load_scenario)
-from .spectrum import (WellConfig, barker, phase_rates, solve_spectrum,
-                       transcendental_residual)
+from .scenarios import OscillatorSystem, ScenarioConfig, load_scenario
+from .spectrum import WellConfig, barker, solve_spectrum
 from .wavepacket import GaussianSpec, infinite_project, project, snapshot
+
+# Ad-hoc systems override these: --epsilon the well's strength, --beta the
+# oscillator's nonlinearity.
+_CUSTOM_WELL = ScenarioConfig(name="custom", tau_max=1.5, tau_step=1e-4,
+                              horizon=40.0, epsilon=math.inf,
+                              packet=GaussianSpec(x0=0.2, sigma=0.1))
+_CUSTOM_OSCILLATOR = ScenarioConfig(
+    name="custom", tau_max=5.0, tau_step=1e-4, horizon=600.0,
+    oscillator=OscillatorSystem(beta=0.0, kind="coherent", alpha=0.0))
 
 
 def _fmt(value) -> str:
@@ -69,55 +76,58 @@ def cli_errors(fn):
     return wrapper
 
 
-def _resolve_scenario(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
-                      tau_max, tau_step) -> ScenarioConfig:
+def output_options(default="csv", formats=("csv", "json")):
+    """``--format`` and ``--out``, which every command takes."""
+    def decorate(fn):
+        fn = click.option("--out", type=click.Path(), default=None)(fn)
+        return click.option("--format", "fmt", type=click.Choice(formats),
+                            default=default)(fn)
+    return decorate
+
+
+def system_options(oscillator=True):
+    """``--scenario`` and the overrides of its system: the well and packet
+    options, and with ``oscillator`` the oscillator options too."""
+    names = ["--epsilon", "--x0", "--sigma"]
+    if oscillator:
+        names += ["--beta", "--alpha", "--squeeze"]
+
+    def decorate(fn):
+        for name in reversed(names):
+            fn = click.option(name, type=float, default=None)(fn)
+        return click.option("--scenario", type=str, default=None,
+                            help="Built-in name or JSON scenario file.")(fn)
+    return decorate
+
+
+def _resolve_scenario(scenario, epsilon=None, x0=None, sigma=None, beta=None,
+                      alpha=None, squeeze=None, tau_max=None,
+                      tau_step=None) -> ScenarioConfig:
+    """The named scenario, or the ad-hoc well or oscillator, with the given
+    overrides; overriding a block the scenario lacks is refused."""
     if scenario:
         data = load_scenario(scenario).to_dict()
-        if epsilon is not None:
-            if "well" not in data:
-                raise ValueError(f"{data['name']!r} is not a well scenario")
-            data["well"]["epsilon"] = epsilon
-        if x0 is not None or sigma is not None:
-            if "packet" not in data:
-                raise ValueError(f"{data['name']!r} has no packet to override")
-            if x0 is not None:
-                data["packet"]["x0"] = x0
-            if sigma is not None:
-                data["packet"]["sigma"] = sigma
-        if beta is not None or alpha is not None or squeeze is not None:
-            if "oscillator" not in data:
-                raise ValueError(f"{data['name']!r} is not an oscillator scenario")
-            if beta is not None:
-                data["oscillator"]["beta"] = beta
-            if alpha is not None:
-                data["oscillator"]["alpha"] = alpha
-            if squeeze is not None:
-                data["oscillator"]["squeeze"] = squeeze
-                data["oscillator"]["kind"] = "squeezed"
-        if tau_max is not None:
-            data["tau_max"] = tau_max
-        if tau_step is not None:
-            data["tau_step"] = tau_step
-        return ScenarioConfig.from_dict(data)
-    if (epsilon is None) == (beta is None):
+    elif (epsilon is None) == (beta is None):
         raise ValueError("give either --scenario, or exactly one of "
                          "--epsilon (well) / --beta (oscillator)")
-    if epsilon is not None:
-        well = WellSystem(epsilon=epsilon)
-        packet = GaussianSpec(x0=0.2 if x0 is None else x0,
-                              sigma=0.1 if sigma is None else sigma)
-        return ScenarioConfig(name="custom", well=well, packet=packet,
-                              tau_max=tau_max if tau_max is not None else 1.5,
-                              tau_step=tau_step if tau_step is not None else 1e-4,
-                              horizon=40.0)
-    kind = "squeezed" if squeeze is not None else "coherent"
-    osc = OscillatorSystem(beta=beta, kind=kind,
-                           alpha=0.0 if alpha is None else alpha,
-                           squeeze=squeeze)
-    return ScenarioConfig(name="custom", oscillator=osc,
-                          tau_max=tau_max if tau_max is not None else 5.0,
-                          tau_step=tau_step if tau_step is not None else 1e-4,
-                          horizon=600.0)
+    else:
+        data = (_CUSTOM_WELL if beta is None else _CUSTOM_OSCILLATOR).to_dict()
+    overrides = {
+        "well": {"epsilon": epsilon},
+        "packet": {"x0": x0, "sigma": sigma},
+        "oscillator": {"beta": beta, "alpha": alpha, "squeeze": squeeze,
+                       "kind": None if squeeze is None else "squeezed"},
+    }
+    for block, values in overrides.items():
+        given = {key: value for key, value in values.items() if value is not None}
+        if given:
+            if block not in data:
+                raise ValueError(f"{data['name']!r} has no {block} to override")
+            data[block].update(given)
+    for key, value in (("tau_max", tau_max), ("tau_step", tau_step)):
+        if value is not None:
+            data[key] = value
+    return ScenarioConfig.from_dict(data)
 
 
 def _fock_for(cfg: ScenarioConfig):
@@ -135,31 +145,30 @@ def _fock_for(cfg: ScenarioConfig):
 
 def _series_inputs(cfg: ScenarioConfig, fock):
     """Weights, phase rates and completeness for a scenario's system."""
-    if cfg.well is not None:
-        if cfg.well.is_infinite:
+    if cfg.epsilon is not None:
+        if math.isinf(cfg.epsilon):
             state = infinite_project(cfg.packet)
-            return state.weights, state.phase_rates, state.completeness
-        states = solve_spectrum(WellConfig(cfg.well.epsilon))
+            return state.weights, state.rates, state.completeness
+        states = solve_spectrum(WellConfig(cfg.epsilon))
         decomp = project(cfg.packet, states)
-        weights = np.abs(decomp.coefficients) ** 2
-        return weights, phase_rates(states), decomp.completeness
+        return decomp.weights, states.rates, decomp.completeness
     return fock.weights, oscillator_phase_rates(fock.n, cfg.oscillator.beta), 1.0
 
 
 def _reference_inputs(cfg: ScenarioConfig, fock):
     """Dashed-line counterpart: the box for wells, the quadratic-spectrum
     oscillator for oscillator scenarios."""
-    if cfg.well is not None:
+    if cfg.epsilon is not None:
         state = infinite_project(cfg.packet)
-        return state.weights, state.phase_rates
+        return state.weights, state.rates
     return fock.weights, oscillator_phase_rates(fock.n, 0.0)
 
 
 def _revival_prediction(cfg: ScenarioConfig, fock) -> float:
-    if cfg.well is not None:
-        if cfg.well.is_infinite:
+    if cfg.epsilon is not None:
+        if math.isinf(cfg.epsilon):
             return 1.0
-        return barker(WellConfig(cfg.well.epsilon)).approx_revival_time
+        return barker(WellConfig(cfg.epsilon)).approx_revival_time
     return oscillator_timescales(fock, cfg.oscillator.beta).revival_time
 
 
@@ -170,55 +179,45 @@ def main():
 
 @main.command("spectrum")
 @click.option("--epsilon", type=float, required=True, help="Well strength.")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@output_options()
 @cli_errors
-def cmd_spectrum(epsilon, tol, fmt, out):
+def cmd_spectrum(epsilon, fmt, out):
     """Bound-state table for a well of the given strength."""
-    states = solve_spectrum(WellConfig(epsilon=epsilon), tol=tol)
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    n = range(1, len(states) + 1)
+    parity = ["even" if even else "odd" for even in states.even.tolist()]
+    residual = states.residuals
     if fmt == "csv":
-        lines = ["n,parity,alpha,beta,energy,residual"]
-        for s in states:
-            lines.append(f"{s.index},{s.parity},{_fmt(s.alpha)},{_fmt(s.beta)},"
-                         f"{_fmt(s.energy)},{_fmt(transcendental_residual(s))}")
-        _emit("\n".join(lines) + "\n", out)
+        row = "{},{},{:.16e},{:.16e},{:.16e},{:.16e}".format
+        lines = map(row, n, parity, states.alpha, states.beta, states.energy,
+                    residual)
+        _emit("\n".join(["n,parity,alpha,beta,energy,residual", *lines]) + "\n",
+              out)
     else:
+        keys = ("n", "parity", "alpha", "beta", "energy", "norm",
+                "weakly_bound", "residual")
+        columns = [n, parity] + [a.tolist() for a in (
+            states.alpha, states.beta, states.energy, states.norm,
+            states.weakly_bound, residual)]
         payload = {
             "epsilon": epsilon,
             "predicted_count": WellConfig(epsilon=epsilon).predicted_state_count,
-            "states": [
-                {"n": s.index, "parity": s.parity, "alpha": s.alpha,
-                 "beta": s.beta, "energy": s.energy, "norm": s.norm,
-                 "weakly_bound": s.weakly_bound,
-                 "residual": transcendental_residual(s)}
-                for s in states
-            ],
+            "states": [dict(zip(keys, level)) for level in zip(*columns)],
         }
         _emit(_json_dump(payload), out)
 
 
 @main.command("autocorr")
-@click.option("--scenario", type=str, default=None,
-              help="Built-in name or JSON scenario file.")
-@click.option("--epsilon", type=float, default=None)
-@click.option("--x0", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--squeeze", type=float, default=None)
+@system_options()
 @click.option("--tau-max", type=float, default=None)
 @click.option("--tau-step", type=float, default=None)
 @click.option("--reference", is_flag=True, default=False,
               help="Add the dashed-line counterpart as a third column.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@output_options()
 @cli_errors
-def cmd_autocorr(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
-                 tau_max, tau_step, reference, fmt, out):
+def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
     """Squared autocorrelation series over the scenario's time grid."""
-    cfg = _resolve_scenario(scenario, epsilon, x0, sigma, beta, alpha,
-                            squeeze, tau_max, tau_step)
+    cfg = _resolve_scenario(tau_max=tau_max, tau_step=tau_step, **system)
     fock = _fock_for(cfg)
     weights, rates, _completeness = _series_inputs(cfg, fock)
     n_steps = int(math.floor(cfg.tau_max / cfg.tau_step + 1e-9))
@@ -249,16 +248,13 @@ def cmd_autocorr(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
 @click.option("--x0", type=float, default=0.2, show_default=True)
 @click.option("--sigma", type=float, default=0.1, show_default=True)
 @click.option("--epsilons", type=str, default="12,30,100", show_default=True)
-@click.option("--grid-step", type=float, default=DETECTION_MAX_STEP,
-              show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@output_options()
 @cli_errors
-def cmd_table1(x0, sigma, epsilons, grid_step, fmt, out):
+def cmd_table1(x0, sigma, epsilons, fmt, out):
     """Detected vs predicted revival times across well strengths."""
     eps_list = [float(tok) for tok in epsilons.split(",") if tok.strip()]
     packet = GaussianSpec(x0=x0, sigma=sigma)
-    reports = table1_report(packet, eps_list, grid_step=grid_step)
+    reports = table1_report(packet, eps_list)
     if fmt == "csv":
         lines = ["epsilon,detected,barker,percent_error,peak_height,completeness"]
         for r in reports:
@@ -280,28 +276,19 @@ def cmd_table1(x0, sigma, epsilons, grid_step, fmt, out):
 
 
 @main.command("revivals")
-@click.option("--scenario", type=str, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--x0", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--squeeze", type=float, default=None)
+@system_options()
 @click.option("--horizon", type=float, default=None,
               help="Scan horizon; defaults to the scenario's.")
 @click.option("--superrevival", is_flag=True, default=False,
               help="Also scan the peak envelope for a recovery.")
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
-@click.option("--out", type=click.Path(), default=None)
+@output_options("json", ("json",))
 @cli_errors
-def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
-                 horizon, superrevival, fmt, out):
+def cmd_revivals(horizon, superrevival, fmt, out, **system):
     """Detect the principal revival (and optionally the first superrevival)."""
-    cfg = _resolve_scenario(scenario, epsilon, x0, sigma, beta, alpha,
-                            squeeze, None, None)
+    cfg = _resolve_scenario(**system)
     horizon = cfg.horizon if horizon is None else horizon
-    if horizon < 2.0:
-        raise ValueError(f"horizon must be at least 2, got {horizon}")
+    if not (math.isfinite(horizon) and horizon >= 2.0):
+        raise ValueError(f"horizon must be at least 2 and finite, got {horizon}")
     fock = _fock_for(cfg)
     weights, rates, completeness = _series_inputs(cfg, fock)
     predicted = _revival_prediction(cfg, fock)
@@ -329,28 +316,23 @@ def cmd_revivals(scenario, epsilon, x0, sigma, beta, alpha, squeeze,
 
 
 @main.command("snapshot")
-@click.option("--scenario", type=str, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--x0", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
+@system_options(oscillator=False)
 @click.option("--tau", "tau_list", type=str, required=True,
               help="Comma-separated scaled times.")
 @click.option("--grid", "grid_n", type=int, default=256, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@output_options()
 @cli_errors
-def cmd_snapshot(scenario, epsilon, x0, sigma, tau_list, grid_n, fmt, out):
+def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
     """Probability density on a position grid at the requested times."""
     if grid_n < 32:
         raise ValueError(f"grid must have at least 32 points, got {grid_n}")
-    cfg = _resolve_scenario(scenario, epsilon, x0, sigma, None, None, None,
-                            None, None)
-    if cfg.well is None or cfg.well.is_infinite:
+    cfg = _resolve_scenario(**system)
+    if cfg.epsilon is None or math.isinf(cfg.epsilon):
         raise ValueError("snapshot requires a finite-well scenario")
     taus = [float(tok) for tok in tau_list.split(",") if tok.strip()]
     if not taus:
         raise ValueError("no times given")
-    states = solve_spectrum(WellConfig(cfg.well.epsilon))
+    states = solve_spectrum(WellConfig(cfg.epsilon))
     decomp = project(cfg.packet, states)
     grid = np.linspace(-1.25, 1.25, grid_n)
 
@@ -377,8 +359,7 @@ def cmd_snapshot(scenario, epsilon, x0, sigma, tau_list, grid_n, fmt, out):
 @click.option("--squeeze", type=float, default=None,
               help="Squeeze parameter; omit for a coherent state.")
 @click.option("--cutoff", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json")
-@click.option("--out", type=click.Path(), default=None)
+@output_options("json")
 @cli_errors
 def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
     """Number-basis weights and recurrence timescales."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
-from .spectrum import WellConfig, barker, phase_rates, solve_spectrum
+from .spectrum import WellConfig, barker, solve_spectrum
 from .wavepacket import GaussianSpec, project
 
 _CHUNK = 65536
@@ -327,14 +327,14 @@ def _cycle_count(span, period, step):
     return n_cycles
 
 
-def detect_superrevival(series: AutocorrSeries, revival_period: float,
-                        threshold: float = SUPERREVIVAL_THRESHOLD):
+def detect_superrevival(series: AutocorrSeries, revival_period: float):
     """First time the per-cycle peak envelope recovers after a collapse.
 
     The series is partitioned into consecutive revival cycles of length
     ``revival_period``; the envelope is the peak height per cycle.  Returns
-    the peak time of the first cycle that re-attains ``threshold`` of the
-    envelope's global maximum after at least one full cycle below it.
+    the peak time of the first cycle that re-attains
+    ``SUPERREVIVAL_THRESHOLD`` of the envelope's global maximum after at
+    least one full cycle below it.
     Returns ``None`` when the envelope never dips (no superrevival within
     the sampled horizon is distinguishable from none existing); raises
     :class:`HorizonTooShortError` when a dip is seen but the recovery is not.
@@ -346,7 +346,7 @@ def detect_superrevival(series: AutocorrSeries, revival_period: float,
     n_cycles = _cycle_count(tau[-1] - tau[0], revival_period, step)
     heights, peak_taus = _cycle_envelope(tau, series.values,
                                          revival_period, n_cycles)
-    return _first_recovery(heights, peak_taus, threshold)
+    return _first_recovery(heights, peak_taus)
 
 
 def scan_superrevival(weights, rates, horizon: float, revival_period: float):
@@ -366,7 +366,7 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     n_cycles = _cycle_count(float(last) * ENVELOPE_STEP, revival_period,
                             ENVELOPE_STEP)
     heights, peak_taus = _scan_envelope(w, th, last, revival_period, n_cycles)
-    return _first_recovery(heights, peak_taus, SUPERREVIVAL_THRESHOLD)
+    return _first_recovery(heights, peak_taus)
 
 
 def _scan_envelope(w, th, last, period, n_cycles):
@@ -381,11 +381,11 @@ def _scan_envelope(w, th, last, period, n_cycles):
     return heights, peak_taus
 
 
-def _first_recovery(heights, peak_taus, threshold):
-    """Peak time of the first cycle back at ``threshold`` of the envelope's
-    maximum after a dip; None without a dip, and
+def _first_recovery(heights, peak_taus):
+    """Peak time of the first cycle back at ``SUPERREVIVAL_THRESHOLD`` of the
+    envelope's maximum after a dip; None without a dip, and
     :class:`HorizonTooShortError` for a dip without a recovery."""
-    level = threshold * heights.max()
+    level = SUPERREVIVAL_THRESHOLD * heights.max()
     dipped = heights < level
     if not dipped.any():
         return None
@@ -393,8 +393,8 @@ def _first_recovery(heights, peak_taus, threshold):
     recovered = np.flatnonzero(heights[first_dip + 1:] >= level)
     if len(recovered) == 0:
         raise HorizonTooShortError(
-            f"envelope dips below {threshold:.0%} at cycle {first_dip} but "
-            f"never recovers within the sampled horizon")
+            f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
+            f"{first_dip} but never recovers within the sampled horizon")
     return float(peak_taus[first_dip + 1 + recovered[0]])
 
 
@@ -449,29 +449,28 @@ def detection_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(k0, k1 + 1, dtype=float) * step
 
 
-def principal_revival(weights, rates, predicted: float,
-                      grid_step: float = DETECTION_MAX_STEP,
-                      provenance: str = ""):
+def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     """Principal revival near ``predicted`` as ``(time, height)``.
 
-    ``|A|^2`` is sampled on ``DEFAULT_WINDOW`` times the prediction.  Packets
-    with near-equal recurrences spaced a fraction of the revival period apart
-    make that window ambiguous; it is then retried once on ``RETRY_WINDOW``,
-    tight enough to isolate the peak nearest the prediction.  A window whose
-    highest sample is its first or last holds no interior peak to refine, and
-    is refused with :class:`EdgePeakError`.
+    ``|A|^2`` is sampled every ``DETECTION_MAX_STEP`` on ``DEFAULT_WINDOW``
+    times the prediction.  Packets with near-equal recurrences spaced a
+    fraction of the revival period apart make that window ambiguous; it is
+    then retried once on ``RETRY_WINDOW``, tight enough to isolate the peak
+    nearest the prediction.  A window whose highest sample is its first or
+    last holds no interior peak to refine, and is refused with
+    :class:`EdgePeakError`.
     """
     try:
         return _window_revival(weights, rates, predicted, DEFAULT_WINDOW,
-                               grid_step, provenance)
+                               provenance)
     except AmbiguousWindowError:
         return _window_revival(weights, rates, predicted, RETRY_WINDOW,
-                               grid_step, provenance)
+                               provenance)
 
 
-def _window_revival(weights, rates, predicted, scale, grid_step, provenance):
+def _window_revival(weights, rates, predicted, scale, provenance):
     window = (scale[0] * predicted, scale[1] * predicted)
-    taus = detection_grid(window[0], window[1], grid_step)
+    taus = detection_grid(window[0], window[1], DETECTION_MAX_STEP)
     series = autocorrelation(weights, rates, taus, provenance=provenance)
     detected, height = detect_revival(series, window)
     i0, i1 = _window_bounds(series.tau, window)
@@ -484,8 +483,7 @@ def _window_revival(weights, rates, predicted, scale, grid_step, provenance):
     return detected, height
 
 
-def table1_report(packet: GaussianSpec, epsilons,
-                  grid_step: float = DETECTION_MAX_STEP) -> list[RevivalReport]:
+def table1_report(packet: GaussianSpec, epsilons) -> list[RevivalReport]:
     """End-to-end revival comparison for a list of well strengths.
 
     For each strength: solve the spectrum, project the packet, find the
@@ -498,11 +496,9 @@ def table1_report(packet: GaussianSpec, epsilons,
         config = WellConfig(epsilon=float(eps))
         states = solve_spectrum(config)
         decomp = project(packet, states)
-        weights = np.abs(decomp.coefficients) ** 2
-        rates = phase_rates(states)
         predicted = barker(config).approx_revival_time
         detected, height = principal_revival(
-            weights, rates, predicted, grid_step,
+            decomp.weights, states.rates, predicted,
             provenance=f"well(epsilon={eps})")
         reports.append(RevivalReport(
             epsilon=float(eps),
@@ -511,7 +507,7 @@ def table1_report(packet: GaussianSpec, epsilons,
             percent_error=100.0 * abs(detected - predicted) / detected,
             peak_height_at_revival=height,
             completeness=decomp.completeness,
-            grid_step=grid_step,
+            grid_step=DETECTION_MAX_STEP,
             refine_tol=REFINE_TOL,
         ))
     return reports

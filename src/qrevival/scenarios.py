@@ -1,10 +1,11 @@
 """Named parameter sets and their JSON round-trip.
 
-Each scenario pins one system (a well of some strength, the infinitely deep
-reference well, or the nonlinear oscillator with a chosen initial state), a
-packet where applicable, and the default output grid and scan horizon.  The
-built-ins cover the bundled reference curves and are compiled in so no
-external files are needed to reproduce them.
+Each scenario pins one system (a well of strength ``epsilon``, with ``inf``
+selecting the infinitely deep reference well, or the nonlinear oscillator
+with a chosen initial state), a packet where applicable, and the default
+output grid and scan horizon.  The built-ins cover the bundled reference
+curves and are compiled in so no external files are needed to reproduce
+them.
 """
 
 from __future__ import annotations
@@ -14,21 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .wavepacket import GaussianSpec
-
-
-@dataclass(frozen=True)
-class WellSystem:
-    """Finite well of strength epsilon; ``inf`` selects the box reference."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -51,15 +37,18 @@ class ScenarioConfig:
     tau_max: float
     tau_step: float
     horizon: float
-    well: WellSystem | None = None
+    epsilon: float | None = None
     oscillator: OscillatorSystem | None = None
     packet: GaussianSpec | None = None
 
     def __post_init__(self):
-        if (self.well is None) == (self.oscillator is None):
+        if (self.epsilon is None) == (self.oscillator is None):
             raise ValueError("scenario must define exactly one system block")
-        if self.well is not None and self.packet is None:
-            raise ValueError("well scenarios need a packet block")
+        if self.epsilon is not None:
+            if not self.epsilon > 0:
+                raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            if self.packet is None:
+                raise ValueError("well scenarios need a packet block")
         if not (self.tau_step > 0):
             raise ValueError(f"tau step must be positive, got {self.tau_step}")
         if self.tau_max < self.tau_step:
@@ -72,8 +61,8 @@ class ScenarioConfig:
             "tau_step": self.tau_step,
             "horizon": self.horizon,
         }
-        if self.well is not None:
-            out["well"] = {"epsilon": self.well.epsilon}
+        if self.epsilon is not None:
+            out["well"] = {"epsilon": self.epsilon}
         if self.oscillator is not None:
             osc = {"beta": self.oscillator.beta, "kind": self.oscillator.kind,
                    "alpha": self.oscillator.alpha}
@@ -86,9 +75,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        well = None
+        epsilon = None
         if "well" in data:
-            well = WellSystem(epsilon=float(data["well"]["epsilon"]))
+            epsilon = float(data["well"]["epsilon"])
         osc = None
         if "oscillator" in data:
             block = data["oscillator"]
@@ -107,7 +96,7 @@ class ScenarioConfig:
             tau_max=float(data["tau_max"]),
             tau_step=float(data["tau_step"]),
             horizon=float(data["horizon"]),
-            well=well, oscillator=osc, packet=packet,
+            epsilon=epsilon, oscillator=osc, packet=packet,
         )
 
     def to_json(self) -> str:
@@ -121,7 +110,7 @@ class ScenarioConfig:
 def _well_scenario(name, epsilon, x0, tau_max, tau_step, horizon, sigma=0.1):
     return ScenarioConfig(
         name=name, tau_max=tau_max, tau_step=tau_step, horizon=horizon,
-        well=WellSystem(epsilon=epsilon), packet=GaussianSpec(x0=x0, sigma=sigma))
+        epsilon=epsilon, packet=GaussianSpec(x0=x0, sigma=sigma))
 
 
 BUILTIN_SCENARIOS = {

@@ -18,12 +18,14 @@ a``, which change sign across each bracket, so bisection cannot fail.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
+RESIDUAL_TOL = 1e-12
 _WEAK_BINDING_BETA = 1e-6
 _BISECTION_CAP = 200
 _NEWTON_POLISH_STEPS = 3
@@ -60,10 +62,48 @@ class BoundState:
     def energy(self) -> float:
         return self.alpha ** 2
 
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Every bound level of one well as arrays, ordered by increasing energy.
+
+    ``even`` is the parity mask.  ``spectrum[i]`` is level ``i`` as a
+    :class:`BoundState`, for callers that need a single level.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    even: np.ndarray
+    norm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i) -> BoundState:
+        i = range(len(self))[operator.index(i)]  # IndexError when out of range
+        return BoundState(index=i + 1, parity="even" if self.even[i] else "odd",
+                          alpha=float(self.alpha[i]), beta=float(self.beta[i]),
+                          norm=float(self.norm[i]),
+                          weakly_bound=bool(self.weakly_bound[i]))
+
     @property
-    def phase_rate(self) -> float:
-        """Phase accumulated per unit scaled time."""
-        return 8.0 * self.alpha ** 2 / np.pi
+    def rates(self) -> np.ndarray:
+        """Phase accumulated per unit scaled time, ``8 alpha^2 / pi``."""
+        return 8.0 * self.energy / np.pi
+
+    @property
+    def energy(self) -> np.ndarray:
+        # C pow(), as ``BoundState.energy`` squares: ``** 2`` on an array
+        # multiplies, which can round the other way.
+        return np.float_power(self.alpha, 2)
+
+    @property
+    def weakly_bound(self) -> np.ndarray:
+        return self.beta < _WEAK_BINDING_BETA
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return transcendental_residual(self.alpha, self.beta, self.even)
 
 
 @dataclass(frozen=True)
@@ -86,16 +126,10 @@ def barker(config: WellConfig) -> BarkerApproximation:
     )
 
 
-def phase_rates(states) -> np.ndarray:
-    return np.array([s.phase_rate for s in states])
-
-
-def transcendental_residual(state: BoundState) -> float:
+def transcendental_residual(alpha, beta, even):
     """Residual of the defining equation, in its textbook tan/cot form."""
-    a, b = state.alpha, state.beta
-    if state.parity == "even":
-        return a * np.tan(a) - b
-    return a / np.tan(a) + b
+    tangent = np.tan(alpha)
+    return np.where(even, alpha * tangent - beta, alpha / tangent + beta)
 
 
 def _bracket_functions(eps, even_mask):
@@ -179,47 +213,30 @@ def profile_overlaps(a1, b1, a2, b2, even):
     return interior + edge_values(a1, even) * edge_values(a2, even) / (b1 + b2)
 
 
-def solve_spectrum(config: WellConfig, tol: float = 1e-12) -> list[BoundState]:
+def solve_spectrum(config: WellConfig) -> Spectrum:
     """All bound states of the well, ordered by increasing energy.
 
-    ``tol`` bounds the residual of the defining transcendental equation at
-    each accepted root, up to the precision achievable in double arithmetic
+    Each accepted root satisfies the defining transcendental equation to
+    ``RESIDUAL_TOL``, or to the precision achievable in double arithmetic
     for very strong wells (the residual's condition number grows like
     ``epsilon^2 / alpha``).
     """
-    if not (0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-    eps = config.epsilon
-
-    root, beta, even_mask = _solve_roots(eps)
+    root, beta, even_mask = _solve_roots(config.epsilon)
 
     # Residual acceptance accounts for the conditioning of the tan/cot form.
+    residual = transcendental_residual(root, beta, even_mask)
     tangent = np.tan(root)
-    residual = np.where(even_mask,
-                        root * tangent - beta,
-                        root / tangent + beta)
     slope = np.where(even_mask, np.abs(tangent), np.abs(1.0 / tangent))
     cond = slope + root * (1.0 + slope ** 2) + root / np.maximum(beta, 1e-30)
     achievable = 64.0 * np.finfo(float).eps * cond * np.maximum(1.0, root)
-    bad = np.abs(residual) > np.maximum(tol, achievable)
+    bad = np.abs(residual) > np.maximum(RESIDUAL_TOL, achievable)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(
             f"root {i + 1} did not converge: residual {residual[i]:.3e}")
 
     norms = 1.0 / np.sqrt(profile_overlaps(root, beta, root, beta, even_mask))
-
-    return [
-        BoundState(
-            index=i + 1,
-            parity="even" if even_mask[i] else "odd",
-            alpha=float(root[i]),
-            beta=float(beta[i]),
-            norm=float(norms[i]),
-            weakly_bound=bool(beta[i] < _WEAK_BINDING_BETA),
-        )
-        for i in range(len(root))
-    ]
+    return Spectrum(alpha=root, beta=beta, even=even_mask, norm=norms)
 
 
 def closed_form_norm(state: BoundState) -> float:
@@ -228,31 +245,36 @@ def closed_form_norm(state: BoundState) -> float:
 
 
 def eigenfunction_value(state: BoundState, xbar):
-    """Evaluate the normalized eigenfunction at scaled positions.
-
-    Piecewise: trigonometric inside the well, exponentially decaying
-    outside.  The outside branch is written as ``exp(-2 beta (|x| - 1/2))``
-    so deep wells do not overflow.
-    """
+    """Evaluate the normalized eigenfunction at scaled positions."""
     x = np.asarray(xbar, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("positions must be finite")
-    scalar = (x.ndim == 0)
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
+    row = eigenfunction_rows(np.array([state.alpha]), np.array([state.beta]),
+                             np.array([state.parity == "even"]),
+                             np.array([state.norm]), x.ravel())[0]
+    return float(row[0]) if x.ndim == 0 else row.reshape(x.shape)
+
+
+def eigenfunction_rows(alpha, beta, even, norm, x):
+    """Normalized eigenfunctions of the given levels at positions ``x``.
+
+    One row per level.  Piecewise: trigonometric inside the well,
+    exponentially decaying outside.  The outside branch is written as
+    ``exp(-2 beta (|x| - 1/2))`` and evaluated outside only, so deep wells
+    do not overflow.
+    """
     inside = np.abs(x) <= 0.5
-    decay = np.exp(-2.0 * state.beta * (np.abs(x[~inside]) - 0.5))
-    if state.parity == "even":
-        out[inside] = np.cos(2.0 * state.alpha * x[inside])
-        out[~inside] = np.cos(state.alpha) * decay
-    else:
-        out[inside] = np.sin(2.0 * state.alpha * x[inside])
-        out[~inside] = np.sign(x[~inside]) * np.sin(state.alpha) * decay
-    out *= state.norm
-    return float(out[0]) if scalar else out
+    x_in, x_out = x[inside], x[~inside]
+    a, e = alpha[:, None], even[:, None]
+    out = np.empty((len(alpha), len(x)))
+    out[:, inside] = np.where(e, np.cos(2.0 * a * x_in), np.sin(2.0 * a * x_in))
+    decay = np.exp(-2.0 * beta[:, None] * (np.abs(x_out) - 0.5))
+    out[:, ~inside] = np.where(e, np.cos(a), np.sign(x_out) * np.sin(a)) * decay
+    out *= norm[:, None]
+    return out
 
 
-def orthonormality_matrix(states) -> np.ndarray:
+def orthonormality_matrix(states: Spectrum) -> np.ndarray:
     """Gram matrix of overlaps between the given states.
 
     Opposite-parity entries vanish identically by symmetry of the integrand
@@ -262,16 +284,8 @@ def orthonormality_matrix(states) -> np.ndarray:
     """
     if not states:
         raise ValueError("need at least one state")
-    alpha, beta, even, norm = state_arrays(states)
+    alpha, beta, even, norm = states.alpha, states.beta, states.even, states.norm
     same = even[:, None] == even[None, :]
     overlaps = profile_overlaps(alpha[:, None], beta[:, None], alpha[None, :],
                                 beta[None, :], even[:, None])
     return np.where(same, norm[:, None] * norm[None, :] * overlaps, 0.0)
-
-
-def state_arrays(states):
-    """``(alpha, beta, even, norm)`` arrays over a list of bound states."""
-    return (np.array([s.alpha for s in states]),
-            np.array([s.beta for s in states]),
-            np.array([s.parity == "even" for s in states]),
-            np.array([s.norm for s in states]))

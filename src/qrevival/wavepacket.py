@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessWarning
-from .spectrum import (BoundState, edge_values, eigenfunction_value,
-                       profile_overlaps, state_arrays)
+from .spectrum import (BoundState, Spectrum, edge_values, eigenfunction_rows,
+                       profile_overlaps)
 
 COMPLETENESS_FLOOR = 0.999
+_SNAPSHOT_BLOCK = 65536
 _INFINITE_N_CAP = 512
 _INFINITE_TRUNCATION = 1e-10
 
@@ -45,10 +46,14 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Expansion coefficients over an ordered bound-state list."""
+    """Expansion coefficients over the levels of a spectrum."""
 
     coefficients: np.ndarray
     completeness: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.abs(self.coefficients) ** 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class InfiniteWellState:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
     @property
-    def phase_rates(self) -> np.ndarray:
+    def rates(self) -> np.ndarray:
         return 2.0 * np.pi * self.n ** 2
 
     @property
@@ -137,7 +142,7 @@ def _tail_overlap(spec: GaussianSpec, beta, wall_gap):
         * faddeeva(1j * (u + s * beta)).real
 
 
-def project(initial, states) -> SpectralDecomposition:
+def project(initial, states: Spectrum) -> SpectralDecomposition:
     """Overlap coefficients of an initial state with each bound state.
 
     ``initial`` is a :class:`GaussianSpec` or a :class:`BoundState` drawn
@@ -149,7 +154,7 @@ def project(initial, states) -> SpectralDecomposition:
     """
     if not states:
         raise ValueError("need at least one bound state")
-    alpha, beta, even, norm = state_arrays(states)
+    alpha, beta, even, norm = states.alpha, states.beta, states.even, states.norm
 
     if isinstance(initial, GaussianSpec):
         edge = edge_values(alpha, even)
@@ -175,14 +180,19 @@ def project(initial, states) -> SpectralDecomposition:
                                  completeness=completeness)
 
 
-def evolve(decomp: SpectralDecomposition, states, tau: float) -> np.ndarray:
+def evolve(decomp: SpectralDecomposition, states: Spectrum, tau: float) -> np.ndarray:
     """Coefficients after scaled time ``tau``; magnitudes are preserved."""
-    rates = np.array([s.phase_rate for s in states])
-    return decomp.coefficients * np.exp(-1j * rates * tau)
+    return decomp.coefficients * np.exp(-1j * states.rates * tau)
 
 
-def snapshot(decomp: SpectralDecomposition, states, tau: float, grid) -> np.ndarray:
-    """Probability density on the given sorted position grid at time ``tau``."""
+def snapshot(decomp: SpectralDecomposition, states: Spectrum, tau: float,
+             grid) -> np.ndarray:
+    """Probability density on the given sorted position grid at time ``tau``.
+
+    The levels' terms are summed in level order, a block of levels at a
+    time, so memory stays at about ``_SNAPSHOT_BLOCK`` values, or one level
+    on a longer grid, however many levels there are.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a finite 1-d array")
@@ -190,8 +200,15 @@ def snapshot(decomp: SpectralDecomposition, states, tau: float, grid) -> np.ndar
         raise ValueError("grid must be sorted")
     c = evolve(decomp, states, tau)
     psi = np.zeros(len(grid), dtype=complex)
-    for cn, state in zip(c, states):
-        psi += cn * eigenfunction_value(state, grid)
+    rows = max(1, _SNAPSHOT_BLOCK // max(1, len(grid)))
+    for lo in range(0, len(states), rows):
+        part = slice(lo, lo + rows)
+        terms = c[part, None] * eigenfunction_rows(
+            states.alpha[part], states.beta[part], states.even[part],
+            states.norm[part], grid)
+        terms[0] += psi
+        # a sum over the slow axis adds the rows one after another
+        psi = terms.sum(axis=0)
     return np.abs(psi) ** 2
 
 

@@ -18,8 +18,8 @@ from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       WellConfig, autocorrelation, barker, detect_revival,
                       detect_superrevival, detection_grid, infinite_project,
                       orthonormality_matrix, oscillator_phase_rates,
-                      oscillator_timescales, parity_filtered, phase_rates,
-                      project, solve_spectrum, squeezed_weights, table1_report)
+                      oscillator_timescales, parity_filtered, project,
+                      solve_spectrum, squeezed_weights, table1_report)
 from qrevival.wavepacket import COMPLETENESS_FLOOR
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -50,7 +50,7 @@ def well_projection(epsilon, packet):
 
 def well_pipeline(epsilon, packet):
     states, decomp, _ = well_projection(epsilon, packet)
-    return states, decomp, np.abs(decomp.coefficients) ** 2, phase_rates(states)
+    return states, decomp, np.abs(decomp.coefficients) ** 2, states.rates
 
 
 def _gaussian(packet):
@@ -198,7 +198,7 @@ def test_criterion_3_box_parity_theorems():
 
     box = infinite_project(PAPER_PACKET)
     taus = np.arange(0, 8001, dtype=float) * 1e-4
-    vals = autocorrelation(box.weights, box.phase_rates, taus).values
+    vals = autocorrelation(box.weights, box.rates, taus).values
     for target in (1.0 / 3.0, 2.0 / 3.0):
         m = (taus > target - 0.05) & (taus < target + 0.05)
         sub = vals[m]
@@ -268,7 +268,7 @@ def test_criterion_5_property_suite():
                    for packet in (PAPER_PACKET, CENTERED_PACKET)}
     states12, decomp12, _ = projections[12.0, PAPER_PACKET]
     w12 = np.abs(decomp12.coefficients) ** 2
-    rates12 = phase_rates(states12)
+    rates12 = states12.rates
 
     gram_dev = np.abs(orthonormality_matrix(states12) - np.eye(len(states12))).max()
     if gram_dev > 1e-8:
@@ -302,17 +302,17 @@ def test_criterion_5_property_suite():
             if completeness[name] < 1.0 - 1e-10:
                 problems.append(f"{name}: kept levels hold only {completeness[name]!r}")
             continue
-        if cfg.well.is_infinite:
+        if math.isinf(cfg.epsilon):
             box, warned = recording_warnings(infinite_project, cfg.packet)
             value = box.completeness
             oracle = box_completeness_oracle(cfg.packet, len(box.coefficients))
         else:
-            key = (cfg.well.epsilon, cfg.packet)
+            key = (cfg.epsilon, cfg.packet)
             if key not in projections:
                 projections[key] = well_projection(*key)
             _, decomp, warned = projections[key]
             value = decomp.completeness
-            oracle = well_completeness_oracle(cfg.well.epsilon, cfg.packet)
+            oracle = well_completeness_oracle(cfg.epsilon, cfg.packet)
         completeness[name] = value
         if abs(value - oracle) > 1e-10:
             problems.append(f"{name}: completeness {value!r} vs oracle {oracle!r}")

@@ -291,9 +291,9 @@ def test_revivals_long_horizon_finds_the_fig1b_recovery(runner):
     tau = json.loads(result.stdout)["detected_superrevival"]
     assert tau == 201.472
     cfg = load_scenario("fig1b")
-    states = qrevival.solve_spectrum(qrevival.WellConfig(cfg.well.epsilon))
+    states = qrevival.solve_spectrum(qrevival.WellConfig(cfg.epsilon))
     weights = np.abs(qrevival.project(cfg.packet, states).coefficients) ** 2
-    rates = qrevival.phase_rates(states)
+    rates = states.rates
     recovered = abs(np.sum(weights * np.exp(-1j * rates * tau))) ** 2
     assert recovered >= 0.95 * weights.sum() ** 2
 
@@ -308,6 +308,30 @@ def test_revivals_infinite_scan_horizon_is_a_validation_error(runner):
     result = runner.invoke(main, ["revivals", "--scenario", "fig2",
                                   "--horizon", "inf", "--superrevival"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("superrevival", [[], ["--superrevival"]])
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-inf"])
+def test_revivals_refuses_nonfinite_horizon(runner, horizon, superrevival):
+    # NaN and Infinity are not JSON, so such a horizon cannot be echoed back
+    result = runner.invoke(main, ["revivals", "--scenario", "fig2",
+                                  "--horizon", horizon, *superrevival])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--beta", "0.002", "--alpha", "2", "--x0", "0.3"],
+    ["--beta", "0.002", "--alpha", "2", "--sigma", "0.05"],
+    ["--epsilon", "12", "--squeeze", "3"],
+    ["--epsilon", "12", "--alpha", "2"],
+    ["--scenario", "fig5", "--x0", "0.1"],
+    ["--scenario", "fig1a", "--beta", "0.002"],
+])
+def test_revivals_refuses_options_of_the_other_system(runner, args):
+    result = runner.invoke(main, ["revivals", *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_revivals_short_horizon_exit_code(runner):
@@ -371,6 +395,34 @@ def test_snapshot_rejects_oscillator_scenarios(runner):
     result = runner.invoke(main, ["snapshot", "--scenario", "fig5",
                                   "--tau", "0"])
     assert result.exit_code == 2
+
+
+# --- options -----------------------------------------------------------------------
+
+COMMAND_OPTIONS = {
+    "spectrum": ["--epsilon", "--format", "--out"],
+    "autocorr": ["--scenario", "--epsilon", "--x0", "--sigma", "--beta", "--alpha",
+                 "--squeeze", "--tau-max", "--tau-step", "--reference", "--format",
+                 "--out"],
+    "table1": ["--x0", "--sigma", "--epsilons", "--format", "--out"],
+    "revivals": ["--scenario", "--epsilon", "--x0", "--sigma", "--beta", "--alpha",
+                 "--squeeze", "--horizon", "--superrevival", "--format", "--out"],
+    "snapshot": ["--scenario", "--epsilon", "--x0", "--sigma", "--tau", "--grid",
+                 "--format", "--out"],
+    "oscillator": ["--beta", "--alpha", "--squeeze", "--cutoff", "--format", "--out"],
+}
+FORMATS = {"revivals": ("json", ["json"]), "oscillator": ("json", ["csv", "json"])}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+def test_command_options(name):
+    # shared option decorators must neither add nor drop an option
+    assert sorted(main.commands) == sorted(COMMAND_OPTIONS)
+    params = main.commands[name].params
+    assert [opt for p in params for opt in p.opts] == COMMAND_OPTIONS[name]
+    fmt = next(p for p in params if p.name == "fmt")
+    assert (fmt.default, list(fmt.type.choices)) == \
+        FORMATS.get(name, ("csv", ["csv", "json"]))
 
 
 # --- oscillator command ------------------------------------------------------------

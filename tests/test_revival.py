@@ -11,7 +11,7 @@ from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       autocorrelation, barker, coherent_weights,
                       detect_revival, detect_superrevival, detection_grid,
                       infinite_project, load_scenario, oscillator_phase_rates,
-                      oscillator_timescales, phase_rates, principal_revival,
+                      oscillator_timescales, principal_revival,
                       project, revival, solve_spectrum, squeezed_weights,
                       table1_report, timescales)
 
@@ -24,7 +24,7 @@ def well_inputs(epsilon, packet):
         warnings.simplefilter("ignore")
         decomp = project(packet, states)
     weights = np.abs(decomp.coefficients) ** 2
-    return weights, phase_rates(states), decomp
+    return weights, states.rates, decomp
 
 
 def mp_peak(weights, rates, tau0):
@@ -68,7 +68,7 @@ def test_single_weight_gives_flat_series():
 
 def test_box_spectrum_revives_at_unit_time(box_state):
     w = box_state.weights / box_state.weights.sum()
-    series = autocorrelation(w, box_state.phase_rates, np.array([1.0]))
+    series = autocorrelation(w, box_state.rates, np.array([1.0]))
     assert abs(series.values[0] - 1.0) < 1e-12
 
 
@@ -91,8 +91,8 @@ def test_time_reversal_symmetry_is_exact():
 
 def test_box_series_is_periodic(box_state):
     taus = np.arange(0, 1000, dtype=float) * 1e-3
-    a = autocorrelation(box_state.weights, box_state.phase_rates, taus).values
-    b = autocorrelation(box_state.weights, box_state.phase_rates, taus + 1.0).values
+    a = autocorrelation(box_state.weights, box_state.rates, taus).values
+    b = autocorrelation(box_state.weights, box_state.rates, taus + 1.0).values
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_finite_well_breaks_the_box_symmetry(box_state):
         down = autocorrelation(weights, rates, (center - deltas)[::-1]).values
         return np.abs(up - down[::-1]).max()
 
-    assert reflect(box_state.weights, box_state.phase_rates, 1.0) < 1e-12
+    assert reflect(box_state.weights, box_state.rates, 1.0) < 1e-12
 
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     assert reflect(w, rates, 1.1864599470705903) > 1e-3
@@ -126,7 +126,7 @@ def test_offcenter_packet_reaches_near_zero():
 
 def test_box_partial_revivals_at_thirds(box_state):
     taus = np.arange(0, 10001, dtype=float) * 1e-4
-    vals = autocorrelation(box_state.weights, box_state.phase_rates, taus).values
+    vals = autocorrelation(box_state.weights, box_state.rates, taus).values
     for target in (1.0 / 3.0, 2.0 / 3.0):
         m = (taus > target - 0.05) & (taus < target + 0.05)
         sub = vals[m]
@@ -284,7 +284,7 @@ def test_detected_revivals_match_reference_values(epsilon, window, expected, tol
 def test_box_revival_detected_exactly_on_grid(box_state):
     w = box_state.weights / box_state.weights.sum()
     taus = detection_grid(0.9, 1.1, 1e-4)
-    series = autocorrelation(w, box_state.phase_rates, taus)
+    series = autocorrelation(w, box_state.rates, taus)
     tau_star, height = detect_revival(series, (0.9, 1.1))
     assert tau_star == 1.0
     assert abs(height - 1.0) < 1e-9
@@ -477,7 +477,7 @@ def test_superrevival_regression_values():
 
 def test_box_envelope_never_dips(box_state):
     taus = np.arange(0, 8001, dtype=float) * 1e-3
-    series = autocorrelation(box_state.weights, box_state.phase_rates, taus)
+    series = autocorrelation(box_state.weights, box_state.rates, taus)
     assert detect_superrevival(series, 1.0) is None
 
 
@@ -674,7 +674,7 @@ def outcome(fn):
                                   "period under four steps", "one cycle"])
 def test_streamed_scan_matches_detection_on_every_path(case, box_state):
     w, rates, period, horizon = {
-        "none": (box_state.weights, box_state.phase_rates, 1.0, 8.0),
+        "none": (box_state.weights, box_state.rates, 1.0, 8.0),
         "short": fig2_scan_inputs()[:3] + (4.0,),
         "zero period": fig2_scan_inputs()[:2] + (0.0, 4.0),
         "negative period": fig2_scan_inputs()[:2] + (-1.0, 4.0),

@@ -21,6 +21,25 @@ def test_bound_state_counts(epsilon, count):
     assert WellConfig(epsilon=epsilon).predicted_state_count == count
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 12.0, 100.0, 2500.0])
+def test_levels_agree_with_the_arrays(epsilon):
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    n = len(states)
+    assert n == int(np.floor(2.0 * epsilon / np.pi)) + 1
+    for i in sorted({0, n // 2, n - 1, -1, -n}):
+        level, j = states[i], i % n
+        assert level.index == j + 1
+        assert level.parity == ("even" if states.even[j] else "odd")
+        assert (level.alpha, level.beta, level.norm) == \
+            (states.alpha[j], states.beta[j], states.norm[j])
+        assert level.energy == states.energy[j]
+        assert level.weakly_bound == states.weakly_bound[j]
+    assert [level.alpha for level in states] == states.alpha.tolist()
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[bad]
+
+
 def test_unit_strength_well_binds_single_even_state():
     states = solve_spectrum(WellConfig(epsilon=1.0))
     assert len(states) == 1
@@ -56,7 +75,8 @@ def test_roots_against_high_precision_bisection(well12):
                 hi = mid
         oracle = float((lo + hi) / 2)
         assert abs(state.alpha - oracle) < 1e-12
-        assert abs(transcendental_residual(state)) < 1e-10
+    assert np.abs(transcendental_residual(well12.alpha, well12.beta,
+                                          well12.even)).max() < 1e-10
 
 
 def test_interlacing_and_parity_alternation(well12):
@@ -153,11 +173,6 @@ def test_rejects_invalid_strength(bad):
         WellConfig(epsilon=bad)
 
 
-def test_rejects_out_of_range_tolerance():
-    with pytest.raises(ValueError):
-        solve_spectrum(WellConfig(epsilon=12.0), tol=1e-3)
-
-
 def test_weakly_bound_flag_for_vanishing_well():
     states = solve_spectrum(WellConfig(epsilon=1e-4))
     assert len(states) == 1
@@ -188,5 +203,5 @@ def test_orthonormality_requires_states():
 
 def test_phase_rate_convention(well12):
     state = well12[0]
-    assert np.isclose(state.phase_rate, 8.0 * state.alpha ** 2 / np.pi, rtol=1e-15)
+    assert np.isclose(well12.rates[0], 8.0 * state.alpha ** 2 / np.pi, rtol=1e-15)
     assert state.energy == state.alpha ** 2

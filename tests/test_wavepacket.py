@@ -7,9 +7,10 @@ from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 from scipy.special import wofz
 
-from qrevival import (CompletenessWarning, GaussianSpec, WellConfig, evolve,
-                      infinite_evolve, infinite_project, parity_filtered,
-                      project, snapshot, solve_spectrum)
+from qrevival import (CompletenessWarning, GaussianSpec, WellConfig,
+                      eigenfunction_value, evolve, infinite_evolve,
+                      infinite_project, parity_filtered, project, snapshot,
+                      solve_spectrum)
 from qrevival.wavepacket import faddeeva
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -187,6 +188,18 @@ def test_snapshot_at_revival_is_closer_than_midcycle(decomp12, well12):
     midcycle = snapshot(decomp12, well12, 0.5, grid)
     l2 = lambda a: np.sqrt(np.trapezoid((a - dens0) ** 2, grid))
     assert l2(at_revival) < l2(midcycle)
+
+
+@pytest.mark.parametrize("epsilon", [12.0, 100.0, 2500.0])
+def test_snapshot_sums_the_levels_in_order(epsilon):
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    decomp = project(PAPER_PACKET, states)
+    grid = np.linspace(-1.25, 1.25, 512)
+    c = evolve(decomp, states, 0.37)
+    psi = np.zeros(len(grid), dtype=complex)
+    for k in range(len(states)):
+        psi += c[k] * eigenfunction_value(states[k], grid)
+    assert np.array_equal(snapshot(decomp, states, 0.37, grid), np.abs(psi) ** 2)
 
 
 def test_snapshot_validates_grid(decomp12, well12):
