@@ -7,16 +7,15 @@ superrevival times.
 """
 
 from .anharmonic import (FockWeights, OscillatorTimescales, coherent_weights,
-                         hermite_log, oscillator_autocorr,
-                         oscillator_phase_rates, oscillator_timescales,
-                         squeezed_weights)
+                         hermite_log, oscillator_phase_rates,
+                         oscillator_timescales, squeezed_weights)
 from .errors import (AmbiguousWindowError, CompletenessWarning,
                      ConvergenceError, CutoffTooSmallError, EdgePeakError,
                      HorizonTooShortError)
 from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
-                      autocorrelation, detect_revival, detect_superrevival,
-                      detection_grid, principal_revival, scan_superrevival,
-                      table1_report, timescales)
+                      autocorrelation, detect_revival, detection_grid,
+                      principal_revival, scan_superrevival, table1_report,
+                      timescales)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
 from .spectrum import (BarkerApproximation, BoundState, Spectrum, WellConfig,
@@ -39,9 +38,9 @@ __all__ = [
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "TimescaleHierarchy", "WellConfig", "autocorrelation", "barker",
     "closed_form_norm", "coherent_weights", "detect_revival",
-    "detect_superrevival", "detection_grid", "eigenfunction_value", "evolve",
+    "detection_grid", "eigenfunction_value", "evolve",
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
-    "orthonormality_matrix", "oscillator_autocorr", "oscillator_phase_rates",
+    "orthonormality_matrix", "oscillator_phase_rates",
     "oscillator_timescales", "parity_filtered", "principal_revival",
     "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",

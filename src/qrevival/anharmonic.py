@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError
-from .revival import AutocorrSeries, TimescaleHierarchy, autocorrelation, timescales
+from .revival import TimescaleHierarchy, timescales
 
 FOCK_CUTOFF_CAP = 2048
 _TAIL_MASS = 1e-10
@@ -161,14 +161,6 @@ def squeezed_weights(s: float, alpha: float,
 def oscillator_phase_rates(n, beta: float) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return 2.0 * np.pi * n ** 2 + 2.0 * np.pi * beta * n ** 3
-
-
-def oscillator_autocorr(weights: FockWeights, beta: float,
-                        tau_grid) -> AutocorrSeries:
-    """Squared autocorrelation of the evolving number-basis state."""
-    rates = oscillator_phase_rates(weights.n, beta)
-    return autocorrelation(weights.weights, rates, tau_grid,
-                           provenance=f"oscillator(beta={beta})")
 
 
 def oscillator_timescales(weights: FockWeights, beta: float) -> OscillatorTimescales:

@@ -20,9 +20,11 @@ from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
-from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, autocorrelation,
-                      principal_revival, scan_superrevival, table1_report)
-from .scenarios import OscillatorSystem, ScenarioConfig, load_scenario
+from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
+                      autocorrelation, principal_revival, scan_superrevival,
+                      table1_report)
+from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
+                        require_finite)
 from .spectrum import WellConfig, barker, solve_spectrum
 from .wavepacket import GaussianSpec, infinite_project, project, snapshot
 
@@ -268,8 +270,8 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
             {"epsilon": r.epsilon, "detected": r.detected_revival,
              "barker": r.barker_predicted, "percent_error": r.percent_error,
              "peak_height": r.peak_height_at_revival,
-             "completeness": r.completeness, "grid_step": r.grid_step,
-             "refine_tol": r.refine_tol}
+             "completeness": r.completeness, "grid_step": DETECTION_MAX_STEP,
+             "refine_tol": REFINE_TOL}
             for r in reports
         ]
         _emit(_json_dump(payload), out)
@@ -332,6 +334,8 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
     taus = [float(tok) for tok in tau_list.split(",") if tok.strip()]
     if not taus:
         raise ValueError("no times given")
+    for t in taus:
+        require_finite(tau=t)
     states = solve_spectrum(WellConfig(cfg.epsilon))
     decomp = project(cfg.packet, states)
     grid = np.linspace(-1.25, 1.25, grid_n)
@@ -363,6 +367,7 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
 @cli_errors
 def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
     """Number-basis weights and recurrence timescales."""
+    require_finite(beta=beta, alpha=alpha, squeeze=squeeze)
     if squeeze is None:
         fock = coherent_weights(alpha, cutoff)
     else:

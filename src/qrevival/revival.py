@@ -75,8 +75,6 @@ class RevivalReport:
     percent_error: float
     peak_height_at_revival: float
     completeness: float
-    grid_step: float
-    refine_tol: float
 
 
 def _carried_levels(weights, rates):
@@ -277,17 +275,17 @@ def _newton_peak(w, th, tau, bounds):
     return float(tau), float(a.real ** 2 + a.imag ** 2)
 
 
-def _fold_cycles(heights, peak_taus, tau, values, t0, period):
+def _fold_cycles(heights, peak_taus, tau, values, period):
     """Fold one sorted run of samples into the per-cycle envelope in place.
 
-    Sample ``i`` belongs to cycle ``floor((tau[i] - t0) / period)``; cycles
-    past ``len(heights)`` are dropped.  That index never decreases along the
-    run, so each cycle is one contiguous segment, and a cycle takes the
-    segment's first maximum only when it is strictly higher than what the
-    cycle holds.  Folding consecutive runs thus keeps a cycle's first
-    maximum across run edges.
+    Sample ``i`` belongs to cycle ``floor(tau[i] / period)``; cycles past
+    ``len(heights)`` are dropped.  That index never decreases along the run,
+    so each cycle is one contiguous segment, and a cycle takes the segment's
+    first maximum only when it is strictly higher than what the cycle holds.
+    Folding consecutive runs thus keeps a cycle's first maximum across run
+    edges.
     """
-    cycle = np.floor((tau - t0) / period).astype(int)
+    cycle = np.floor(tau / period).astype(int)
     n = int(np.searchsorted(cycle, len(heights)))
     if n == 0:
         return
@@ -302,89 +300,20 @@ def _fold_cycles(heights, peak_taus, tau, values, t0, period):
     peak_taus[keys[higher]] = tau[first[higher]]
 
 
-def _cycle_envelope(tau, values, period, n_cycles):
-    """Peak height and its time in each of ``n_cycles`` consecutive cycles.
-
-    Cycle ``k`` holds the samples with ``floor((tau - tau[0]) / period) == k``;
-    a cycle without samples has height ``-inf`` and time 0.  The series is
-    one fold (:func:`_fold_cycles`), so each cycle keeps its first maximum.
-    """
-    heights = np.full(n_cycles, -np.inf)
-    peak_taus = np.zeros(n_cycles)
-    _fold_cycles(heights, peak_taus, tau, values, tau[0], period)
-    return heights, peak_taus
-
-
-def _cycle_count(span, period, step):
-    """Whole revival cycles in ``span``, refusing periods the grid can't resolve."""
-    if not period > 0:
-        raise ValueError(f"revival period must be positive, got {period}")
-    if period < 4.0 * step:
-        raise ValueError("revival period must cover several grid steps")
-    n_cycles = int(np.floor(span / period))
-    if n_cycles < 2:
-        raise ValueError("series must span at least two revival cycles")
-    return n_cycles
-
-
-def detect_superrevival(series: AutocorrSeries, revival_period: float):
+def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     """First time the per-cycle peak envelope recovers after a collapse.
 
-    The series is partitioned into consecutive revival cycles of length
-    ``revival_period``; the envelope is the peak height per cycle.  Returns
-    the peak time of the first cycle that re-attains
+    ``|A|^2`` is scanned on the grid ``j*ENVELOPE_STEP`` up to ``horizon``
+    and cut into consecutive revival cycles of length ``revival_period``;
+    the envelope is the peak height per cycle (:func:`_scan_envelope`).
+    Returns the peak time of the first cycle that re-attains
     ``SUPERREVIVAL_THRESHOLD`` of the envelope's global maximum after at
     least one full cycle below it.
     Returns ``None`` when the envelope never dips (no superrevival within
     the sampled horizon is distinguishable from none existing); raises
     :class:`HorizonTooShortError` when a dip is seen but the recovery is not.
-    :func:`scan_superrevival` gives the same answer on a uniform grid
-    without materialising the series.
     """
-    tau = series.tau
-    step = np.max(np.diff(tau)) if len(tau) > 1 else 0.0
-    n_cycles = _cycle_count(tau[-1] - tau[0], revival_period, step)
-    heights, peak_taus = _cycle_envelope(tau, series.values,
-                                         revival_period, n_cycles)
-    return _first_recovery(heights, peak_taus)
-
-
-def scan_superrevival(weights, rates, horizon: float, revival_period: float):
-    """:func:`detect_superrevival` over the grid ``j*ENVELOPE_STEP``, streamed.
-
-    The grid runs to ``j = floor(horizon/ENVELOPE_STEP + 1e-9)``.  The blocked
-    kernel's runs are folded into the envelope as they are computed, so
-    memory stays at one run plus one entry per cycle however long the
-    horizon.  Sample times, cycles and amplitudes are those of
-    ``detect_superrevival(autocorrelation(weights, rates, grid), ...)`` bit
-    for bit, and so are the result and the errors.
-    """
-    if not math.isfinite(horizon):
-        raise ValueError(f"scan horizon must be finite, got {horizon}")
-    w, th = _carried_levels(weights, rates)
-    last = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
-    n_cycles = _cycle_count(float(last) * ENVELOPE_STEP, revival_period,
-                            ENVELOPE_STEP)
-    heights, peak_taus = _scan_envelope(w, th, last, revival_period, n_cycles)
-    return _first_recovery(heights, peak_taus)
-
-
-def _scan_envelope(w, th, last, period, n_cycles):
-    """Per-cycle envelope of ``|A|^2`` at ``j*ENVELOPE_STEP``, ``j <= last``."""
-    heights = np.full(n_cycles, -np.inf)
-    peak_taus = np.zeros(n_cycles)
-    # the spacing autocorrelation infers from this grid's end points
-    spacing = (float(last) * ENVELOPE_STEP) / last
-    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
-        tau = np.arange(j0, j0 + len(amps), dtype=float) * ENVELOPE_STEP
-        _fold_cycles(heights, peak_taus, tau, np.abs(amps) ** 2, 0.0, period)
-    return heights, peak_taus
-
-
-def _first_recovery(heights, peak_taus):
-    """Peak time of the first cycle back at ``SUPERREVIVAL_THRESHOLD`` of the
-    envelope's maximum after a dip; None without a dip, and
-    :class:`HorizonTooShortError` for a dip without a recovery."""
+    heights, peak_taus = _scan_envelope(weights, rates, horizon, revival_period)
     level = SUPERREVIVAL_THRESHOLD * heights.max()
     dipped = heights < level
     if not dipped.any():
@@ -396,6 +325,38 @@ def _first_recovery(heights, peak_taus):
             f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
             f"{first_dip} but never recovers within the sampled horizon")
     return float(peak_taus[first_dip + 1 + recovered[0]])
+
+
+def _scan_envelope(weights, rates, horizon, period):
+    """Peak height and its time in each whole cycle of ``|A|^2`` sampled at
+    ``j*ENVELOPE_STEP``, ``j <= floor(horizon/ENVELOPE_STEP + 1e-9)``.
+
+    Cycle ``k`` holds the samples with ``floor(tau / period) == k``.  The
+    blocked kernel's runs are folded in as they are computed, so memory stays
+    at one run plus one entry per cycle however long the horizon; samples
+    and heights are those of ``autocorrelation(weights, rates, grid)`` bit
+    for bit.  Periods the grid cannot resolve, and spans of fewer than two
+    cycles, are refused.
+    """
+    if not math.isfinite(horizon):
+        raise ValueError(f"scan horizon must be finite, got {horizon}")
+    w, th = _carried_levels(weights, rates)
+    last = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
+    if not period > 0:
+        raise ValueError(f"revival period must be positive, got {period}")
+    if period < 4.0 * ENVELOPE_STEP:
+        raise ValueError("revival period must cover several grid steps")
+    n_cycles = int(np.floor(float(last) * ENVELOPE_STEP / period))
+    if n_cycles < 2:
+        raise ValueError("series must span at least two revival cycles")
+    heights = np.full(n_cycles, -np.inf)
+    peak_taus = np.zeros(n_cycles)
+    # the spacing autocorrelation infers from this grid's end points
+    spacing = (float(last) * ENVELOPE_STEP) / last
+    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
+        tau = np.arange(j0, j0 + len(amps), dtype=float) * ENVELOPE_STEP
+        _fold_cycles(heights, peak_taus, tau, np.abs(amps) ** 2, period)
+    return heights, peak_taus
 
 
 def timescales(weights, energies, indices=None) -> TimescaleHierarchy:
@@ -507,7 +468,5 @@ def table1_report(packet: GaussianSpec, epsilons) -> list[RevivalReport]:
             percent_error=100.0 * abs(detected - predicted) / detected,
             peak_height_at_revival=height,
             completeness=decomp.completeness,
-            grid_step=DETECTION_MAX_STEP,
-            refine_tol=REFINE_TOL,
         ))
     return reports

@@ -17,6 +17,13 @@ from dataclasses import dataclass
 from .wavepacket import GaussianSpec
 
 
+def require_finite(**values):
+    """Refuse the first given value that is not finite, naming it."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OscillatorSystem:
     beta: float
@@ -25,6 +32,7 @@ class OscillatorSystem:
     squeeze: float | None = None
 
     def __post_init__(self):
+        require_finite(beta=self.beta, alpha=self.alpha, squeeze=self.squeeze)
         if self.kind not in ("coherent", "squeezed"):
             raise ValueError(f"unknown oscillator state kind {self.kind!r}")
         if self.kind == "squeezed" and self.squeeze is None:
@@ -42,6 +50,8 @@ class ScenarioConfig:
     packet: GaussianSpec | None = None
 
     def __post_init__(self):
+        require_finite(tau_max=self.tau_max, tau_step=self.tau_step,
+                       horizon=self.horizon)
         if (self.epsilon is None) == (self.oscillator is None):
             raise ValueError("scenario must define exactly one system block")
         if self.epsilon is not None:

@@ -16,9 +16,9 @@ from scipy.special import gammaln
 
 from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       WellConfig, autocorrelation, barker, detect_revival,
-                      detect_superrevival, detection_grid, infinite_project,
-                      orthonormality_matrix, oscillator_phase_rates,
-                      oscillator_timescales, parity_filtered, project,
+                      detection_grid, infinite_project, orthonormality_matrix,
+                      oscillator_phase_rates, oscillator_timescales,
+                      parity_filtered, project, scan_superrevival,
                       solve_spectrum, squeezed_weights, table1_report)
 from qrevival.wavepacket import COMPLETENESS_FLOOR
 
@@ -240,7 +240,7 @@ def test_criterion_4_oscillator_superrevival(fig5_scan):
         problems.append(f"|A(k t_sr/{g ** 3})|^2 deviates from 1 by {recurrence_dev:.2e}")
 
     expected = 0.5 * state_superrevival
-    detected = detect_superrevival(series, revival_period=scales.revival_time)
+    detected = scan_superrevival(fock.weights, rates, 600.0, scales.revival_time)
     level0 = series.values[0]
     if detected is None:
         problems.append("envelope never dips within the horizon")
@@ -357,8 +357,7 @@ def test_criterion_6_finite_well_superrevivals():
     for eps, horizon, expected in ((12.0, 40.0, 5.738), (15.0, 60.0, 10.110)):
         _, _, w, rates = well_pipeline(eps, CENTERED_PACKET)
         period = barker(WellConfig(epsilon=eps)).approx_revival_time
-        series = envelope_series(w, rates, horizon)
-        tau_sr = detect_superrevival(series, period)
+        tau_sr = scan_superrevival(w, rates, horizon, period)
         found[eps] = tau_sr
         if tau_sr is None:
             problems.append(f"no envelope recovery for eps={eps}")

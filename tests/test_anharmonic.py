@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-from qrevival import (CutoffTooSmallError, coherent_weights, hermite_log,
-                      oscillator_autocorr, oscillator_phase_rates,
+from qrevival import (CutoffTooSmallError, autocorrelation, coherent_weights,
+                      hermite_log, oscillator_phase_rates,
                       oscillator_timescales, squeezed_weights)
 
 
@@ -122,7 +122,8 @@ def test_squeeze_below_unity_is_rejected():
 
 def test_quadratic_limit_revives_at_unit_time():
     fock = squeezed_weights(10.0, 0.0)
-    series = oscillator_autocorr(fock, 0.0, np.array([0.0, 1.0]))
+    rates = oscillator_phase_rates(fock.n, 0.0)
+    series = autocorrelation(fock.weights, rates, np.array([0.0, 1.0]))
     assert abs(series.values[1] - series.values[0]) < 1e-12
     assert abs(series.values[1] - 1.0) < 1e-12
 
@@ -130,25 +131,30 @@ def test_quadratic_limit_revives_at_unit_time():
 def test_small_nonlinearity_is_a_small_perturbation():
     fock = squeezed_weights(10.0, 0.0)
     taus = np.arange(0, 2001, dtype=float) * 1e-3
-    base = oscillator_autocorr(fock, 0.0, taus).values
-    bent = oscillator_autocorr(fock, 1e-6, taus).values
+    base = autocorrelation(fock.weights, oscillator_phase_rates(fock.n, 0.0),
+                           taus).values
+    bent = autocorrelation(fock.weights, oscillator_phase_rates(fock.n, 1e-6),
+                           taus).values
     assert np.abs(base - bent).max() < 1e-2
 
 
 def test_even_support_keeps_autocorrelation_away_from_zero():
     fock = squeezed_weights(10.0, 0.0)
     taus = np.arange(0, 1001, dtype=float) * 1e-3
-    series = oscillator_autocorr(fock, 0.002, taus)
+    rates = oscillator_phase_rates(fock.n, 0.002)
+    series = autocorrelation(fock.weights, rates, taus)
     assert series.values.min() > 0.05
 
 
 def test_displaced_state_decorrelates_within_a_cycle():
     matched = coherent_weights(math.sqrt(2.025))  # same mean occupation
     taus = np.arange(0, 1001, dtype=float) * 1e-3
-    series = oscillator_autocorr(matched, 0.002, taus)
+    rates = oscillator_phase_rates(matched.n, 0.002)
+    series = autocorrelation(matched.weights, rates, taus)
     assert series.values.min() < 0.05
     wide = coherent_weights(2.0)
-    series = oscillator_autocorr(wide, 0.002, taus)
+    rates = oscillator_phase_rates(wide.n, 0.002)
+    series = autocorrelation(wide.weights, rates, taus)
     assert series.values.min() < 0.05
 
 
@@ -156,19 +162,21 @@ def test_long_horizon_landmark_and_positivity():
     # squeezed vacuum at beta = 1/500: the envelope near tau = 500 recovers
     # the full starting level, and the series never touches zero on the way
     fock = squeezed_weights(10.0, 0.0)
-    far = oscillator_autocorr(fock, 0.002, np.arange(495000, 505001, 5) * 1e-3)
-    near = oscillator_autocorr(fock, 0.002, np.arange(0, 5001, 5) * 1e-3)
+    rates = oscillator_phase_rates(fock.n, 0.002)
+    far = autocorrelation(fock.weights, rates, np.arange(495000, 505001, 5) * 1e-3)
+    near = autocorrelation(fock.weights, rates, np.arange(0, 5001, 5) * 1e-3)
     assert far.values.max() >= 0.95 * near.values.max()
 
-    sweep = oscillator_autocorr(fock, 0.002, np.arange(0, 120001) * 5e-3)
+    sweep = autocorrelation(fock.weights, rates, np.arange(0, 120001) * 5e-3)
     assert sweep.values.min() > 0.0
 
 
 def test_phase_conjugation_symmetry():
     fock = squeezed_weights(10.0, 0.0)
     taus = np.arange(1, 500, dtype=float) * 1e-3
-    fwd = oscillator_autocorr(fock, 0.002, taus).values
-    bwd = oscillator_autocorr(fock, 0.002, -taus[::-1]).values
+    rates = oscillator_phase_rates(fock.n, 0.002)
+    fwd = autocorrelation(fock.weights, rates, taus).values
+    bwd = autocorrelation(fock.weights, rates, -taus[::-1]).values
     assert np.array_equal(fwd, bwd[::-1])
 
 

@@ -1,0 +1,15 @@
+import qrevival
+
+DELETED = ("detect_superrevival", "oscillator_autocorr")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(qrevival.__all__)) == len(qrevival.__all__)
+    for name in qrevival.__all__:
+        assert getattr(qrevival, name) is not None, name
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert name not in qrevival.__all__
+        assert not hasattr(qrevival, name)

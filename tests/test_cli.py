@@ -54,6 +54,10 @@ def test_scenario_validation():
     data["tau_step"] = -1.0
     with pytest.raises(ValueError):
         ScenarioConfig.from_dict(data)
+    for horizon in (float("inf"), float("nan")):
+        data = dict(BUILTIN_SCENARIOS["fig1a"].to_dict(), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            ScenarioConfig.from_dict(data)
 
 
 # --- spectrum command -------------------------------------------------------
@@ -137,6 +141,15 @@ def test_autocorr_centered_scenario_warns_but_succeeds(runner):
     assert min(float(r[1]) for r in body) > 0.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option", ["--tau-max", "--tau-step"])
+def test_autocorr_refuses_a_non_finite_grid(runner, option, value):
+    result = runner.invoke(main, ["autocorr", "--scenario", "fig1a", option, value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{option[2:].replace('-', '_')} must be finite" in result.stderr
+
+
 def test_autocorr_flag_conflicts(runner):
     result = runner.invoke(main, ["autocorr", "--epsilon", "12",
                                   "--beta", "0.002"])
@@ -202,6 +215,14 @@ def test_table1_json(runner):
     payload = json.loads(result.stdout)
     assert len(payload) == 1
     assert abs(payload[0]["barker"] - (13.0 / 12.0) ** 2) < 1e-12
+
+
+def test_table1_json_reports_the_detection_constants(runner):
+    result = runner.invoke(main, ["table1", "--format", "json"])
+    assert result.exit_code == 0
+    for row in json.loads(result.stdout):
+        assert row["grid_step"] == 1e-4
+        assert row["refine_tol"] == 1e-9
 
 
 def test_table1_reports_the_revivals_time_after_a_retry(runner):
@@ -397,6 +418,14 @@ def test_snapshot_rejects_oscillator_scenarios(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("taus", ["inf", "nan", "0.5,-inf"])
+def test_snapshot_refuses_non_finite_times(runner, taus):
+    result = runner.invoke(main, ["snapshot", "--scenario", "fig1a", "--tau", taus,
+                                  "--grid", "32", "--format", "json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 # --- options -----------------------------------------------------------------------
 
 COMMAND_OPTIONS = {
@@ -448,7 +477,77 @@ def test_oscillator_csv_weights(runner):
     assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("args", [
+    ["--beta", "nan"],
+    ["--beta", "inf"],
+    ["--beta", "0.002", "--alpha", "nan"],
+    ["--beta", "0.002", "--alpha", "-inf"],
+    ["--beta", "0.002", "--squeeze", "inf"],
+    ["--beta", "0.002", "--squeeze", "nan"],
+])
+def test_oscillator_refuses_non_finite_parameters(runner, args):
+    result = runner.invoke(main, ["oscillator", *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "must be finite" in result.stderr
+
+
 def test_oscillator_zero_beta_reports_no_superrevival_scale(runner):
     result = runner.invoke(main, ["oscillator", "--beta", "0", "--alpha", "2"])
     payload = json.loads(result.stdout)
     assert payload["timescales"]["superrevival_closed_form"] is None
+
+
+# --- strict JSON -------------------------------------------------------------------
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+# The box's strength is echoed as the one non-JSON token of its scenario block;
+# the benchmark's checks read that echo as a number, so it stays until the
+# benchmark changes with it (ROADMAP).
+KNOWN_ECHO = '"epsilon": Infinity'
+
+
+def _scenario_runs(name):
+    """Each JSON-emitting command on one built-in scenario, as
+    ``(args, expected exit code)``."""
+    cfg = BUILTIN_SCENARIOS[name]
+    runs = [
+        (["autocorr", "--scenario", name, "--tau-max", "0.05", "--reference",
+          "--format", "json"], 0),
+        (["revivals", "--scenario", name, "--superrevival"],
+         4 if name == "fig1b" else 0),  # fig1b recovers only near tau = 201
+    ]
+    finite_well = cfg.epsilon is not None and np.isfinite(cfg.epsilon)
+    runs.append((["snapshot", "--scenario", name, "--tau", "0,0.5", "--grid", "32",
+                  "--format", "json"], 0 if finite_well else 2))
+    if finite_well:
+        runs.append((["spectrum", "--epsilon", repr(cfg.epsilon), "--format", "json"],
+                     0))
+        runs.append((["table1", "--x0", repr(cfg.packet.x0), "--sigma",
+                      repr(cfg.packet.sigma), "--epsilons", repr(cfg.epsilon),
+                      "--format", "json"], 0))
+    if cfg.oscillator is not None:
+        osc = cfg.oscillator
+        runs.append((["oscillator", "--beta", repr(osc.beta), "--alpha", repr(osc.alpha),
+                      "--squeeze", repr(osc.squeeze)], 0))
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_json_output_is_strict_json(runner, name):
+    # NaN and Infinity are not JSON; a command either prints JSON or nothing
+    for args, code in _scenario_runs(name):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, (args, result.stderr)
+        if code == 0:
+            text = result.stdout
+            if name == "infinite" and '"scenario"' in text:
+                assert text.count(KNOWN_ECHO) == 1, args
+                text = text.replace(KNOWN_ECHO, '"epsilon": null')
+            json.loads(text, parse_constant=_refuse_constant)
+        else:
+            assert result.stdout == "", args

@@ -9,11 +9,11 @@ import pytest
 from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       GaussianSpec, HorizonTooShortError, WellConfig,
                       autocorrelation, barker, coherent_weights,
-                      detect_revival, detect_superrevival, detection_grid,
-                      infinite_project, load_scenario, oscillator_phase_rates,
-                      oscillator_timescales, principal_revival,
-                      project, revival, solve_spectrum, squeezed_weights,
-                      table1_report, timescales)
+                      detect_revival, detection_grid, infinite_project,
+                      load_scenario, oscillator_phase_rates,
+                      oscillator_timescales, principal_revival, project,
+                      revival, scan_superrevival, solve_spectrum,
+                      squeezed_weights, table1_report, timescales)
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 
@@ -458,54 +458,47 @@ def test_detection_requires_coverage():
 def envelope_scan(epsilon, horizon):
     w, rates, _ = well_inputs(epsilon, GaussianSpec(x0=0.0, sigma=0.1))
     period = barker(WellConfig(epsilon=epsilon)).approx_revival_time
-    taus = np.arange(0, int(horizon / 1e-3) + 1, dtype=float) * 1e-3
-    series = autocorrelation(w, rates, taus)
-    return series, period
+    return w, rates, horizon, period
 
 
 def test_superrevival_regression_values():
-    series12, period12 = envelope_scan(12.0, 40.0)
-    tau12 = detect_superrevival(series12, period12)
+    tau12 = scan_superrevival(*envelope_scan(12.0, 40.0))
     assert tau12 == pytest.approx(5.738, abs=2e-3)
 
-    series15, period15 = envelope_scan(15.0, 60.0)
-    tau15 = detect_superrevival(series15, period15)
+    tau15 = scan_superrevival(*envelope_scan(15.0, 60.0))
     assert tau15 == pytest.approx(10.110, abs=2e-3)
 
     assert tau15 > tau12
 
 
 def test_box_envelope_never_dips(box_state):
-    taus = np.arange(0, 8001, dtype=float) * 1e-3
-    series = autocorrelation(box_state.weights, box_state.rates, taus)
-    assert detect_superrevival(series, 1.0) is None
+    assert scan_superrevival(box_state.weights, box_state.rates, 8.0, 1.0) is None
 
 
 def test_short_horizon_is_distinguished_from_absence():
-    series, period = envelope_scan(12.0, 4.0)
     with pytest.raises(HorizonTooShortError):
-        detect_superrevival(series, period)
+        scan_superrevival(*envelope_scan(12.0, 4.0))
 
 
 def mask_envelope(tau, values, period, n_cycles):
-    """The per-cycle envelope with one boolean mask over the series per cycle."""
+    """The per-cycle envelope by one argmax over each cycle's samples.
+
+    On a sorted series the mask of a cycle is one slice, found by
+    searchsorted.
+    """
     cycle = np.floor((tau - tau[0]) / period).astype(int)
     heights = np.full(n_cycles, -np.inf)
     peak_taus = np.zeros(n_cycles)
-    valid = cycle < n_cycles
-    for k in range(n_cycles):
-        m = valid & (cycle == k)
-        if not m.any():
-            continue
-        vals = values[m]
-        i = int(np.argmax(vals))
-        heights[k] = vals[i]
-        peak_taus[k] = tau[m][i]
+    bounds = np.searchsorted(cycle, np.arange(n_cycles + 1))
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo < hi:
+            i = lo + int(np.argmax(values[lo:hi]))
+            heights[k], peak_taus[k] = values[i], tau[i]
     return heights, peak_taus
 
 
 def mask_superrevival(series, period, threshold=0.95):
-    """Superrevival time from the mask-loop envelope (None if no dip)."""
+    """Superrevival time from :func:`mask_envelope` (None if no dip)."""
     n_cycles = int(np.floor((series.tau[-1] - series.tau[0]) / period))
     heights, peak_taus = mask_envelope(series.tau, series.values, period, n_cycles)
     dipped = heights < threshold * heights.max()
@@ -515,56 +508,6 @@ def mask_superrevival(series, period, threshold=0.95):
     recovered = np.flatnonzero((np.arange(n_cycles) > first_dip)
                                & (heights >= threshold * heights.max()))
     return float(peak_taus[recovered[0]]) if len(recovered) else HorizonTooShortError
-
-
-def test_one_pass_envelope_matches_the_mask_loop():
-    rng = np.random.default_rng(20)
-    empty = 0
-    for _ in range(40):
-        n = int(rng.integers(20, 3000))
-        # rare long gaps leave whole cycles without samples
-        gaps = rng.exponential(1.0, n) * np.where(rng.random(n) < 0.03, 60.0, 1.0)
-        tau = rng.uniform(-50.0, 50.0) + np.cumsum(gaps)
-        values = rng.integers(0, 6, n) / 5.0  # coarse levels make ties common
-        period = rng.uniform(2.0, 30.0)
-        n_cycles = int(np.floor((tau[-1] - tau[0]) / period))
-        fast = revival._cycle_envelope(tau, values, period, n_cycles)
-        slow = mask_envelope(tau, values, period, n_cycles)
-        assert np.array_equal(fast[0], slow[0])
-        assert np.array_equal(fast[1], slow[1])
-        empty += int(np.isinf(slow[0]).sum())
-    assert empty > 0
-
-
-def test_superrevival_matches_the_mask_loop():
-    rng = np.random.default_rng(21)
-    outcomes = set()
-    for _ in range(60):
-        n = int(rng.integers(200, 4000))
-        tau = rng.uniform(-20.0, 20.0) + np.cumsum(rng.uniform(0.5, 1.0, n))
-        period = rng.uniform(4.0, 80.0)
-        cycle = np.floor((tau - tau[0]) / period).astype(int)
-        scale = rng.choice([1.0, 0.5], cycle[-1] + 1, p=[0.3, 0.7])
-        kind = rng.integers(3)  # 0: no dip, 1: dip with no recovery
-        if kind < 2:
-            scale[kind:] = 1.0 - 0.5 * kind
-        values = scale[cycle] * rng.integers(1, 9, n) / 8.0
-        series = AutocorrSeries(tau=tau, values=values)
-        expected = mask_superrevival(series, period)
-        if expected is HorizonTooShortError:
-            with pytest.raises(HorizonTooShortError):
-                detect_superrevival(series, period)
-        else:
-            assert detect_superrevival(series, period) == expected
-        outcomes.add("none" if expected is None else
-                     "short" if expected is HorizonTooShortError else "time")
-    assert outcomes == {"none", "short", "time"}
-
-
-def test_superrevival_validates_period():
-    series, _ = envelope_scan(12.0, 4.0)
-    with pytest.raises(ValueError):
-        detect_superrevival(series, 0.0)
 
 
 # --- streamed superrevival scan -------------------------------------------
@@ -604,13 +547,7 @@ def coherent_scan_inputs():  # a coherent state of the superrevival_scan bench
 def materialised_envelope(w, rates, period, horizon):
     series = autocorrelation(w, rates, scan_grid(horizon))
     n_cycles = int(np.floor((series.tau[-1] - series.tau[0]) / period))
-    return series, revival._cycle_envelope(series.tau, series.values, period, n_cycles)
-
-
-def streamed_envelope(series, period):
-    n_cycles = int(np.floor(series.tau[-1] / period))
-    return revival._scan_envelope(series.weights, series.rates, len(series.tau) - 1,
-                                  period, n_cycles)
+    return series, mask_envelope(series.tau, series.values, period, n_cycles)
 
 
 @pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
@@ -618,12 +555,12 @@ def streamed_envelope(series, period):
 def test_streamed_scan_matches_the_materialised_path(inputs):
     w, rates, period, horizon = inputs()
     series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
-    streamed = streamed_envelope(series, period)
+    streamed = revival._scan_envelope(w, rates, horizon, period)
     assert np.array_equal(streamed[0], heights)
     assert np.array_equal(streamed[1], peak_taus)
-    expected = detect_superrevival(series, period)
+    expected = mask_superrevival(series, period)
     assert expected is not None
-    assert revival.scan_superrevival(w, rates, horizon, period) == expected
+    assert scan_superrevival(w, rates, horizon, period) == expected
 
 
 def test_streamed_scan_folds_across_short_runs(monkeypatch):
@@ -638,11 +575,11 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
     series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
     assert np.allclose(series.values, reference.values, rtol=0, atol=1e-12)
-    streamed = streamed_envelope(series, period)
+    streamed = revival._scan_envelope(w, rates, horizon, period)
     assert np.array_equal(streamed[0], heights)
     assert np.array_equal(streamed[1], peak_taus)
-    assert revival.scan_superrevival(w, rates, horizon, period) == \
-        detect_superrevival(series, period)
+    assert scan_superrevival(w, rates, horizon, period) == \
+        mask_superrevival(series, period)
 
 
 def test_fold_keeps_the_first_maximum_across_run_edges():
@@ -650,15 +587,16 @@ def test_fold_keeps_the_first_maximum_across_run_edges():
     for _ in range(40):
         n = int(rng.integers(50, 3000))
         tau = np.cumsum(rng.uniform(0.5, 1.0, n))
+        tau = tau - tau[0]  # the fold counts cycles from tau = 0
         values = rng.integers(0, 4, n) / 3.0  # coarse levels make ties common
         period = rng.uniform(4.0, 60.0)
         n_cycles = int(np.floor((tau[-1] - tau[0]) / period))
-        whole = revival._cycle_envelope(tau, values, period, n_cycles)
+        whole = mask_envelope(tau, values, period, n_cycles)
         heights, peak_taus = np.full(n_cycles, -np.inf), np.zeros(n_cycles)
         edges = np.unique(np.r_[0, rng.integers(1, n, 12), n])
         for lo, hi in zip(edges[:-1], edges[1:]):
             revival._fold_cycles(heights, peak_taus, tau[lo:hi], values[lo:hi],
-                                 tau[0], period)
+                                 period)
         assert np.array_equal(heights, whole[0])
         assert np.array_equal(peak_taus, whole[1])
 
@@ -681,17 +619,18 @@ def test_streamed_scan_matches_detection_on_every_path(case, box_state):
         "period under four steps": fig2_scan_inputs()[:2] + (3.5 * SCAN_STEP, 4.0),
         "one cycle": fig2_scan_inputs()[:3] + (1.9,),
     }[case]
-    series = autocorrelation(w, rates, scan_grid(horizon))
-    expected = outcome(lambda: detect_superrevival(series, period))
-    assert expected == {"none": None, "short": HorizonTooShortError}.get(case, ValueError)
-    assert outcome(lambda: revival.scan_superrevival(w, rates, horizon, period)) == expected
+    expected = {"none": None, "short": HorizonTooShortError}.get(case, ValueError)
+    if expected is not ValueError:
+        series = autocorrelation(w, rates, scan_grid(horizon))
+        assert mask_superrevival(series, period) == expected
+    assert outcome(lambda: scan_superrevival(w, rates, horizon, period)) == expected
 
 
 def test_streamed_scan_rejects_a_non_finite_horizon():
     w, rates, period, _ = fig2_scan_inputs()
     for bad_horizon in (np.inf, np.nan):
         with pytest.raises(ValueError):
-            revival.scan_superrevival(w, rates, bad_horizon, period)
+            scan_superrevival(w, rates, bad_horizon, period)
 
 
 def test_streamed_scan_holds_one_run_in_memory():
@@ -699,7 +638,7 @@ def test_streamed_scan_holds_one_run_in_memory():
     period = barker(WellConfig(epsilon=30.0)).approx_revival_time
     tracemalloc.start()
     try:
-        detected = revival.scan_superrevival(w, rates, 4000.0, period)
+        detected = scan_superrevival(w, rates, 4000.0, period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -811,5 +750,4 @@ def test_report_percent_error_definition(reports):
 
 def test_report_carries_scan_metadata(reports):
     for r in reports:
-        assert r.grid_step == 1e-4
         assert r.completeness >= 0.999
