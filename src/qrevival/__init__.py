@@ -19,7 +19,7 @@ from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
 from .spectrum import (BarkerApproximation, BoundState, Spectrum, WellConfig,
-                       barker, closed_form_norm, eigenfunction_value,
+                       barker, eigenfunction_value,
                        orthonormality_matrix, solve_spectrum,
                        transcendental_residual)
 from .wavepacket import (GaussianSpec, InfiniteWellState,
@@ -37,7 +37,7 @@ __all__ = [
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "TimescaleHierarchy", "WellConfig", "autocorrelation", "barker",
-    "closed_form_norm", "coherent_weights", "detect_revival",
+    "coherent_weights", "detect_revival",
     "detection_grid", "eigenfunction_value", "evolve",
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
     "orthonormality_matrix", "oscillator_phase_rates",

@@ -9,11 +9,17 @@ alpha^2)`` the decay rate in the forbidden region.  Energies are reported as
 the infinitely deep well, so a state accumulates phase ``exp(-8i alpha^2 tau
 / pi)`` over scaled time ``tau``.
 
-Parity alternates along the spectrum.  Even states obey ``alpha tan alpha =
-beta`` and live in ``[k pi, k pi + pi/2)``; odd states obey ``alpha cot alpha
-= -beta`` and live in ``(k pi + pi/2, (k+1) pi]``.  Root finding uses the
-pole-free rearrangements ``beta cos a - a sin a`` and ``a cos a + beta sin
-a``, which change sign across each bracket, so bisection cannot fail.
+Parity alternates along the spectrum: even states obey ``alpha tan alpha =
+beta``, odd ones ``alpha cot alpha = -beta``.  Both are one quantization law,
+``2 alpha = n pi - 2 arcsin(alpha / epsilon)`` for level n = 1..N with N =
+floor(2 epsilon / pi) + 1, whose left side minus right side increases with
+``alpha``.  Each level is solved by Newton in whichever unknown is well
+conditioned for it: ``alpha`` for deep levels, ``beta`` for shallow ones,
+so the small ``beta`` of a level that has only just bound comes out with a
+relative error of about ``eps * epsilon / (epsilon - k pi / 2)`` (``eps``
+the rounding unit).  The one refusal is a strength at most ``1e4`` rounding
+units of ``epsilon`` above a threshold ``k pi / 2``, where that top ``beta``
+would carry fewer than about four correct digits.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ from .errors import ConvergenceError
 
 RESIDUAL_TOL = 1e-12
 _WEAK_BINDING_BETA = 1e-6
-_BISECTION_CAP = 200
-_NEWTON_POLISH_STEPS = 3
+_NEWTON_CAP = 16
+# Refuse a strength whose distance above the last threshold is this many
+# rounding units of epsilon or fewer: the top beta would keep under ~4 digits.
+_THRESHOLD_GAP = 1e4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,10 @@ class WellConfig:
 
     def __post_init__(self):
         eps = self.epsilon
-        if not (np.isfinite(eps) and eps > 0):
-            raise ValueError(f"well strength must be finite and positive, got {eps}")
+        # the weakest level's beta is about epsilon^2, which must not underflow
+        if not (np.isfinite(eps) and eps > 0 and eps * eps >= np.finfo(float).tiny):
+            raise ValueError(f"well strength must be finite and at least 1.5e-154, "
+                             f"got {eps}")
 
     @property
     def predicted_state_count(self) -> int:
@@ -132,67 +142,48 @@ def transcendental_residual(alpha, beta, even):
     return np.where(even, alpha * tangent - beta, alpha / tangent + beta)
 
 
-def _bracket_functions(eps, even_mask):
-    def f(a):
-        b = np.sqrt(np.maximum(eps * eps - a * a, 0.0))
-        return np.where(even_mask,
-                        b * np.cos(a) - a * np.sin(a),
-                        a * np.cos(a) + b * np.sin(a))
-    return f
+def _solve_roots(config: WellConfig):
+    """Roots of ``2 alpha = n pi - 2 arcsin(alpha / epsilon)`` for n = 1..N.
 
-
-def _derivative(eps, even_mask, a):
-    b = np.sqrt(np.maximum(eps * eps - a * a, 1e-300))
-    d_even = -(a / b) * np.cos(a) - b * np.sin(a) - np.sin(a) - a * np.cos(a)
-    d_odd = np.cos(a) - a * np.sin(a) - (a / b) * np.sin(a) + b * np.cos(a)
-    return np.where(even_mask, d_even, d_odd)
-
-
-def _solve_roots(eps: float):
-    count = int(np.floor(2.0 * eps / np.pi)) + 1
-    j = np.arange(count)
-    lo = j * (np.pi / 2.0)
-    hi = np.minimum((j + 1) * (np.pi / 2.0), eps * (1.0 - 1e-12))
-    even_mask = (j % 2 == 0)
-
-    if np.any(hi <= lo):
+    Deep levels solve ``g(alpha) = 2 alpha + 2 arcsin(alpha / eps) - n pi``,
+    convex and increasing, from Barker's upper bound on ``alpha``.  Shallow
+    ones solve ``h(beta) = 2 alpha - 2 atan2(beta, alpha) - (n - 1) pi``,
+    concave and decreasing, from an upper bound on ``beta``.  Either way
+    Newton falls monotonically onto the root, so iteration stops once no
+    iterate falls any further.  ``arcsin(alpha / eps)`` is evaluated as
+    ``atan2(alpha, beta)``, which is defined for every level.
+    """
+    eps, count = config.epsilon, config.predicted_state_count
+    gap = eps - (count - 1) * (np.pi / 2.0)
+    if gap <= _THRESHOLD_GAP * eps:
         raise ConvergenceError(
-            f"root bracket collapsed for epsilon={eps}: the strength sits "
-            f"within rounding distance of a parity threshold")
-
-    f = _bracket_functions(eps, even_mask)
-    fa = f(lo)
-    fb = f(hi)
-    if np.any(fa * fb > 0):
-        bad = int(np.argmax(fa * fb > 0))
-        raise ConvergenceError(
-            f"no sign change in root bracket {bad} for epsilon={eps}")
-
-    a, b = lo.copy(), hi.copy()
-    for _ in range(_BISECTION_CAP):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        go_left = fa * fm <= 0
-        b = np.where(go_left, mid, b)
-        a = np.where(go_left, a, mid)
-        fa = np.where(go_left, fa, fm)
-        if np.all((b - a) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, b)):
-            break
-    root = 0.5 * (a + b)
-
-    # Newton polish on the pole-free form; skip steps that would leave the
-    # bracket or divide by a vanishing derivative (nearly unbound roots).
-    for _ in range(_NEWTON_POLISH_STEPS):
-        beta_now = np.sqrt(np.maximum(eps * eps - root * root, 0.0))
-        deriv = _derivative(eps, even_mask, root)
-        safe = (np.abs(deriv) > 0) & (beta_now > 1e-8)
-        step = np.where(safe, f(root) / np.where(safe, deriv, 1.0), 0.0)
-        cand = root - step
-        ok = (cand > lo) & (cand < hi)
-        root = np.where(safe & ok, cand, root)
-
-    beta = np.sqrt(np.maximum(eps * eps - root * root, 0.0))
-    return root, beta, even_mask
+            f"epsilon={eps} sits within rounding distance of the threshold "
+            f"where level {count} binds")
+    n = np.arange(1, count + 1)
+    alpha_hi = (n * (np.pi / 2.0)) / (1.0 + 1.0 / eps)
+    deep = alpha_hi <= eps / np.sqrt(2.0)
+    # upper bound on beta: its value at the lower bound on alpha, (n pi / 2) /
+    # (1 + pi / (2 eps)), factored so that only the distance above the
+    # threshold cancels
+    beta_hi = eps * np.sqrt((2.0 * eps - (n - 1) * np.pi)
+                            * (2.0 * eps + (n + 1) * np.pi)) / (2.0 * eps + np.pi)
+    # beta_N = alpha_N tan(alpha_N - (N - 1) pi / 2) < eps tan(gap): a start
+    # within rounding of the root just above a threshold
+    beta_hi[-1] = min(beta_hi[-1], eps * np.tan(gap))
+    x = np.where(deep, alpha_hi, beta_hi)
+    for _ in range(_NEWTON_CAP):
+        other = np.sqrt((eps - x) * (eps + x))
+        alpha, beta = np.where(deep, x, other), np.where(deep, other, x)
+        law = np.where(deep, 2.0 * alpha + 2.0 * np.arctan2(alpha, beta) - n * np.pi,
+                       2.0 * alpha - 2.0 * np.arctan2(beta, alpha) - (n - 1) * np.pi)
+        slope = np.where(deep, 2.0 + 2.0 / beta, -2.0 * (beta + 1.0) / alpha)
+        step = x - law / slope
+        falls = step < x
+        if not falls.any():
+            return alpha, beta, n % 2 == 1
+        x = np.where(falls, step, x)
+    raise ConvergenceError(
+        f"Newton did not settle within {_NEWTON_CAP} steps for epsilon={eps}")
 
 
 def edge_values(alpha, even):
@@ -221,7 +212,7 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
     for very strong wells (the residual's condition number grows like
     ``epsilon^2 / alpha``).
     """
-    root, beta, even_mask = _solve_roots(config.epsilon)
+    root, beta, even_mask = _solve_roots(config)
 
     # Residual acceptance accounts for the conditioning of the tan/cot form.
     residual = transcendental_residual(root, beta, even_mask)
@@ -237,11 +228,6 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
 
     norms = 1.0 / np.sqrt(profile_overlaps(root, beta, root, beta, even_mask))
     return Spectrum(alpha=root, beta=beta, even=even_mask, norm=norms)
-
-
-def closed_form_norm(state: BoundState) -> float:
-    """Textbook normalization constant; cross-check for the numerical norm."""
-    return np.sqrt(2.0 / (1.0 + 1.0 / state.beta))
 
 
 def eigenfunction_value(state: BoundState, xbar):

@@ -1,6 +1,6 @@
 import qrevival
 
-DELETED = ("detect_superrevival", "oscillator_autocorr")
+DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr")
 
 
 def test_every_exported_name_resolves():

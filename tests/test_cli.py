@@ -79,6 +79,15 @@ def test_spectrum_single_even_state(runner):
     assert body[0][1] == "even"
 
 
+def test_spectrum_just_above_a_threshold(runner):
+    # 2 pi (1 + 1e-10): the fifth level has only just bound, with beta ~ 4e-9
+    result = runner.invoke(main, ["spectrum", "--epsilon", "6.283185307807905"])
+    assert result.exit_code == 0
+    _, body = rows(result.stdout)
+    assert len(body) == 5
+    assert 0.0 < float(body[-1][3]) < 1e-8
+
+
 def test_spectrum_rejects_bad_strength(runner):
     result = runner.invoke(main, ["spectrum", "--epsilon", "-4"])
     assert result.exit_code == 2
@@ -232,9 +241,9 @@ def test_table1_reports_the_revivals_time_after_a_retry(runner):
     single = runner.invoke(main, ["revivals", "--epsilon", eps])
     assert single.exit_code == 0
     detected = json.loads(single.stdout)["detected_revival"]
-    # the maximum of |A|^2, 1.508184648792237993... at 40 digits (checked
+    # the maximum of |A|^2, 1.508184648792057229... at 40 digits (checked
     # against mpmath in test_revival.py)
-    assert json.loads(table.stdout)[0]["detected"] == detected == 1.508184648792238
+    assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846487920572
 
 
 # --- revivals command -----------------------------------------------------------

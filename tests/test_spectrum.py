@@ -1,10 +1,30 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qrevival import (ConvergenceError, WellConfig, barker, closed_form_norm,
+from qrevival import (ConvergenceError, WellConfig, barker,
                       eigenfunction_value, orthonormality_matrix,
                       solve_spectrum, transcendental_residual)
+
+
+def closed_form_norm(state):
+    """Textbook normalization constant; cross-check for the numerical norm."""
+    return np.sqrt(2.0 / (1.0 + 1.0 / state.beta))
+
+
+def mp_beta(epsilon, n):
+    """Level n's ``beta`` at 40 digits, from the law in its ``beta`` form."""
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(epsilon)
+
+        def law(beta):
+            alpha = mpmath.sqrt(eps ** 2 - beta ** 2)
+            return 2 * alpha - 2 * mpmath.atan2(beta, alpha) - (n - 1) * mpmath.pi
+
+        return mpmath.findroot(law, (mpmath.mpf(0), eps), solver="illinois")
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +187,7 @@ def test_barker_identity_and_monotonicity():
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf, 1e-160])
 def test_rejects_invalid_strength(bad):
     with pytest.raises(ValueError):
         WellConfig(epsilon=bad)
@@ -180,9 +200,65 @@ def test_weakly_bound_flag_for_vanishing_well():
     assert states[0].beta < 1e-6
 
 
+@pytest.mark.parametrize("epsilon", [1e-20, 1e-100])
+def test_vanishing_well_keeps_its_one_level(epsilon):
+    # alpha tan alpha = beta with alpha ~ epsilon puts beta at epsilon^2
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    assert len(states) == 1
+    assert abs(states.beta[0] / epsilon ** 2 - 1) < 1e-12
+
+
 def test_threshold_degenerate_strength_raises():
     with pytest.raises(ConvergenceError):
         solve_spectrum(WellConfig(epsilon=np.pi / 2 + 1e-13))
+
+
+# (k, delta) for epsilon = k pi / 2 (1 + delta), just above the threshold where
+# level k + 1 binds: 2 pi, 5 pi / 2, 7 pi / 2 and 8 pi, then k = 3..9 and 16, 17
+NEAR_THRESHOLD = list(dict.fromkeys(
+    [(4, 1e-10), (5, 1e-7), (7, 1e-9), (16, 1e-8)]
+    + [(k, 1e-7) for k in range(3, 10)] + [(16, 1e-8), (17, 1e-8)]))
+
+
+@pytest.mark.parametrize("k, delta", NEAR_THRESHOLD)
+def test_level_just_above_a_threshold(k, delta):
+    epsilon = k * np.pi / 2 * (1 + delta)
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    assert len(states) == int(np.floor(2.0 * epsilon / np.pi)) + 1 == k + 1
+    assert abs(states.beta[-1] / float(mp_beta(epsilon, k + 1)) - 1) < 1e-5
+
+
+def test_top_beta_near_a_threshold_keeps_twelve_digits():
+    # 1e-4 above 3 pi / 2; table1's retry pins in test_cli and test_revival
+    # rest on this level
+    epsilon = 4.712860219282728
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    assert abs(states.beta[-1] / float(mp_beta(epsilon, 4)) - 1) < 1e-12
+
+
+STRENGTHS = st.one_of(
+    st.floats(-3.0, 4.0).map(lambda p: 10.0 ** p),
+    st.builds(lambda k, d: k * np.pi / 2 * (1 + 10.0 ** d),
+              st.integers(1, 6366), st.floats(-10.0, -3.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(STRENGTHS)
+def test_spectrum_properties_over_the_domain(epsilon):
+    # solve_spectrum applies its residual acceptance to every root, so
+    # returning at all means each root passed it
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    alpha, beta = states.alpha, states.beta
+    n = np.arange(1, len(states) + 1)
+    rounding = 8.0 * np.finfo(float).eps
+    assert len(states) == int(np.floor(2.0 * epsilon / np.pi)) + 1
+    assert np.all(np.abs(alpha ** 2 + beta ** 2 - epsilon ** 2) <= rounding * epsilon ** 2)
+    assert np.all(((n - 1) * np.pi / 2 < alpha) & (alpha < n * np.pi / 2))
+    assert np.array_equal(states.even, n % 2 == 1)
+    # 2 alpha = n pi - 2 arcsin(alpha / epsilon), with the arcsin taken as
+    # atan2 so that the check itself stays well conditioned
+    law = 2.0 * alpha + 2.0 * np.arctan2(alpha, beta) - n * np.pi
+    assert np.all(np.abs(law) <= rounding * n * np.pi)
 
 
 def test_count_tracks_strength_formula():
