@@ -9,6 +9,7 @@ cubic-nonlinear oscillator (``theta = 2 pi n^2 + 2 pi beta n^3``).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -60,9 +61,6 @@ class TimescaleHierarchy:
     t_superrevival: float
     nbar: float
     n_center: int
-    d1: float
-    d2: float
-    d3: float
 
 
 @dataclass(frozen=True)
@@ -164,11 +162,6 @@ def _blocked_amplitudes(w, th, start, step, count):
         yield j0, (lead @ tail).ravel()[:count - j0]
 
 
-def _local_maxima(values):
-    interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
-    return np.flatnonzero(interior) + 1
-
-
 def _window_bounds(tau, window):
     """Slice bounds of the samples of ``tau`` inside ``window``."""
     lo, hi = window
@@ -206,7 +199,7 @@ def detect_revival(series: AutocorrSeries, window):
             f"grid step {step:.2e} in window exceeds {DETECTION_MAX_STEP:.0e}")
 
     peak = int(np.argmax(vals))
-    maxima = _local_maxima(vals)
+    maxima = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1
     rivals = maxima[vals[maxima] >= (1.0 - AMBIGUITY_BAND) * vals[peak]]
     if len(rivals) > 1:
         locs = [float(taus[i]) for i in rivals]
@@ -275,88 +268,93 @@ def _newton_peak(w, th, tau, bounds):
     return float(tau), float(a.real ** 2 + a.imag ** 2)
 
 
-def _fold_cycles(heights, peak_taus, tau, values, period):
-    """Fold one sorted run of samples into the per-cycle envelope in place.
-
-    Sample ``i`` belongs to cycle ``floor(tau[i] / period)``; cycles past
-    ``len(heights)`` are dropped.  That index never decreases along the run,
-    so each cycle is one contiguous segment, and a cycle takes the segment's
-    first maximum only when it is strictly higher than what the cycle holds.
-    Folding consecutive runs thus keeps a cycle's first maximum across run
-    edges.
-    """
-    cycle = np.floor(tau / period).astype(int)
-    n = int(np.searchsorted(cycle, len(heights)))
-    if n == 0:
-        return
-    cycle, tau, values = cycle[:n], tau[:n], values[:n]
-    starts = np.flatnonzero(np.diff(cycle, prepend=cycle[0] - 1))
-    best = np.maximum.reduceat(values, starts)
-    hits = np.flatnonzero(values == np.repeat(best, np.diff(starts, append=n)))
-    first = hits[np.searchsorted(hits, starts)]
-    keys = cycle[starts]
-    higher = best > heights[keys]
-    heights[keys[higher]] = best[higher]
-    peak_taus[keys[higher]] = tau[first[higher]]
-
-
 def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     """First time the per-cycle peak envelope recovers after a collapse.
 
-    ``|A|^2`` is scanned on the grid ``j*ENVELOPE_STEP`` up to ``horizon``
-    and cut into consecutive revival cycles of length ``revival_period``;
-    the envelope is the peak height per cycle (:func:`_scan_envelope`).
-    Returns the peak time of the first cycle that re-attains
-    ``SUPERREVIVAL_THRESHOLD`` of the envelope's global maximum after at
-    least one full cycle below it.
-    Returns ``None`` when the envelope never dips (no superrevival within
-    the sampled horizon is distinguishable from none existing); raises
-    :class:`HorizonTooShortError` when a dip is seen but the recovery is not.
+    The envelope is the highest ``|A|^2`` of each whole revival cycle on the
+    grid ``j*ENVELOPE_STEP`` up to ``horizon`` (:func:`_envelope_runs`).  Its
+    level is ``SUPERREVIVAL_THRESHOLD`` of the first sample, ``|A(0)|^2``,
+    which bounds every sample up to rounding since ``|A| <= sum(w)``.
+    Returns the peak time of the first cycle at or above the level after a
+    cycle below it, once the run completing that cycle is folded.  Returns
+    ``None`` when no cycle dips and raises :class:`HorizonTooShortError`
+    when one dips but none recovers; both verdicts scan the whole horizon.
     """
-    heights, peak_taus = _scan_envelope(weights, rates, horizon, revival_period)
-    level = SUPERREVIVAL_THRESHOLD * heights.max()
-    dipped = heights < level
-    if not dipped.any():
+    envelope = _envelope_runs(weights, rates, horizon, revival_period)
+    first_dip, judged = None, 0
+    with contextlib.closing(envelope):
+        for head, heights, peak_taus, done in envelope:
+            for k in range(judged, done):
+                if first_dip is None:
+                    if heights[k] < SUPERREVIVAL_THRESHOLD * head:
+                        first_dip = k
+                elif heights[k] >= SUPERREVIVAL_THRESHOLD * head:
+                    return float(peak_taus[k])
+            judged = done
+    if first_dip is None:
         return None
-    first_dip = int(np.argmax(dipped))
-    recovered = np.flatnonzero(heights[first_dip + 1:] >= level)
-    if len(recovered) == 0:
-        raise HorizonTooShortError(
-            f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
-            f"{first_dip} but never recovers within the sampled horizon")
-    return float(peak_taus[first_dip + 1 + recovered[0]])
+    raise HorizonTooShortError(
+        f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
+        f"{first_dip} but never recovers within the sampled horizon")
 
 
-def _scan_envelope(weights, rates, horizon, period):
-    """Peak height and its time in each whole cycle of ``|A|^2`` sampled at
-    ``j*ENVELOPE_STEP``, ``j <= floor(horizon/ENVELOPE_STEP + 1e-9)``.
+def _envelope_runs(weights, rates, horizon, period):
+    """Fold ``|A|^2`` at ``j*ENVELOPE_STEP``, ``j <= floor(horizon /
+    ENVELOPE_STEP + 1e-9)``, into the peak height and its time per whole
+    cycle ``starts[k]:starts[k+1]`` (:func:`_cycle_starts`), run by run.
 
-    Cycle ``k`` holds the samples with ``floor(tau / period) == k``.  The
-    blocked kernel's runs are folded in as they are computed, so memory stays
-    at one run plus one entry per cycle however long the horizon; samples
-    and heights are those of ``autocorrelation(weights, rates, grid)`` bit
-    for bit.  Periods the grid cannot resolve, and spans of fewer than two
-    cycles, are refused.
+    A cycle takes one argmax per run slice, kept only when strictly higher,
+    so one spanning a run edge keeps its first maximum.  After each run this
+    yields ``(|A(0)|^2, heights, peak_taus, done)``: the arrays are updated
+    in place and ``done`` counts the complete cycles.  It holds one kernel
+    run and one entry per cycle, and its samples are those of
+    ``autocorrelation(weights, rates, grid)`` bit for bit.
     """
     if not math.isfinite(horizon):
         raise ValueError(f"scan horizon must be finite, got {horizon}")
     w, th = _carried_levels(weights, rates)
     last = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
-    if not period > 0:
-        raise ValueError(f"revival period must be positive, got {period}")
-    if period < 4.0 * ENVELOPE_STEP:
-        raise ValueError("revival period must cover several grid steps")
-    n_cycles = int(np.floor(float(last) * ENVELOPE_STEP / period))
+    if not period >= 4.0 * ENVELOPE_STEP:
+        raise ValueError(f"revival period {period} must cover several grid steps")
+    n_cycles = int(math.floor(float(last) * ENVELOPE_STEP / period))
     if n_cycles < 2:
         raise ValueError("series must span at least two revival cycles")
-    heights = np.full(n_cycles, -np.inf)
-    peak_taus = np.zeros(n_cycles)
+    starts = _cycle_starts(n_cycles, period)
+    heights, peak_taus = np.full(n_cycles, -np.inf), np.zeros(n_cycles)
     # the spacing autocorrelation infers from this grid's end points
     spacing = (float(last) * ENVELOPE_STEP) / last
-    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
-        tau = np.arange(j0, j0 + len(amps), dtype=float) * ENVELOPE_STEP
-        _fold_cycles(heights, peak_taus, tau, np.abs(amps) ** 2, period)
-    return heights, peak_taus
+    runs = _blocked_amplitudes(w, th, 0.0, spacing, last + 1)
+    with contextlib.closing(runs):
+        for j0, amps in runs:
+            values = np.abs(amps) ** 2
+            if j0 == 0:
+                head = values[0]
+            j1 = j0 + len(values)
+            k0, k1, done = np.searchsorted(starts, [j0, j1 - 1, j1], side="right") - 1
+            for k in range(k0, min(k1 + 1, n_cycles)):
+                lo = max(starts[k], j0) - j0
+                i = lo + int(np.argmax(values[lo:min(starts[k + 1], j1) - j0]))
+                if values[i] > heights[k]:
+                    heights[k], peak_taus[k] = values[i], float(j0 + i) * ENVELOPE_STEP
+            yield head, heights, peak_taus, int(done)
+
+
+def _cycle_starts(n_cycles, period):
+    """Least ``j`` with ``floor((float(j) * ENVELOPE_STEP) / period) >= k``
+    for ``k = 0..n_cycles``.
+
+    The estimate ``ceil(k * period / ENVELOPE_STEP)`` can miss it by
+    rounding; unit steps against that exact expression, which never
+    decreases in ``j``, put it right.
+    """
+    k = np.arange(n_cycles + 1)
+    starts = np.ceil(k * period / ENVELOPE_STEP).astype(np.int64)
+    while True:
+        early = np.floor(starts * ENVELOPE_STEP / period) < k
+        late = (starts > 0) & (np.floor((starts - 1) * ENVELOPE_STEP / period) >= k)
+        if not (early.any() or late.any()):
+            return starts
+        starts = starts + early - late
 
 
 def timescales(weights, energies, indices=None) -> TimescaleHierarchy:
@@ -397,7 +395,6 @@ def timescales(weights, energies, indices=None) -> TimescaleHierarchy:
         t_superrevival=timescale(d3, 6.0),
         nbar=nbar,
         n_center=center,
-        d1=float(d1), d2=float(d2), d3=float(d3),
     )
 
 
@@ -419,8 +416,11 @@ def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     then retried once on ``RETRY_WINDOW``, tight enough to isolate the peak
     nearest the prediction.  A window whose highest sample is its first or
     last holds no interior peak to refine, and is refused with
-    :class:`EdgePeakError`.
+    :class:`EdgePeakError`.  Fewer than two levels of nonzero weight make
+    ``|A|^2`` constant, and are refused with ``ValueError`` before any grid.
     """
+    if len(_carried_levels(weights, rates)[0]) < 2:
+        raise ValueError("|A|^2 is constant: fewer than two levels carry weight")
     try:
         return _window_revival(weights, rates, predicted, DEFAULT_WINDOW,
                                provenance)

@@ -370,6 +370,19 @@ def test_revivals_short_horizon_exit_code(runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["--epsilon", "1e-3"],  # a 6e9-sample window before the refusal
+    ["--epsilon", "1.0"],
+    ["--epsilon", "1.5e-154"],
+    ["--beta", "0.002", "--alpha", "0"],
+])
+def test_revivals_refuses_a_state_on_one_level(runner, args):
+    result = runner.invoke(main, ["revivals", *args, "--superrevival"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "fewer than two levels carry weight" in result.stderr
+
+
 def test_revivals_window_edge_exit_code(runner):
     result = runner.invoke(main, ["revivals", "--epsilon", "4.712628857664328",
                                   "--x0", "-0.15839646014543776",

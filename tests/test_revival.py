@@ -66,6 +66,12 @@ def test_single_weight_gives_flat_series():
     assert np.ptp(series.values) < 1e-15
 
 
+def test_a_single_carried_level_is_refused_before_any_grid():
+    # at a prediction of 1e6 the detection window alone would hold 6e9 samples
+    with pytest.raises(ValueError, match="fewer than two levels carry weight"):
+        principal_revival(np.array([0.7, 0.0]), np.array([1.0, 4.0]), 1e6)
+
+
 def test_box_spectrum_revives_at_unit_time(box_state):
     w = box_state.weights / box_state.weights.sum()
     series = autocorrelation(w, box_state.rates, np.array([1.0]))
@@ -550,14 +556,24 @@ def materialised_envelope(w, rates, period, horizon):
     return series, mask_envelope(series.tau, series.values, period, n_cycles)
 
 
+def streamed_envelope(w, rates, horizon, period):
+    """``|A(0)|^2`` and the envelope the scan folds, taken to the horizon."""
+    for head, heights, peak_taus, done in revival._envelope_runs(w, rates, horizon,
+                                                                 period):
+        pass
+    assert done == len(heights)
+    return head, heights, peak_taus
+
+
 @pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
                                     squeezed_scan_inputs, coherent_scan_inputs])
 def test_streamed_scan_matches_the_materialised_path(inputs):
     w, rates, period, horizon = inputs()
     series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
-    streamed = revival._scan_envelope(w, rates, horizon, period)
-    assert np.array_equal(streamed[0], heights)
-    assert np.array_equal(streamed[1], peak_taus)
+    head, streamed_heights, streamed_taus = streamed_envelope(w, rates, horizon, period)
+    assert head == series.values[0]
+    assert np.array_equal(streamed_heights, heights)
+    assert np.array_equal(streamed_taus, peak_taus)
     expected = mask_superrevival(series, period)
     assert expected is not None
     assert scan_superrevival(w, rates, horizon, period) == expected
@@ -575,30 +591,55 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
     series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
     assert np.allclose(series.values, reference.values, rtol=0, atol=1e-12)
-    streamed = revival._scan_envelope(w, rates, horizon, period)
-    assert np.array_equal(streamed[0], heights)
-    assert np.array_equal(streamed[1], peak_taus)
+    _, streamed_heights, streamed_taus = streamed_envelope(w, rates, horizon, period)
+    assert np.array_equal(streamed_heights, heights)
+    assert np.array_equal(streamed_taus, peak_taus)
     assert scan_superrevival(w, rates, horizon, period) == \
         mask_superrevival(series, period)
 
 
-def test_fold_keeps_the_first_maximum_across_run_edges():
+def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
     rng = np.random.default_rng(22)
     for _ in range(40):
-        n = int(rng.integers(50, 3000))
-        tau = np.cumsum(rng.uniform(0.5, 1.0, n))
-        tau = tau - tau[0]  # the fold counts cycles from tau = 0
-        values = rng.integers(0, 4, n) / 3.0  # coarse levels make ties common
-        period = rng.uniform(4.0, 60.0)
-        n_cycles = int(np.floor((tau[-1] - tau[0]) / period))
-        whole = mask_envelope(tau, values, period, n_cycles)
-        heights, peak_taus = np.full(n_cycles, -np.inf), np.zeros(n_cycles)
-        edges = np.unique(np.r_[0, rng.integers(1, n, 12), n])
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            revival._fold_cycles(heights, peak_taus, tau[lo:hi], values[lo:hi],
-                                 period)
+        count = int(rng.integers(200, 3000))
+        # amplitudes 0..3 square exactly, and their few levels make ties common
+        amps = rng.integers(0, 4, count).astype(complex)
+        edges = np.unique(np.r_[0, rng.integers(1, count, 12), count])
+
+        def kernel(w, th, start, step, n):
+            assert n == count
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                yield int(lo), amps[lo:hi]
+
+        monkeypatch.setattr(revival, "_blocked_amplitudes", kernel)
+        period = rng.uniform(4.0, 60.0) * SCAN_STEP
+        tau = np.arange(count, dtype=float) * SCAN_STEP
+        n_cycles = int(np.floor(tau[-1] / period))
+        whole = mask_envelope(tau, np.abs(amps) ** 2, period, n_cycles)
+        head, heights, peak_taus = streamed_envelope([1.0], [0.0], tau[-1], period)
+        assert head == abs(amps[0]) ** 2
         assert np.array_equal(heights, whole[0])
         assert np.array_equal(peak_taus, whole[1])
+
+
+@pytest.mark.parametrize("period", [0.004, 0.007, 0.01, 0.1, 1.0 / 3.0,
+                                    1.0201258688090753])
+def test_cycle_starts_match_the_floor_of_every_sample(period):
+    last = 600000
+    n_cycles = int(np.floor(last * SCAN_STEP / period))
+    starts = revival._cycle_starts(n_cycles, period)
+    cycle = np.floor(np.arange(last + 1, dtype=float) * SCAN_STEP / period)
+    expected = np.searchsorted(cycle, np.arange(n_cycles + 1))
+    assert np.array_equal(starts, expected)
+    assert starts[-1] <= last
+
+
+def test_cycle_starts_correct_the_estimate_both_ways():
+    period, n_cycles = 0.007, 85714
+    k = np.arange(n_cycles + 1)
+    estimate = np.ceil(k * period / SCAN_STEP).astype(np.int64)
+    miss = estimate - revival._cycle_starts(n_cycles, period)
+    assert miss.min() == -1 and miss.max() == 1
 
 
 def outcome(fn):
@@ -644,6 +685,61 @@ def test_streamed_scan_holds_one_run_in_memory():
         tracemalloc.stop()
     assert detected == 201.472  # 4,000,001 samples
     assert peak < 16 * 2 ** 20
+
+
+@pytest.fixture()
+def consumed_runs(monkeypatch):
+    """``[count, runs taken, end of the last run taken]`` per kernel call."""
+    calls = []
+    kernel = revival._blocked_amplitudes
+
+    def spy(*args):
+        call = [args[-1], 0, 0]
+        calls.append(call)
+        for j0, amps in kernel(*args):
+            call[1:] = call[1] + 1, j0 + len(amps)
+            yield j0, amps
+
+    monkeypatch.setattr(revival, "_blocked_amplitudes", spy)
+    return calls
+
+
+def test_full_horizon_scan_holds_one_run_in_memory(consumed_runs):
+    w, rates, _ = well_inputs(100.0, PAPER_PACKET)
+    period = barker(WellConfig(epsilon=100.0)).approx_revival_time
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonTooShortError):
+            scan_superrevival(w, rates, 4000.0, period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(count, taken, end)] = consumed_runs
+    assert count == end == 4000001 and taken > 1  # the whole grid
+    assert peak < 16 * 2 ** 20
+
+
+def test_scan_stops_with_the_run_that_completes_the_recovery(consumed_runs):
+    w, rates, period, horizon = fig5_scan_inputs()
+    assert scan_superrevival(w, rates, horizon, period) == 31.372
+    list(revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, 600001))  # all runs
+    [(count, taken, end), (_, every, _)] = consumed_runs
+    assert count == 600001 and taken == 1 < every
+    assert 31372 < end < count
+
+
+@pytest.mark.parametrize("case", ["none", "short"])
+def test_scan_without_a_recovery_takes_every_run(case, box_state, consumed_runs,
+                                                 monkeypatch):
+    monkeypatch.setattr(revival, "_CHUNK", 400)
+    w, rates, period, horizon = {
+        "none": (box_state.weights, box_state.rates, 1.0, 8.0),
+        "short": fig2_scan_inputs()[:3] + (4.0,),
+    }[case]
+    expected = {"none": None, "short": HorizonTooShortError}[case]
+    assert outcome(lambda: scan_superrevival(w, rates, horizon, period)) == expected
+    [(count, taken, end)] = consumed_runs
+    assert end == count and taken > 10
 
 
 # --- timescales ----------------------------------------------------------
