@@ -76,14 +76,30 @@ class RevivalReport:
 
 
 def _carried_levels(weights, rates):
-    """Validated weights and phase rates of the levels of nonzero weight."""
+    """Validated weights and phase rates of the levels that carry weight.
+
+    The lightest levels, taken in ascending order of weight, are dropped
+    while their combined weight stays at most ``2**-60 * sum(w)``; zero
+    weights always go.  They move ``A`` by at most that mass, so ``|A|^2``
+    by at most ``2**-59 * sum(w)**2``, below the kernel's own rounding.  The
+    cut does not depend on time, and a power-of-two scaling of the weights
+    scales its bound exactly, so both drop the same levels.  The kept levels
+    stay in their original order.
+    """
     w = np.asarray(weights, dtype=float)
     th = np.asarray(rates, dtype=float)
     if w.shape != th.shape:
         raise ValueError("weights and phase rates must align")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not (math.isfinite(total) and np.all(np.isfinite(th))):
+        raise ValueError("weights, their sum and phase rates must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    carry = w > 0  # zero weights contribute exactly nothing
+    order = np.argsort(w, kind="stable")
+    light = np.searchsorted(np.cumsum(w[order]), math.ldexp(total, -60), side="right")
+    carry = np.ones(len(w), dtype=bool)
+    carry[order[:light]] = False
     return w[carry], th[carry]
 
 
@@ -92,7 +108,8 @@ def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrS
 
     Grids whose ``|tau|`` form one uniform progression take the
     block-factored kernel; every other grid is summed directly, ``_CHUNK``
-    samples at a time.  The series carries the levels of nonzero weight.
+    samples at a time.  The series carries the levels that carry weight
+    (:func:`_carried_levels`).
     """
     w, th = _carried_levels(weights, rates)
     taus = np.asarray(tau_grid, dtype=float)
@@ -416,8 +433,9 @@ def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     then retried once on ``RETRY_WINDOW``, tight enough to isolate the peak
     nearest the prediction.  A window whose highest sample is its first or
     last holds no interior peak to refine, and is refused with
-    :class:`EdgePeakError`.  Fewer than two levels of nonzero weight make
-    ``|A|^2`` constant, and are refused with ``ValueError`` before any grid.
+    :class:`EdgePeakError`.  Fewer than two levels that carry weight make
+    ``|A|^2`` constant to within rounding, and are refused with
+    ``ValueError`` before any grid.
     """
     if len(_carried_levels(weights, rates)[0]) < 2:
         raise ValueError("|A|^2 is constant: fewer than two levels carry weight")

@@ -105,41 +105,44 @@ def faddeeva(z):
     ratio = (2.0 * _WEIDEMAN_L - den) / den
     poly = np.zeros_like(ratio)
     for coeff in _WEIDEMAN_COEFFS:
-        poly = poly * ratio + coeff
+        poly *= ratio
+        poly += coeff
     return 2.0 * poly / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
 
 
-def _interior_transform(spec: GaussianSpec, alpha):
-    """``integral of g(x) exp(2i alpha x)`` over the well, packet ``g``.
+def _gaussian_transforms(spec: GaussianSpec, alpha, beta=None):
+    """Overlaps of the packet ``g`` with the levels' profiles, by one pass
+    of :func:`faddeeva` over every wall term.
 
+    The first result is ``integral of g(x) exp(2i alpha x)`` over the well.
     Completing the square leaves one error function at each wall; each is
     written as ``exp(-u^2) w(+-c + iu)`` with ``u >= 0`` the wall's distance
     in units of ``sqrt(2) sigma`` and ``c = sqrt(2) alpha sigma``, which
     cannot overflow however deep the level or narrow the packet.  The real
     part is the overlap with ``cos(2 alpha x)``, the imaginary part the
     overlap with ``sin(2 alpha x)``.
+
+    Given ``beta``, the second and third results are the tails beyond the
+    right and left walls, ``integral of g(x) exp(-2 beta (|x| - 1/2))``,
+    each ``sigma sqrt(pi/2) exp(-u^2) erfcx(u + sqrt(2) beta sigma)``, where
+    ``erfcx(v) = w(iv)``.
     """
     s = math.sqrt(2.0) * spec.sigma
     c = s * alpha
     u_right = (0.5 - spec.x0) / s
     u_left = (0.5 + spec.x0) / s
-    right = np.exp(1j * alpha - u_right ** 2) * faddeeva(c + 1j * u_right)
-    left = np.exp(-1j * alpha - u_left ** 2) * faddeeva(-c + 1j * u_left)
+    args = [c + 1j * u_right, -c + 1j * u_left]
+    if beta is not None:
+        args += [1j * (u_right + s * beta), 1j * (u_left + s * beta)]
+    w_right, w_left, *w_tails = np.split(faddeeva(np.concatenate(args)), len(args))
+    right = np.exp(1j * alpha - u_right ** 2) * w_right
+    left = np.exp(-1j * alpha - u_left ** 2) * w_left
     centre = 2.0 * np.exp(2j * alpha * spec.x0 - c * c)
-    return spec.sigma * math.sqrt(0.5 * math.pi) * (centre - left - right)
-
-
-def _tail_overlap(spec: GaussianSpec, beta, wall_gap):
-    """``integral of g(x) exp(-2 beta (|x| - 1/2))`` beyond one wall.
-
-    ``wall_gap`` is the packet centre's distance from that wall.  The
-    integral is ``sigma sqrt(pi/2) exp(-u^2) erfcx(u + sqrt(2) beta sigma)``
-    with ``u = wall_gap / (sqrt(2) sigma)``, and ``erfcx(v) = w(iv)``.
-    """
-    s = math.sqrt(2.0) * spec.sigma
-    u = wall_gap / s
-    return spec.sigma * math.sqrt(0.5 * math.pi) * math.exp(-u * u) \
-        * faddeeva(1j * (u + s * beta)).real
+    scale = spec.sigma * math.sqrt(0.5 * math.pi)
+    inside = scale * (centre - left - right)
+    tails = [scale * math.exp(-u * u) * w_tail.real
+             for u, w_tail in zip((u_right, u_left), w_tails)]
+    return inside, *tails
 
 
 def project(initial, states: Spectrum) -> SpectralDecomposition:
@@ -158,9 +161,7 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
 
     if isinstance(initial, GaussianSpec):
         edge = edge_values(alpha, even)
-        inside = _interior_transform(initial, alpha)
-        right = _tail_overlap(initial, beta, 0.5 - initial.x0)
-        left = _tail_overlap(initial, beta, 0.5 + initial.x0)
+        inside, right, left = _gaussian_transforms(initial, alpha, beta)
         overlaps = np.where(even, inside.real + edge * (right + left),
                             inside.imag + edge * (right - left))
         coeffs = norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
@@ -221,7 +222,7 @@ def infinite_project(spec: GaussianSpec, n_max: int | None = None) -> InfiniteWe
     none does.
     """
     n = np.arange(1, (_INFINITE_N_CAP if n_max is None else n_max) + 1)
-    inside = _interior_transform(spec, 0.5 * np.pi * n)
+    (inside,) = _gaussian_transforms(spec, 0.5 * np.pi * n)
     box_norm2 = 0.5 * math.sqrt(math.pi) * spec.sigma * (
         math.erf((0.5 - spec.x0) / spec.sigma) + math.erf((0.5 + spec.x0) / spec.sigma))
     coeffs = math.sqrt(2.0 / box_norm2) * np.where(n % 2 == 1, inside.real, inside.imag)

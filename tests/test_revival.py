@@ -270,6 +270,107 @@ def test_other_grids_take_the_direct_path(blocked_calls):
     assert blocked_calls == []
 
 
+# --- carried levels -------------------------------------------------------
+
+
+@pytest.mark.parametrize("weights, rates", [
+    ([np.nan, 0.5, 0.5], [0.0, 1.0, 2.0]),
+    ([0.5, 0.5, 0.5], [0.0, np.nan, 2.0]),
+    ([np.inf, 0.5, 0.5], [0.0, 1.0, 2.0]),
+    ([0.5, 0.5, 0.5], [0.0, np.inf, 2.0]),
+], ids=["nan weight", "nan rate", "inf weight", "inf rate"])
+def test_non_finite_levels_are_refused(weights, rates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            autocorrelation(weights, rates, np.arange(3, dtype=float))
+        with pytest.raises(ValueError, match="finite"):
+            principal_revival(weights, rates, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            scan_superrevival(weights, rates, 10.0, 1.0)
+
+
+def test_a_weight_sum_that_overflows_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        autocorrelation([1e308, 1e308], [0.0, 1.0], [0.0])
+
+
+def test_the_cut_bounds_the_dropped_mass_not_each_level():
+    # Each light level lies below 2**-60 of the total, but all of them
+    # together do not: a per-level floor would drop every one.
+    w = np.concatenate([[1.0], np.full(10000, 2.0 ** -70)])
+    rates = np.arange(len(w), dtype=float)
+    kept, kept_rates = revival._carried_levels(w, rates)
+    dropped = (len(w) - len(kept)) * 2.0 ** -70  # exact, unlike w.sum() - kept.sum()
+    assert dropped <= 2.0 ** -60 * w.sum()
+    assert len(w) - len(kept) == 1024
+    # a stable sort breaks the ties by index, and the kept levels keep their order
+    assert np.array_equal(kept_rates, np.concatenate([[0.0], rates[1025:]]))
+
+
+DEEP_EPSILON = 2499.9708473394153
+DEEP_PACKET = GaussianSpec(x0=0.07346226767883567, sigma=0.05183994186461294)
+
+
+def nonzero_levels(weights, rates):
+    """The levels of nonzero weight, all of them carried: no cut."""
+    w = np.asarray(weights, dtype=float)
+    th = np.asarray(rates, dtype=float)
+    return w[w > 0], th[w > 0]
+
+
+@pytest.fixture(scope="module")
+def deep_well():
+    w, rates, _ = well_inputs(DEEP_EPSILON, DEEP_PACKET)
+    predicted = barker(WellConfig(epsilon=DEEP_EPSILON)).approx_revival_time
+    return w, rates, predicted
+
+
+def test_a_packet_clear_of_the_walls_carries_few_levels(deep_well):
+    w, rates, _ = deep_well
+    kept, _ = revival._carried_levels(w, rates)
+    assert len(w) == 1592
+    assert len(kept) <= 64
+    assert w.sum() - kept.sum() <= 2.0 ** -60 * w.sum()
+
+
+def test_the_cut_series_matches_the_sum_over_every_level(deep_well):
+    w, rates, predicted = deep_well
+    lo, hi = (scale * predicted for scale in revival.DEFAULT_WINDOW)
+    taus = detection_grid(lo, hi, revival.DETECTION_MAX_STEP)
+    series = autocorrelation(w, rates, taus)
+    assert len(series.weights) <= 64
+    full = np.concatenate([direct_series(w, rates, taus[i:i + 500])
+                           for i in range(0, len(taus), 500)])
+    assert np.abs(series.values - full).max() < 1e-12
+
+
+def test_the_cut_leaves_the_detected_revival_in_place(deep_well, monkeypatch):
+    w, rates, predicted = deep_well
+    cut = principal_revival(w, rates, predicted)
+    monkeypatch.setattr(revival, "_carried_levels", nonzero_levels)
+    uncut = principal_revival(w, rates, predicted)
+    assert abs(cut[0] - uncut[0]) < 1e-12
+    assert abs(cut[1] - uncut[1]) < 1e-12
+
+
+def test_the_cut_keeps_the_exact_invariants(deep_well):
+    w, rates, predicted = deep_well
+    kept, kept_rates = revival._carried_levels(w, rates)
+    base = principal_revival(w, rates, predicted)
+    for power in (-3, 5):
+        scaled, scaled_rates = revival._carried_levels(np.ldexp(w, power), rates)
+        assert np.array_equal(scaled, np.ldexp(kept, power))
+        assert np.array_equal(scaled_rates, kept_rates)
+        detected, height = principal_revival(np.ldexp(w, power), rates, predicted)
+        assert detected == base[0]
+        assert height == np.ldexp(base[1], 2 * power)
+    taus = np.arange(1, 3000, dtype=float) * 1e-3
+    fwd = autocorrelation(w, rates, taus).values
+    bwd = autocorrelation(w, rates, -taus[::-1]).values[::-1]
+    assert np.array_equal(fwd, bwd)
+
+
 # --- revival detection --------------------------------------------------
 
 

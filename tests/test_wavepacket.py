@@ -11,6 +11,7 @@ from qrevival import (CompletenessWarning, GaussianSpec, WellConfig,
                       eigenfunction_value, evolve, infinite_evolve,
                       infinite_project, parity_filtered, project, snapshot,
                       solve_spectrum)
+from qrevival.spectrum import edge_values
 from qrevival.wavepacket import faddeeva
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -322,3 +323,61 @@ def test_deep_well_matches_box_coefficients():
     n = min(len(decomp.coefficients), len(box.coefficients))
     diff = np.abs(decomp.coefficients[:n].real - box.coefficients[:n].real)
     assert diff.max() < 1e-3
+
+
+def four_pass_overlaps(spec, alpha, beta):
+    """The interior transform and both tails, one ``faddeeva`` call per wall
+    term: the route the single-pass projection replaced."""
+    s = math.sqrt(2.0) * spec.sigma
+    c = s * alpha
+    u_right = (0.5 - spec.x0) / s
+    u_left = (0.5 + spec.x0) / s
+    right = np.exp(1j * alpha - u_right ** 2) * faddeeva(c + 1j * u_right)
+    left = np.exp(-1j * alpha - u_left ** 2) * faddeeva(-c + 1j * u_left)
+    centre = 2.0 * np.exp(2j * alpha * spec.x0 - c * c)
+    inside = spec.sigma * math.sqrt(0.5 * math.pi) * (centre - left - right)
+
+    def tail(wall_gap):
+        u = wall_gap / s
+        return spec.sigma * math.sqrt(0.5 * math.pi) * math.exp(-u * u) \
+            * faddeeva(1j * (u + s * beta)).real
+
+    return inside, tail(0.5 - spec.x0), tail(0.5 + spec.x0)
+
+
+def four_pass_project(spec, states):
+    edge = edge_values(states.alpha, states.even)
+    inside, right, left = four_pass_overlaps(spec, states.alpha, states.beta)
+    overlaps = np.where(states.even, inside.real + edge * (right + left),
+                        inside.imag + edge * (right - left))
+    coeffs = states.norm * overlaps / math.sqrt(spec.sigma * math.sqrt(math.pi))
+    return coeffs, float(np.sum(coeffs ** 2))
+
+
+def four_pass_box(spec):
+    n = np.arange(1, 513)
+    inside = four_pass_overlaps(spec, 0.5 * np.pi * n, 0.0)[0]
+    box_norm2 = 0.5 * math.sqrt(math.pi) * spec.sigma * (
+        math.erf((0.5 - spec.x0) / spec.sigma) + math.erf((0.5 + spec.x0) / spec.sigma))
+    return math.sqrt(2.0 / box_norm2) * np.where(n % 2 == 1, inside.real, inside.imag)
+
+
+def seeded_projection_cases():
+    rng = np.random.default_rng(13)
+    epsilons = [2.0 * math.pi * (1.0 + 1e-10), 1e4, 12.0] + list(
+        np.exp(rng.uniform(math.log(2.0), math.log(1e4), 20)))
+    return [(float(eps), float(rng.uniform(-0.45, 0.45)), float(rng.uniform(0.01, 0.3)))
+            for eps in epsilons]
+
+
+@pytest.mark.filterwarnings("ignore::qrevival.CompletenessWarning")
+def test_one_faddeeva_pass_gives_the_bits_of_four():
+    for epsilon, x0, sigma in seeded_projection_cases():
+        spec = GaussianSpec(x0=x0, sigma=sigma)
+        states = solve_spectrum(WellConfig(epsilon=epsilon))
+        decomp = project(spec, states)
+        coeffs, completeness = four_pass_project(spec, states)
+        assert np.array_equal(decomp.coefficients, coeffs.astype(complex)), epsilon
+        assert decomp.completeness == completeness, epsilon
+        box = infinite_project(spec, n_max=512)
+        assert np.array_equal(box.coefficients, four_pass_box(spec).astype(complex))
