@@ -18,6 +18,7 @@ import numpy as np
 
 from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
+from .csvtext import csv_rows
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
@@ -37,9 +38,9 @@ _CUSTOM_OSCILLATOR = ScenarioConfig(
     name="custom", tau_max=5.0, tau_step=1e-4, horizon=600.0,
     oscillator=OscillatorSystem(beta=0.0, kind="coherent", alpha=0.0))
 
-
-def _fmt(value) -> str:
-    return f"{value:.16e}"
+# Largest `autocorr` series and `snapshot` grid, refused before allocation.
+MAX_SAMPLES = 10 ** 7
+MAX_GRID = 10 ** 6
 
 
 def _emit(text: str, out: str | None):
@@ -190,11 +191,9 @@ def cmd_spectrum(epsilon, fmt, out):
     parity = ["even" if even else "odd" for even in states.even.tolist()]
     residual = states.residuals
     if fmt == "csv":
-        row = "{},{},{:.16e},{:.16e},{:.16e},{:.16e}".format
-        lines = map(row, n, parity, states.alpha, states.beta, states.energy,
-                    residual)
-        _emit("\n".join(["n,parity,alpha,beta,energy,residual", *lines]) + "\n",
-              out)
+        body = csv_rows([states.alpha, states.beta, states.energy, residual],
+                        lead=[f"{i},{p}" for i, p in zip(n, parity)])
+        _emit("n,parity,alpha,beta,energy,residual\n" + body, out)
     else:
         keys = ("n", "parity", "alpha", "beta", "energy", "norm",
                 "weakly_bound", "residual")
@@ -222,7 +221,11 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
     cfg = _resolve_scenario(tau_max=tau_max, tau_step=tau_step, **system)
     fock = _fock_for(cfg)
     weights, rates, _completeness = _series_inputs(cfg, fock)
-    n_steps = int(math.floor(cfg.tau_max / cfg.tau_step + 1e-9))
+    steps = cfg.tau_max / cfg.tau_step + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"the grid would hold {steps + 1:.0f} samples, more "
+                         f"than {MAX_SAMPLES}; raise --tau-step or lower --tau-max")
+    n_steps = int(math.floor(steps))
     taus = np.arange(0, n_steps + 1, dtype=float) * cfg.tau_step
     series = autocorrelation(weights, rates, taus, provenance=cfg.name)
     ref_values = None
@@ -231,13 +234,12 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
         ref_values = autocorrelation(ref_w, ref_rates, taus).values
 
     if fmt == "csv":
-        columns = [series.tau.tolist(), series.values.tolist()]
+        columns = [series.tau, series.values]
         header = "tau,autocorr"
         if ref_values is not None:
-            columns.append(ref_values.tolist())
+            columns.append(ref_values)
             header += ",reference"
-        row = ",".join(["{:.16e}"] * len(columns)).format
-        _emit("\n".join([header, *map(row, *columns)]) + "\n", out)
+        _emit(header + "\n" + csv_rows(columns), out)
     else:
         payload = {"scenario": cfg.to_dict(), "tau": list(series.tau),
                    "autocorr": list(series.values)}
@@ -258,13 +260,11 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
     packet = GaussianSpec(x0=x0, sigma=sigma)
     reports = table1_report(packet, eps_list)
     if fmt == "csv":
-        lines = ["epsilon,detected,barker,percent_error,peak_height,completeness"]
-        for r in reports:
-            lines.append(
-                f"{_fmt(r.epsilon)},{_fmt(r.detected_revival)},"
-                f"{_fmt(r.barker_predicted)},{_fmt(r.percent_error)},"
-                f"{_fmt(r.peak_height_at_revival)},{_fmt(r.completeness)}")
-        _emit("\n".join(lines) + "\n", out)
+        columns = [[getattr(r, key) for r in reports] for key in (
+            "epsilon", "detected_revival", "barker_predicted", "percent_error",
+            "peak_height_at_revival", "completeness")]
+        _emit("epsilon,detected,barker,percent_error,peak_height,completeness\n"
+              + csv_rows(columns), out)
     else:
         payload = [
             {"epsilon": r.epsilon, "detected": r.detected_revival,
@@ -326,8 +326,8 @@ def cmd_revivals(horizon, superrevival, fmt, out, **system):
 @cli_errors
 def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
     """Probability density on a position grid at the requested times."""
-    if grid_n < 32:
-        raise ValueError(f"grid must have at least 32 points, got {grid_n}")
+    if not 32 <= grid_n <= MAX_GRID:
+        raise ValueError(f"grid must have 32 to {MAX_GRID} points, got {grid_n}")
     cfg = _resolve_scenario(**system)
     if cfg.epsilon is None or math.isinf(cfg.epsilon):
         raise ValueError("snapshot requires a finite-well scenario")
@@ -341,13 +341,11 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
     grid = np.linspace(-1.25, 1.25, grid_n)
 
     if fmt == "csv":
-        lines = []
-        for t in taus:
+        text = []
+        for t, label in zip(taus, csv_rows([taus]).splitlines()):
             dens = snapshot(decomp, states, t, grid)
-            lines.append(f"# tau = {_fmt(t)}")
-            lines.append("xbar,density")
-            lines.extend(f"{_fmt(x)},{_fmt(d)}" for x, d in zip(grid, dens))
-        _emit("\n".join(lines) + "\n", out)
+            text += [f"# tau = {label}\nxbar,density\n", csv_rows([grid, dens])]
+        _emit("".join(text), out)
     else:
         payload = {"scenario": cfg.to_dict(), "snapshots": [
             {"tau": t, "xbar": list(grid),
@@ -374,9 +372,7 @@ def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
         fock = squeezed_weights(squeeze, alpha, cutoff)
     scales = oscillator_timescales(fock, beta)
     if fmt == "csv":
-        lines = ["n,weight"]
-        lines.extend(f"{n},{_fmt(w)}" for n, w in zip(fock.n, fock.weights))
-        _emit("\n".join(lines) + "\n", out)
+        _emit("n,weight\n" + csv_rows([fock.weights], lead=fock.n), out)
     else:
         h = scales.hierarchy
         payload = {

@@ -20,6 +20,8 @@ from .spectrum import WellConfig, barker, solve_spectrum
 from .wavepacket import GaussianSpec, project
 
 _CHUNK = 65536
+# Widest block of the factored kernel: its N x B tail stays in cache.
+_MAX_BLOCK = 2048
 DETECTION_MAX_STEP = 1e-4
 REFINE_TOL = 1e-9
 _NEWTON_STEPS = 20
@@ -154,20 +156,22 @@ def _uniform_progression(taus):
 def _blocked_amplitudes(w, th, start, step, count):
     """``A`` at ``start + j*step``, ``j < count``, by one factored GEMM.
 
-    With ``B = floor(sqrt(count))`` and ``j = b*B + r``, the phase factors
-    into ``exp(-i th (start + b*B*step))`` and ``exp(-i th r*step)``, so
-    ``N*(B + count/B)`` exponentials replace ``N*count``.  The product is
-    taken in balanced runs of whole rows, yielded as ``(j0, amps)`` with
-    ``amps`` holding ``A`` from ``j0`` on, so no caller need hold more than
-    one run.  A run holds at most ``_CHUNK`` samples, or two or three rows
-    when fewer than three fit, and it is never a single row of a longer
-    product: numpy sends a one-row product to GEMV, which sums in another
-    order, while longer runs give the bits of the whole product.  The time
+    With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
+    the phase factors into ``exp(-i th (start + b*B*step))`` and
+    ``exp(-i th r*step)``, so ``N*(B + count/B)`` exponentials replace
+    ``N*count``.  The product is taken in balanced runs of whole rows,
+    yielded as ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so
+    no caller need hold more than one run.  A run holds at most ``_CHUNK``
+    samples, or two or three rows when fewer than three fit, and it is
+    never a single row of a longer product: numpy sends a one-row product
+    to GEMV, which sums in another order, while longer runs give the bits
+    of the whole product.  The cap on ``B`` keeps the tail operand in cache
+    on long grids, at the price of more, shorter rows.  The time
     of every sample is a function of ``j`` alone, and the weights enter one
     GEMM operand linearly, so mirrored grids and power-of-two weight
     scalings give bit-identical and exactly scaled series.
     """
-    block = math.isqrt(count)
+    block = min(math.isqrt(count), _MAX_BLOCK)
     rows = -(-count // block)
     runs = max(1, min(-(-rows // max(1, _CHUNK // block)), rows // 2))
     tail = np.exp(-1j * np.outer(th, np.arange(block) * step))

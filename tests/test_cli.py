@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 import qrevival
-from qrevival import BUILTIN_SCENARIOS, ScenarioConfig, load_scenario
+from qrevival import (BUILTIN_SCENARIOS, GaussianSpec, ScenarioConfig, WellConfig,
+                      autocorrelation, coherent_weights, load_scenario, project,
+                      snapshot, solve_spectrum, squeezed_weights, table1_report)
+from qrevival import cli
 from qrevival.cli import main
 
 
@@ -157,6 +161,27 @@ def test_autocorr_refuses_a_non_finite_grid(runner, option, value):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"{option[2:].replace('-', '_')} must be finite" in result.stderr
+
+
+def test_autocorr_refuses_an_oversized_grid_before_building_it(runner):
+    # 5e12 samples would need 36 TiB; the refusal names the count
+    result = runner.invoke(main, ["autocorr", "--epsilon", "12", "--tau-max", "5",
+                                  "--tau-step", "1e-12"])
+    assert result.exit_code == 2
+    assert "5000000000001 samples" in result.stderr
+    assert result.stdout == ""
+    result = runner.invoke(main, ["autocorr", "--epsilon", "12", "--tau-max", "5",
+                                  "--tau-step", "5e-324"])
+    assert result.exit_code == 2
+    assert "inf samples" in result.stderr
+
+
+def test_autocorr_grid_limit_counts_samples(runner):
+    # tau_max / tau_step = MAX_SAMPLES means MAX_SAMPLES + 1 samples
+    result = runner.invoke(main, ["autocorr", "--epsilon", "12", "--tau-max", "1",
+                                  "--tau-step", repr(1.0 / cli.MAX_SAMPLES)])
+    assert result.exit_code == 2
+    assert f"{cli.MAX_SAMPLES + 1} samples" in result.stderr
 
 
 def test_autocorr_flag_conflicts(runner):
@@ -434,6 +459,14 @@ def test_snapshot_grid_floor(runner):
     assert result.exit_code == 2
 
 
+def test_snapshot_refuses_an_oversized_grid(runner):
+    result = runner.invoke(main, ["snapshot", "--epsilon", "12", "--tau", "0.1",
+                                  "--grid", "1000000000"])
+    assert result.exit_code == 2
+    assert "got 1000000000" in result.stderr
+    assert result.stdout == ""
+
+
 def test_snapshot_rejects_oscillator_scenarios(runner):
     result = runner.invoke(main, ["snapshot", "--scenario", "fig5",
                                   "--tau", "0"])
@@ -573,3 +606,104 @@ def test_json_output_is_strict_json(runner, name):
             json.loads(text, parse_constant=_refuse_constant)
         else:
             assert result.stdout == "", args
+
+
+# --- CSV byte identity -------------------------------------------------------------
+# Each command's CSV as it was built before the vectorised formatter: every
+# float through Python's "{:.16e}", one row at a time.  The commands must
+# still print exactly these bytes.
+
+
+def _fmt(value):
+    return f"{value:.16e}"
+
+
+def assert_same_text(ours, expected):
+    """Equal text, or a failure naming the first line that differs."""
+    if ours != expected:
+        lines = zip(ours.splitlines(), expected.splitlines())
+        first = next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None)
+        counts = ours.count("\n"), expected.count("\n")
+        pytest.fail(f"first differing line (index, printed, expected): {first}; "
+                    f"{counts[0]} against {counts[1]} lines")
+
+
+def _oracle_autocorr(name):
+    """The ``autocorr --reference`` text of a scenario and, from the same
+    rows, the text without the reference column."""
+    cfg = cli._resolve_scenario(name)
+    fock = cli._fock_for(cfg)
+    weights, rates, _ = cli._series_inputs(cfg, fock)
+    n_steps = int(math.floor(cfg.tau_max / cfg.tau_step + 1e-9))
+    taus = np.arange(0, n_steps + 1, dtype=float) * cfg.tau_step
+    series = autocorrelation(weights, rates, taus)
+    ref_w, ref_rates = cli._reference_inputs(cfg, fock)
+    columns = [series.tau.tolist(), series.values.tolist(),
+               autocorrelation(ref_w, ref_rates, taus).values.tolist()]
+    lines = list(map("{:.16e},{:.16e},{:.16e}".format, *columns))
+    with_ref = "\n".join(["tau,autocorr,reference", *lines]) + "\n"
+    without = "\n".join(["tau,autocorr", *(ln.rsplit(",", 1)[0] for ln in lines)])
+    return with_ref, without + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_autocorr_csv_bytes_match_python_formatting(runner, name):
+    with_ref, without = _oracle_autocorr(name)
+    for extra, expected in (([], without), (["--reference"], with_ref)):
+        result = runner.invoke(main, ["autocorr", "--scenario", name, *extra])
+        assert result.exit_code == 0, result.stderr
+        assert_same_text(result.stdout, expected)
+
+
+@pytest.mark.parametrize("epsilon", ["0.5", "12", "1e4"])
+def test_spectrum_csv_bytes_match_python_formatting(runner, epsilon):
+    # one level, then residuals of either sign; 6,367 rows at 1e4
+    states = solve_spectrum(WellConfig(epsilon=float(epsilon)))
+    n = range(1, len(states) + 1)
+    parity = ["even" if even else "odd" for even in states.even.tolist()]
+    row = "{},{},{:.16e},{:.16e},{:.16e},{:.16e}".format
+    lines = map(row, n, parity, states.alpha, states.beta, states.energy,
+                states.residuals)
+    expected = "\n".join(["n,parity,alpha,beta,energy,residual", *lines]) + "\n"
+    result = runner.invoke(main, ["spectrum", "--epsilon", epsilon])
+    assert_same_text(result.stdout, expected)
+
+
+def test_snapshot_csv_bytes_match_python_formatting(runner):
+    cfg = BUILTIN_SCENARIOS["fig1a"]
+    states = solve_spectrum(WellConfig(cfg.epsilon))
+    decomp = project(cfg.packet, states)
+    grid = np.linspace(-1.25, 1.25, 512)
+    lines = []
+    for t in (0.0, 0.59, -0.3):
+        dens = snapshot(decomp, states, t, grid)
+        lines.append(f"# tau = {_fmt(t)}")
+        lines.append("xbar,density")
+        lines.extend(f"{_fmt(x)},{_fmt(d)}" for x, d in zip(grid, dens))
+    result = runner.invoke(main, ["snapshot", "--scenario", "fig1a", "--tau",
+                                  "0,0.59,-0.3", "--grid", "512"])
+    assert_same_text(result.stdout, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("args", [["--beta", "0.002", "--squeeze", "10"],
+                                  ["--beta", "0.01", "--alpha", "3"]])
+def test_oscillator_csv_bytes_match_python_formatting(runner, args):
+    squeeze = float(args[3]) if args[2] == "--squeeze" else None
+    fock = (coherent_weights(float(args[3])) if squeeze is None
+            else squeezed_weights(squeeze, 0.0))
+    lines = ["n,weight"]
+    lines.extend(f"{n},{_fmt(w)}" for n, w in zip(fock.n, fock.weights))
+    result = runner.invoke(main, ["oscillator", *args, "--format", "csv"])
+    assert_same_text(result.stdout, "\n".join(lines) + "\n")
+
+
+def test_table1_csv_bytes_match_python_formatting(runner):
+    reports = table1_report(GaussianSpec(x0=0.2, sigma=0.1), [12.0, 30.0, 100.0])
+    lines = ["epsilon,detected,barker,percent_error,peak_height,completeness"]
+    for r in reports:
+        lines.append(
+            f"{_fmt(r.epsilon)},{_fmt(r.detected_revival)},"
+            f"{_fmt(r.barker_predicted)},{_fmt(r.percent_error)},"
+            f"{_fmt(r.peak_height_at_revival)},{_fmt(r.completeness)}")
+    result = runner.invoke(main, ["table1"])
+    assert_same_text(result.stdout, "\n".join(lines) + "\n")

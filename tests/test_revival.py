@@ -234,6 +234,23 @@ def test_blocked_runs_tile_the_grid_in_whole_rows(count):
         assert all(len(amps) > block for _, amps in runs)
 
 
+def test_long_grids_cap_the_block_width():
+    # 2e8 samples would give B = 14142; the cap keeps the N x B tail small.
+    w, rates = np.array([0.6, 0.4]), np.array([1.0, 7.0])
+    count, step = 200_000_000, 1e-3
+    assert revival._MAX_BLOCK == 2048 < math.isqrt(count)
+    runs = revival._blocked_amplitudes(w, rates, 0.0, step, count)
+    (j0, first), (j1, second) = next(runs), next(runs)
+    runs.close()
+    assert j0 == 0 and j1 == len(first)
+    # balanced runs of whole 2048-sample rows, at most _CHUNK samples each
+    assert len(first) % 2048 == 0 and len(second) % 2048 == 0
+    assert revival._CHUNK - 2 * 2048 < len(first) <= revival._CHUNK
+    taus = np.arange(len(first) + len(second)) * step
+    direct = np.exp(-1j * np.outer(taus, rates)) @ w
+    assert np.abs(np.concatenate([first, second]) - direct).max() < 1e-12
+
+
 @pytest.mark.parametrize("chunk", [500, 700, 1000, revival._CHUNK])
 def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     # 90,007 samples: B = 300 columns and 301 rows.  A _CHUNK of 500 or 700
