@@ -12,10 +12,9 @@ from .anharmonic import (FockWeights, OscillatorTimescales, coherent_weights,
 from .errors import (AmbiguousWindowError, CompletenessWarning,
                      ConvergenceError, CutoffTooSmallError, EdgePeakError,
                      HorizonTooShortError)
-from .revival import (AutocorrSeries, RevivalReport, TimescaleHierarchy,
-                      autocorrelation, detect_revival, detection_grid,
-                      principal_revival, scan_superrevival, table1_report,
-                      timescales)
+from .revival import (AutocorrSeries, RevivalReport, autocorrelation,
+                      detect_revival, detection_grid, principal_revival,
+                      scan_superrevival, table1_report)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
 from .spectrum import (BarkerApproximation, BoundState, Spectrum, WellConfig,
@@ -36,7 +35,7 @@ __all__ = [
     "HorizonTooShortError", "InfiniteWellState",
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
-    "TimescaleHierarchy", "WellConfig", "autocorrelation", "barker",
+    "WellConfig", "autocorrelation", "barker",
     "coherent_weights", "detect_revival",
     "detection_grid", "eigenfunction_value", "evolve",
     "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
@@ -44,5 +43,5 @@ __all__ = [
     "oscillator_timescales", "parity_filtered", "principal_revival",
     "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
-    "timescales", "transcendental_residual",
+    "transcendental_residual",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmallError
-from .revival import TimescaleHierarchy, timescales
 
 FOCK_CUTOFF_CAP = 2048
 _TAIL_MASS = 1e-10
@@ -42,16 +41,12 @@ class FockWeights:
 
 @dataclass(frozen=True)
 class OscillatorTimescales:
-    """Closed-form recurrence times next to the finite-difference hierarchy.
+    """Recurrence times at the level ``n_center``; a vanishing rate gives inf."""
 
-    The closed forms are evaluated at the same integer level as the
-    difference stencil so the two routes are comparable term by term; the
-    raw weight-averaged level sits in ``hierarchy.nbar``.
-    """
-
+    classical_time: float
     revival_time: float
     superrevival_time: float
-    hierarchy: TimescaleHierarchy
+    n_center: int
 
 
 def hermite_log(n_max: int, x: float):
@@ -164,19 +159,25 @@ def oscillator_phase_rates(n, beta: float) -> np.ndarray:
 
 
 def oscillator_timescales(weights: FockWeights, beta: float) -> OscillatorTimescales:
-    """Closed-form recurrence times alongside the finite-difference route.
+    """Closed-form recurrence times at ``c = n_center``.
 
-    In units of the quadratic recurrence period the closed forms are
-    ``t_rv = 1 / (1 + 3 n beta)`` at the stencil level ``n`` and ``t_sr = 1 /
-    beta``; since the spectrum is polynomial the finite differences agree
-    with these exactly (to rounding).
+    In units of the quadratic recurrence period the phase is ``2 pi (n^2 +
+    beta n^3)``, so ``2 pi / |d^k theta/dn^k / k!|`` gives ``t_cl = 1 / |2c
+    + 3 beta c^2|``, ``t_rv = 1 / |1 + 3 c beta|`` and ``t_sr = 1 / |beta|``
+    (Averbukh & Perelman, Phys. Lett. A 139, 449, 1989).  ``c`` is the level
+    nearest the mean occupation, kept two levels inside ``0..cutoff``.
     """
-    rates = oscillator_phase_rates(weights.n, beta)
-    hierarchy = timescales(weights.weights, rates)
-    revival_closed = 1.0 / (1.0 + 3.0 * hierarchy.n_center * beta)
-    superrevival_closed = np.inf if beta == 0 else 1.0 / abs(beta)
+    if len(weights.weights) < 5:
+        raise ValueError("need at least five levels (a cutoff of 4 or more)")
+    c = int(np.clip(round(weights.mean_n), 2, len(weights.weights) - 3))
     return OscillatorTimescales(
-        revival_time=float(revival_closed),
-        superrevival_time=float(superrevival_closed),
-        hierarchy=hierarchy,
+        classical_time=_period(2.0 * c + 3.0 * beta * c * c),
+        revival_time=_period(1.0 + 3.0 * c * beta),
+        superrevival_time=_period(beta),
+        n_center=c,
     )
+
+
+def _period(rate: float) -> float:
+    """``1 / |rate|``, infinite where the rate vanishes."""
+    return 1.0 / abs(rate) if rate != 0.0 else math.inf

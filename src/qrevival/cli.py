@@ -374,20 +374,21 @@ def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
     if fmt == "csv":
         _emit("n,weight\n" + csv_rows([fock.weights], lead=fock.n), out)
     else:
-        h = scales.hierarchy
+        revival = _json_safe(scales.revival_time)
+        superrevival = _json_safe(scales.superrevival_time)
         payload = {
             "beta": beta,
             "source": fock.source,
             "mean_n": fock.mean_n,
             "weights": list(fock.weights),
             "timescales": {
-                "revival_closed_form": scales.revival_time,
-                "superrevival_closed_form": _json_safe(scales.superrevival_time),
-                "t_classical": _json_safe(h.t_classical),
-                "t_revival": _json_safe(h.t_revival),
-                "t_superrevival": _json_safe(h.t_superrevival),
-                "nbar": h.nbar,
-                "n_center": h.n_center,
+                "revival_closed_form": revival,
+                "superrevival_closed_form": superrevival,
+                "t_classical": _json_safe(scales.classical_time),
+                "t_revival": revival,
+                "t_superrevival": superrevival,
+                "nbar": fock.mean_n,
+                "n_center": scales.n_center,
             },
         }
         _emit(_json_dump(payload), out)

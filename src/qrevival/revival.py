@@ -1,4 +1,4 @@
-"""Autocorrelation series, revival/superrevival detection, timescales.
+"""Autocorrelation series and revival/superrevival detection.
 
 The squared autocorrelation of a state with weights ``w_n`` and phase rates
 ``theta_n`` is ``|sum_n w_n exp(-i theta_n tau)|^2``, a pure function of the
@@ -28,6 +28,8 @@ _NEWTON_STEPS = 20
 AMBIGUITY_BAND = 0.01
 SUPERREVIVAL_THRESHOLD = 0.95
 ENVELOPE_STEP = 1e-3
+# Most scan steps: below 2**53 each float(j) * ENVELOPE_STEP has an exact index j.
+MAX_SCAN_STEPS = 2 ** 53
 DEFAULT_WINDOW = (0.9, 1.5)
 RETRY_WINDOW = (0.95, 1.05)
 
@@ -52,17 +54,6 @@ class AutocorrSeries:
             raise ValueError("grid and values must align")
         if len(self.tau) > 1 and not np.all(np.diff(self.tau) > 0):
             raise ValueError("time grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class TimescaleHierarchy:
-    """Characteristic times from local derivatives of the level spacing."""
-
-    t_classical: float
-    t_revival: float
-    t_superrevival: float
-    nbar: float
-    n_center: int
 
 
 @dataclass(frozen=True)
@@ -333,8 +324,12 @@ def _envelope_runs(weights, rates, horizon, period):
     """
     if not math.isfinite(horizon):
         raise ValueError(f"scan horizon must be finite, got {horizon}")
+    steps = horizon / ENVELOPE_STEP
+    if not steps < MAX_SCAN_STEPS:
+        raise ValueError(f"horizon {horizon} would take {steps + 1:.0f} scan samples, "
+                         f"more than 2**53 = {MAX_SCAN_STEPS}; lower the horizon")
     w, th = _carried_levels(weights, rates)
-    last = int(math.floor(horizon / ENVELOPE_STEP + 1e-9))
+    last = int(math.floor(steps + 1e-9))
     if not period >= 4.0 * ENVELOPE_STEP:
         raise ValueError(f"revival period {period} must cover several grid steps")
     n_cycles = int(math.floor(float(last) * ENVELOPE_STEP / period))
@@ -378,47 +373,6 @@ def _cycle_starts(n_cycles, period):
         starts = starts + early - late
 
 
-def timescales(weights, energies, indices=None) -> TimescaleHierarchy:
-    """Hierarchy of times from central differences of ``E(n)``.
-
-    ``energies`` must sit on consecutive integer indices.  Differences are
-    taken at the integer nearest the weight-averaged index, shifted inward
-    when the third difference's five-point span would leave the spectrum.
-    Timescales follow ``2 pi / (|d^k E| / k!)``; a vanishing difference maps
-    to an infinite timescale rather than a division error.
-    """
-    w = np.asarray(weights, dtype=float)
-    e = np.asarray(energies, dtype=float)
-    if w.shape != e.shape:
-        raise ValueError("weights and energies must align")
-    n = np.arange(len(e)) if indices is None else np.asarray(indices)
-    if len(n) != len(e) or (len(n) > 1 and not np.all(np.diff(n) == 1)):
-        raise ValueError("energies must sit on consecutive integer indices")
-    if len(e) < 5:
-        raise ValueError("need at least five consecutive levels around nbar")
-    if w.sum() <= 0:
-        raise ValueError("weights must carry positive total mass")
-
-    nbar = float((n * w).sum() / w.sum())
-    center = int(np.clip(round(nbar), n[0] + 2, n[-1] - 2))
-    i = int(center - n[0])
-    d1 = 0.5 * (e[i + 1] - e[i - 1])
-    d2 = e[i + 1] - 2.0 * e[i] + e[i - 1]
-    d3 = 0.5 * (e[i + 2] - 2.0 * e[i + 1] + 2.0 * e[i - 1] - e[i - 2])
-
-    def timescale(value, factorial):
-        scale = abs(value) / factorial
-        return float(2.0 * np.pi / scale) if scale > 1e-14 else np.inf
-
-    return TimescaleHierarchy(
-        t_classical=timescale(d1, 1.0),
-        t_revival=timescale(d2, 2.0),
-        t_superrevival=timescale(d3, 6.0),
-        nbar=nbar,
-        n_center=center,
-    )
-
-
 def detection_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Grid of exact integer multiples of ``step`` covering ``[lo, hi]``."""
     k0 = int(np.ceil(lo / step - 1e-9))
@@ -439,8 +393,12 @@ def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     last holds no interior peak to refine, and is refused with
     :class:`EdgePeakError`.  Fewer than two levels that carry weight make
     ``|A|^2`` constant to within rounding, and are refused with
-    ``ValueError`` before any grid.
+    ``ValueError`` before any grid, and so is a prediction that is not
+    finite and positive.
     """
+    if not (math.isfinite(predicted) and predicted > 0.0):
+        raise ValueError(f"predicted revival time {predicted} is not finite and "
+                         "positive; infinite means no curvature in the spectrum there")
     if len(_carried_levels(weights, rates)[0]) < 2:
         raise ValueError("|A|^2 is constant: fewer than two levels carry weight")
     try:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
 from qrevival import (CutoffTooSmallError, autocorrelation, coherent_weights,
@@ -183,32 +185,113 @@ def test_phase_conjugation_symmetry():
 # --- timescales ------------------------------------------------------------
 
 
+def stencil_timescales(weights, beta):
+    """Oracle: revival and superrevival times from central differences of
+    the phase rates at the level nearest the mean occupation, kept two
+    levels inside the basis.  Exact for a cubic spectrum up to rounding;
+    a difference within rounding of zero gives an infinite time."""
+    w = np.asarray(weights)
+    n = np.arange(len(w))
+    c = int(np.clip(round(float((n * w).sum() / w.sum())), 2, len(w) - 3))
+    e = oscillator_phase_rates(np.arange(c - 2, c + 3), beta)
+    d2 = e[3] - 2.0 * e[2] + e[1]
+    d3 = 0.5 * (e[4] - 2.0 * e[3] + 2.0 * e[1] - e[0])
+    rounding = 64.0 * np.finfo(float).eps * np.abs(e).max()
+
+    def period(diff, order):
+        scale = abs(diff) / math.factorial(order)
+        return float(2.0 * np.pi / scale) if scale > rounding else math.inf
+
+    return period(d2, 2), period(d3, 3), c
+
+
 def test_timescales_closed_form_matches_difference_route():
     fock = squeezed_weights(10.0, 0.0)
     scales = oscillator_timescales(fock, 0.002)
-    assert abs(scales.superrevival_time - 500.0) < 1e-12
-    rel_sr = abs(scales.hierarchy.t_superrevival - scales.superrevival_time) \
-        / scales.superrevival_time
-    rel_rv = abs(scales.hierarchy.t_revival - scales.revival_time) \
-        / scales.revival_time
-    assert rel_sr < 1e-10
-    assert rel_rv < 1e-10
+    t_rv, t_sr, c = stencil_timescales(fock.weights, 0.002)
+    assert scales.n_center == c == 2
+    assert scales.superrevival_time == 500.0
+    assert scales.revival_time == 1.0 / (1.0 + 3.0 * 2 * 0.002)
+    assert abs(scales.classical_time - 1.0 / 4.024) < 1e-15
+    assert abs(t_sr - scales.superrevival_time) / scales.superrevival_time < 1e-10
+    assert abs(t_rv - scales.revival_time) / scales.revival_time < 1e-10
 
 
 def test_timescales_at_integer_mean_occupation():
     fock = coherent_weights(2.0)  # mean 4
     scales = oscillator_timescales(fock, 0.01)
+    t_rv, _, c = stencil_timescales(fock.weights, 0.01)
+    assert scales.n_center == c == 4
     assert abs(scales.revival_time - 1.0 / 1.12) < 1e-12
-    assert abs(scales.hierarchy.t_revival - scales.revival_time) < 1e-12
+    assert abs(t_rv - scales.revival_time) < 1e-12
     assert abs(scales.superrevival_time - 100.0) < 1e-12
+    assert abs(scales.classical_time - 1.0 / 8.48) < 1e-15
+
+
+def test_low_occupation_centres_two_levels_in():
+    # nbar < 1.5 rounds below 2; the centre stays at 2, like the stencil's
+    for fock in (coherent_weights(0.0), coherent_weights(1.0),
+                 squeezed_weights(3.0, 0.0)):
+        assert fock.mean_n < 1.5
+        assert oscillator_timescales(fock, 0.002).n_center == 2
 
 
 def test_zero_nonlinearity_gives_infinite_superrevival():
     fock = coherent_weights(2.0)
     scales = oscillator_timescales(fock, 0.0)
     assert abs(scales.revival_time - 1.0) < 1e-12
-    assert scales.superrevival_time == np.inf
-    assert scales.hierarchy.t_superrevival == np.inf
+    assert scales.superrevival_time == math.inf
+    assert stencil_timescales(fock.weights, 0.0)[1] == math.inf
+
+
+@pytest.mark.parametrize("beta, infinite", [
+    (-1.0 / 6.0, "revival_time"),     # 1 + 3 c beta = 0 at c = 2
+    (-1.0 / 3.0, "classical_time"),   # 2 c + 3 beta c^2 = 0 at c = 2
+])
+def test_a_vanishing_rate_gives_an_infinite_time(beta, infinite):
+    fock = coherent_weights(math.sqrt(2.0))
+    scales = oscillator_timescales(fock, beta)
+    assert scales.n_center == 2
+    assert getattr(scales, infinite) == math.inf
+    times = [scales.classical_time, scales.revival_time, scales.superrevival_time]
+    assert sum(math.isinf(t) for t in times) == 1
+    assert scales.superrevival_time == 1.0 / abs(beta)
+    assert all(t > 0 for t in times)
+
+
+def test_negative_nonlinearity_gives_positive_times():
+    scales = oscillator_timescales(coherent_weights(math.sqrt(2.0)), -0.5)
+    assert (scales.classical_time, scales.revival_time, scales.superrevival_time) \
+        == (1.0 / 2.0, 1.0 / 2.0, 2.0)
+
+
+def test_too_few_levels_are_refused():
+    with pytest.raises(ValueError, match="five levels"):
+        oscillator_timescales(coherent_weights(0.0, cutoff=3), 0.002)
+
+
+STATES = st.one_of(
+    st.floats(0.0, 3.0).map(coherent_weights),
+    st.floats(1.0, 20.0).map(lambda s: squeezed_weights(s, 0.0)))
+BETAS = st.one_of(st.just(0.0), st.sampled_from([-1.0 / 6.0, -1.0 / 3.0]),
+                  st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(STATES, BETAS)
+def test_closed_forms_match_the_stencil_over_states(fock, beta):
+    scales = oscillator_timescales(fock, beta)
+    t_rv, t_sr, c = stencil_timescales(fock.weights, beta)
+    assert scales.n_center == c
+    # the stencil's second difference loses digits as 1 + 3 c beta -> 0
+    curvature = 1.0 + 3.0 * c * beta
+    assume(curvature == 0.0 or abs(curvature) > 1e-3)
+    for closed, stencil in ((scales.revival_time, t_rv),
+                            (scales.superrevival_time, t_sr)):
+        if math.isfinite(closed) and math.isfinite(stencil):
+            assert abs(closed - stencil) <= 1e-10 * closed
+        else:
+            assert closed == stencil == math.inf
 
 
 def test_phase_rate_convention():

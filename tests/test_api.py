@@ -1,6 +1,7 @@
 import qrevival
 
-DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr")
+DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
+           "timescales", "TimescaleHierarchy")
 
 
 def test_every_exported_name_resolves():

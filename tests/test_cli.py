@@ -365,6 +365,17 @@ def test_revivals_infinite_scan_horizon_is_a_validation_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("horizon", ["1e308", "1e13"])
+def test_revivals_refuses_a_scan_past_exact_indices(runner, horizon):
+    # horizon / ENVELOPE_STEP must stay below 2**53; a horizon just below
+    # that would really scan, so only refusals are tested
+    result = runner.invoke(main, ["revivals", "--scenario", "fig1a",
+                                  "--superrevival", "--horizon", horizon])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "scan samples, more than 2**53" in result.stderr
+
+
 @pytest.mark.parametrize("superrevival", [[], ["--superrevival"]])
 @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf"])
 def test_revivals_refuses_nonfinite_horizon(runner, horizon, superrevival):
@@ -518,9 +529,21 @@ def test_oscillator_json_timescales(runner):
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     scales = payload["timescales"]
-    assert abs(scales["superrevival_closed_form"] - 500.0) < 1e-12
-    assert abs(scales["t_superrevival"] - 500.0) < 1e-7
+    assert sorted(scales) == ["n_center", "nbar", "revival_closed_form",
+                              "superrevival_closed_form", "t_classical",
+                              "t_revival", "t_superrevival"]
+    assert scales["superrevival_closed_form"] == scales["t_superrevival"] == 500.0
+    assert scales["t_revival"] == scales["revival_closed_form"]
+    assert scales["nbar"] == payload["mean_n"]
     assert abs(payload["mean_n"] - 2.025) < 1e-6
+    # central differences of the phase rates at n_center, exact for a cubic
+    c = scales["n_center"]
+    e = qrevival.oscillator_phase_rates(np.arange(c - 2, c + 3), 0.002)
+    stencil_rv = 4.0 * np.pi / abs(e[3] - 2.0 * e[2] + e[1])
+    stencil_sr = 12.0 * np.pi / abs(0.5 * (e[4] - 2.0 * e[3] + 2.0 * e[1] - e[0]))
+    assert abs(stencil_rv - scales["t_revival"]) < 1e-10 * scales["t_revival"]
+    assert abs(stencil_sr - scales["t_superrevival"]) < 1e-10 * 500.0
+    assert abs(scales["t_classical"] - 1.0 / (2.0 * c + 3.0 * 0.002 * c * c)) < 1e-15
 
 
 def test_oscillator_csv_weights(runner):
@@ -551,6 +574,28 @@ def test_oscillator_zero_beta_reports_no_superrevival_scale(runner):
     result = runner.invoke(main, ["oscillator", "--beta", "0", "--alpha", "2"])
     payload = json.loads(result.stdout)
     assert payload["timescales"]["superrevival_closed_form"] is None
+
+
+# At alpha = sqrt(2) the centre level is 2, where beta = -1/6 cancels
+# 1 + 3 n beta and beta = -1/3 cancels 2 n + 3 beta n^2.  The latter's
+# revival window (0.9, 1.5) ends on its exact recurrence at t_sr / 2 = 1.5.
+CANCELLING = [("-0.16666666666666666", ["revival_closed_form", "t_revival"], 2,
+               "not finite and positive"),
+              ("-0.3333333333333333", ["t_classical"], 4, "peaks at its edge")]
+
+
+@pytest.mark.parametrize("beta, nulls, code, message", CANCELLING)
+def test_cancelling_beta_prints_null_times(runner, beta, nulls, code, message):
+    alpha = repr(math.sqrt(2.0))
+    result = runner.invoke(main, ["oscillator", "--beta", beta, "--alpha", alpha])
+    assert result.exit_code == 0
+    scales = json.loads(result.stdout, parse_constant=_refuse_constant)["timescales"]
+    assert scales["n_center"] == 2
+    assert sorted(k for k, v in scales.items() if v is None) == sorted(nulls)
+    assert all(v > 0 for v in scales.values() if v is not None)
+    revivals = runner.invoke(main, ["revivals", "--beta", beta, "--alpha", alpha])
+    assert (revivals.exit_code, revivals.stdout) == (code, "")
+    assert message in revivals.stderr
 
 
 # --- strict JSON -------------------------------------------------------------------

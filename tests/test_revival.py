@@ -13,7 +13,7 @@ from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       load_scenario, oscillator_phase_rates,
                       oscillator_timescales, principal_revival, project,
                       revival, scan_superrevival, solve_spectrum,
-                      squeezed_weights, table1_report, timescales)
+                      squeezed_weights, table1_report)
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 
@@ -70,6 +70,13 @@ def test_a_single_carried_level_is_refused_before_any_grid():
     # at a prediction of 1e6 the detection window alone would hold 6e9 samples
     with pytest.raises(ValueError, match="fewer than two levels carry weight"):
         principal_revival(np.array([0.7, 0.0]), np.array([1.0, 4.0]), 1e6)
+
+
+@pytest.mark.parametrize("predicted", [math.inf, math.nan, 0.0, -0.5])
+def test_a_prediction_not_finite_and_positive_is_refused(predicted):
+    # an oscillator whose 1 + 3 n beta vanishes predicts an infinite revival
+    with pytest.raises(ValueError, match="not finite and positive"):
+        principal_revival(np.array([0.5, 0.5]), np.array([1.0, 4.0]), predicted)
 
 
 def test_box_spectrum_revives_at_unit_time(box_state):
@@ -858,47 +865,6 @@ def test_scan_without_a_recovery_takes_every_run(case, box_state, consumed_runs,
     assert outcome(lambda: scan_superrevival(w, rates, horizon, period)) == expected
     [(count, taken, end)] = consumed_runs
     assert end == count and taken > 10
-
-
-# --- timescales ----------------------------------------------------------
-
-
-def test_quadratic_spectrum_timescales():
-    n = np.arange(1, 40)
-    energies = 2.0 * np.pi * n ** 2
-    w = np.exp(-((n - 8.0) / 3.0) ** 2)
-    scales = timescales(w, energies, indices=n)
-    assert abs(scales.t_revival - 1.0) < 1e-12
-    assert scales.t_superrevival == np.inf
-    assert abs(scales.t_classical - 1.0 / (2.0 * scales.n_center)) < 1e-12
-
-
-def test_cubic_term_sets_the_long_timescale():
-    beta = 0.01
-    n = np.arange(0, 80)
-    energies = 2.0 * np.pi * n ** 2 + 2.0 * np.pi * beta * n ** 3
-    w = np.exp(-((n - 4.0) / 2.0) ** 2)
-    scales = timescales(w, energies)
-    assert abs(scales.t_superrevival - 1.0 / beta) < 1e-9
-    assert abs(scales.t_revival - 1.0 / (1.0 + 3.0 * scales.n_center * beta)) < 1e-12
-
-
-def test_timescales_validate_inputs():
-    with pytest.raises(ValueError):
-        timescales([1.0, 1.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        timescales(np.ones(6), np.arange(6), indices=np.array([0, 1, 2, 4, 5, 6]))
-    with pytest.raises(ValueError):
-        timescales(np.zeros(6), np.arange(6))
-
-
-def test_stencil_center_shifts_inward_at_the_spectrum_edge():
-    n = np.arange(1, 9)
-    w = np.zeros(8)
-    w[0] = 1.0  # nbar = 1, but differences need two levels on each side
-    scales = timescales(w, 2.0 * np.pi * n ** 2, indices=n)
-    assert scales.n_center == 3
-    assert abs(scales.t_revival - 1.0) < 1e-12
 
 
 # --- comparison report ----------------------------------------------------
