@@ -17,19 +17,18 @@ from .revival import (AutocorrSeries, RevivalReport, autocorrelation,
                       scan_superrevival, table1_report)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
-from .spectrum import (BarkerApproximation, BoundState, Spectrum, WellConfig,
-                       barker, eigenfunction_value,
+from .spectrum import (BarkerApproximation, Spectrum, WellConfig, barker,
                        orthonormality_matrix, solve_spectrum,
                        transcendental_residual)
 from .wavepacket import (GaussianSpec, InfiniteWellState,
-                         SpectralDecomposition, evolve, infinite_evolve,
-                         infinite_project, parity_filtered, project, snapshot)
+                         SpectralDecomposition, evolve, infinite_project,
+                         project, snapshot)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousWindowError", "AutocorrSeries", "BarkerApproximation",
-    "BoundState", "BUILTIN_SCENARIOS", "CompletenessWarning",
+    "BUILTIN_SCENARIOS", "CompletenessWarning",
     "ConvergenceError", "CutoffTooSmallError", "EdgePeakError", "FockWeights",
     "GaussianSpec",
     "HorizonTooShortError", "InfiniteWellState",
@@ -37,10 +36,10 @@ __all__ = [
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "WellConfig", "autocorrelation", "barker",
     "coherent_weights", "detect_revival",
-    "detection_grid", "eigenfunction_value", "evolve",
-    "hermite_log", "infinite_evolve", "infinite_project", "load_scenario",
+    "detection_grid", "evolve",
+    "hermite_log", "infinite_project", "load_scenario",
     "orthonormality_matrix", "oscillator_phase_rates",
-    "oscillator_timescales", "parity_filtered", "principal_revival",
+    "oscillator_timescales", "principal_revival",
     "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
     "transcendental_residual",

@@ -22,8 +22,8 @@ from .csvtext import csv_rows
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
-                      autocorrelation, principal_revival, scan_superrevival,
-                      table1_report)
+                      autocorrelation, detection_grid, principal_revival,
+                      scan_superrevival, table1_report)
 from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
                         require_finite)
 from .spectrum import WellConfig, barker, solve_spectrum
@@ -38,8 +38,7 @@ _CUSTOM_OSCILLATOR = ScenarioConfig(
     name="custom", tau_max=5.0, tau_step=1e-4, horizon=600.0,
     oscillator=OscillatorSystem(beta=0.0, kind="coherent", alpha=0.0))
 
-# Largest `autocorr` series and `snapshot` grid, refused before allocation.
-MAX_SAMPLES = 10 ** 7
+# Largest `snapshot` grid, refused before allocation.
 MAX_GRID = 10 ** 6
 
 
@@ -219,14 +218,9 @@ def cmd_spectrum(epsilon, fmt, out):
 def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
     """Squared autocorrelation series over the scenario's time grid."""
     cfg = _resolve_scenario(tau_max=tau_max, tau_step=tau_step, **system)
+    taus = detection_grid(0.0, cfg.tau_max, cfg.tau_step)
     fock = _fock_for(cfg)
     weights, rates, _completeness = _series_inputs(cfg, fock)
-    steps = cfg.tau_max / cfg.tau_step + 1e-9
-    if not steps < MAX_SAMPLES:
-        raise ValueError(f"the grid would hold {steps + 1:.0f} samples, more "
-                         f"than {MAX_SAMPLES}; raise --tau-step or lower --tau-max")
-    n_steps = int(math.floor(steps))
-    taus = np.arange(0, n_steps + 1, dtype=float) * cfg.tau_step
     series = autocorrelation(weights, rates, taus, provenance=cfg.name)
     ref_values = None
     if reference:

@@ -9,7 +9,6 @@ cubic-nonlinear oscillator (``theta = 2 pi n^2 + 2 pi beta n^3``).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,8 @@ SUPERREVIVAL_THRESHOLD = 0.95
 ENVELOPE_STEP = 1e-3
 # Most scan steps: below 2**53 each float(j) * ENVELOPE_STEP has an exact index j.
 MAX_SCAN_STEPS = 2 ** 53
+# Largest grid detection_grid builds, refused before allocation.
+MAX_SAMPLES = 10 ** 7
 DEFAULT_WINDOW = (0.9, 1.5)
 RETRY_WINDOW = (0.95, 1.05)
 
@@ -284,25 +285,23 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     """First time the per-cycle peak envelope recovers after a collapse.
 
     The envelope is the highest ``|A|^2`` of each whole revival cycle on the
-    grid ``j*ENVELOPE_STEP`` up to ``horizon`` (:func:`_envelope_runs`).  Its
-    level is ``SUPERREVIVAL_THRESHOLD`` of the first sample, ``|A(0)|^2``,
-    which bounds every sample up to rounding since ``|A| <= sum(w)``.
-    Returns the peak time of the first cycle at or above the level after a
-    cycle below it, once the run completing that cycle is folded.  Returns
-    ``None`` when no cycle dips and raises :class:`HorizonTooShortError`
-    when one dips but none recovers; both verdicts scan the whole horizon.
+    grid ``j*ENVELOPE_STEP`` up to ``horizon`` (:func:`_envelope_cycles`).
+    Its level is ``SUPERREVIVAL_THRESHOLD`` of the first sample,
+    ``|A(0)|^2``, which bounds every sample up to rounding since ``|A| <=
+    sum(w)``.  Returns the peak time of the first cycle at or above the
+    level after a cycle below it, once the run completing that cycle is
+    folded.  Returns ``None`` when no cycle dips and raises
+    :class:`HorizonTooShortError` when one dips but none recovers; both
+    verdicts scan the whole horizon.
     """
-    envelope = _envelope_runs(weights, rates, horizon, revival_period)
-    first_dip, judged = None, 0
-    with contextlib.closing(envelope):
-        for head, heights, peak_taus, done in envelope:
-            for k in range(judged, done):
-                if first_dip is None:
-                    if heights[k] < SUPERREVIVAL_THRESHOLD * head:
-                        first_dip = k
-                elif heights[k] >= SUPERREVIVAL_THRESHOLD * head:
-                    return float(peak_taus[k])
-            judged = done
+    first_dip = None
+    for k, (head, height, peak_tau) in enumerate(
+            _envelope_cycles(weights, rates, horizon, revival_period)):
+        if first_dip is None:
+            if height < SUPERREVIVAL_THRESHOLD * head:
+                first_dip = k
+        elif height >= SUPERREVIVAL_THRESHOLD * head:
+            return peak_tau
     if first_dip is None:
         return None
     raise HorizonTooShortError(
@@ -310,16 +309,16 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
         f"{first_dip} but never recovers within the sampled horizon")
 
 
-def _envelope_runs(weights, rates, horizon, period):
+def _envelope_cycles(weights, rates, horizon, period):
     """Fold ``|A|^2`` at ``j*ENVELOPE_STEP``, ``j <= floor(horizon /
     ENVELOPE_STEP + 1e-9)``, into the peak height and its time per whole
-    cycle ``starts[k]:starts[k+1]`` (:func:`_cycle_starts`), run by run.
+    cycle ``_cycle_start(k):_cycle_start(k + 1)``, run by run.
 
     A cycle takes one argmax per run slice, kept only when strictly higher,
-    so one spanning a run edge keeps its first maximum.  After each run this
-    yields ``(|A(0)|^2, heights, peak_taus, done)``: the arrays are updated
-    in place and ``done`` counts the complete cycles.  It holds one kernel
-    run and one entry per cycle, and its samples are those of
+    so one spanning a run edge keeps its first maximum.  Each cycle is
+    yielded as ``(|A(0)|^2, height, peak_tau)`` as soon as the run that
+    completes it is folded, so the scan holds one kernel run and the
+    current cycle however long the horizon.  Its samples are those of
     ``autocorrelation(weights, rates, grid)`` bit for bit.
     """
     if not math.isfinite(horizon):
@@ -335,51 +334,60 @@ def _envelope_runs(weights, rates, horizon, period):
     n_cycles = int(math.floor(float(last) * ENVELOPE_STEP / period))
     if n_cycles < 2:
         raise ValueError("series must span at least two revival cycles")
-    starts = _cycle_starts(n_cycles, period)
-    heights, peak_taus = np.full(n_cycles, -np.inf), np.zeros(n_cycles)
     # the spacing autocorrelation infers from this grid's end points
     spacing = (float(last) * ENVELOPE_STEP) / last
-    runs = _blocked_amplitudes(w, th, 0.0, spacing, last + 1)
-    with contextlib.closing(runs):
-        for j0, amps in runs:
-            values = np.abs(amps) ** 2
-            if j0 == 0:
-                head = values[0]
-            j1 = j0 + len(values)
-            k0, k1, done = np.searchsorted(starts, [j0, j1 - 1, j1], side="right") - 1
-            for k in range(k0, min(k1 + 1, n_cycles)):
-                lo = max(starts[k], j0) - j0
-                i = lo + int(np.argmax(values[lo:min(starts[k + 1], j1) - j0]))
-                if values[i] > heights[k]:
-                    heights[k], peak_taus[k] = values[i], float(j0 + i) * ENVELOPE_STEP
-            yield head, heights, peak_taus, int(done)
+    # cycle k's unfolded samples are lo:hi
+    k, lo, hi = 0, 0, _cycle_start(1, period)
+    height, peak_tau = -math.inf, 0.0
+    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
+        values = np.abs(amps) ** 2
+        if j0 == 0:
+            head = values[0]
+        j1 = j0 + len(values)
+        # samples past the last whole cycle are drawn but join no cycle
+        while k < n_cycles and lo < j1:
+            i = lo - j0 + int(np.argmax(values[lo - j0:min(hi, j1) - j0]))
+            if values[i] > height:
+                height, peak_tau = values[i], float(j0 + i) * ENVELOPE_STEP
+            if hi > j1:
+                lo = j1
+                break
+            yield head, height, peak_tau
+            k, lo, hi = k + 1, hi, _cycle_start(k + 2, period)
+            height = -math.inf
 
 
-def _cycle_starts(n_cycles, period):
-    """Least ``j`` with ``floor((float(j) * ENVELOPE_STEP) / period) >= k``
-    for ``k = 0..n_cycles``.
+def _cycle_start(k, period):
+    """Least ``j`` with ``floor((float(j) * ENVELOPE_STEP) / period) >= k``.
 
     The estimate ``ceil(k * period / ENVELOPE_STEP)`` can miss it by
     rounding; unit steps against that exact expression, which never
     decreases in ``j``, put it right.
     """
-    k = np.arange(n_cycles + 1)
-    starts = np.ceil(k * period / ENVELOPE_STEP).astype(np.int64)
-    while True:
-        early = np.floor(starts * ENVELOPE_STEP / period) < k
-        late = (starts > 0) & (np.floor((starts - 1) * ENVELOPE_STEP / period) >= k)
-        if not (early.any() or late.any()):
-            return starts
-        starts = starts + early - late
+    j = math.ceil(k * period / ENVELOPE_STEP)
+    while math.floor(j * ENVELOPE_STEP / period) < k:
+        j += 1
+    while j > 0 and math.floor((j - 1) * ENVELOPE_STEP / period) >= k:
+        j -= 1
+    return j
 
 
 def detection_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Grid of exact integer multiples of ``step`` covering ``[lo, hi]``."""
-    k0 = int(np.ceil(lo / step - 1e-9))
-    k1 = int(np.floor(hi / step + 1e-9))
-    if k1 < k0 + 2:
+    """Grid of exact integer multiples of ``step`` covering ``[lo, hi]``.
+
+    Its size is checked on the float bounds, before any integer conversion
+    or allocation: a grid of fewer than two or more than ``MAX_SAMPLES``
+    samples is refused.
+    """
+    k0 = np.ceil(lo / step - 1e-9)
+    k1 = np.floor(hi / step + 1e-9)
+    samples = k1 - k0 + 1.0
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(f"the grid would hold {samples:.0f} samples, more than "
+                         f"{MAX_SAMPLES}; widen the step or narrow the range")
+    if samples < 2:
         raise ValueError("window too narrow for the requested step")
-    return np.arange(k0, k1 + 1, dtype=float) * step
+    return np.arange(int(k0), int(k1) + 1, dtype=float) * step
 
 
 def principal_revival(weights, rates, predicted: float, provenance: str = ""):
@@ -394,7 +402,8 @@ def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     :class:`EdgePeakError`.  Fewer than two levels that carry weight make
     ``|A|^2`` constant to within rounding, and are refused with
     ``ValueError`` before any grid, and so is a prediction that is not
-    finite and positive.
+    finite and positive, or one whose window would exceed ``MAX_SAMPLES``
+    (:func:`detection_grid`).
     """
     if not (math.isfinite(predicted) and predicted > 0.0):
         raise ValueError(f"predicted revival time {predicted} is not finite and "

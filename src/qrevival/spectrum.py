@@ -24,7 +24,6 @@ would carry fewer than about four correct digits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,28 +56,11 @@ class WellConfig:
         return int(np.floor(2.0 * self.epsilon / np.pi)) + 1
 
 
-@dataclass(frozen=True)
-class BoundState:
-    """One bound level: 1-based index, parity, root pair and normalization."""
-
-    index: int
-    parity: str
-    alpha: float
-    beta: float
-    norm: float
-    weakly_bound: bool = False
-
-    @property
-    def energy(self) -> float:
-        return self.alpha ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Every bound level of one well as arrays, ordered by increasing energy.
 
-    ``even`` is the parity mask.  ``spectrum[i]`` is level ``i`` as a
-    :class:`BoundState`, for callers that need a single level.
+    ``even`` is the parity mask; level ``n`` is entry ``n - 1`` of each array.
     """
 
     alpha: np.ndarray
@@ -89,13 +71,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.alpha)
 
-    def __getitem__(self, i) -> BoundState:
-        i = range(len(self))[operator.index(i)]  # IndexError when out of range
-        return BoundState(index=i + 1, parity="even" if self.even[i] else "odd",
-                          alpha=float(self.alpha[i]), beta=float(self.beta[i]),
-                          norm=float(self.norm[i]),
-                          weakly_bound=bool(self.weakly_bound[i]))
-
     @property
     def rates(self) -> np.ndarray:
         """Phase accumulated per unit scaled time, ``8 alpha^2 / pi``."""
@@ -103,8 +78,9 @@ class Spectrum:
 
     @property
     def energy(self) -> np.ndarray:
-        # C pow(), as ``BoundState.energy`` squares: ``** 2`` on an array
-        # multiplies, which can round the other way.
+        # C pow(), which Python's ``float ** 2`` also calls: ``** 2`` on an
+        # array multiplies, which can round the other way.  The printed
+        # energies and rates keep pow()'s bits.
         return np.float_power(self.alpha, 2)
 
     @property
@@ -228,17 +204,6 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
 
     norms = 1.0 / np.sqrt(profile_overlaps(root, beta, root, beta, even_mask))
     return Spectrum(alpha=root, beta=beta, even=even_mask, norm=norms)
-
-
-def eigenfunction_value(state: BoundState, xbar):
-    """Evaluate the normalized eigenfunction at scaled positions."""
-    x = np.asarray(xbar, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("positions must be finite")
-    row = eigenfunction_rows(np.array([state.alpha]), np.array([state.beta]),
-                             np.array([state.parity == "even"]),
-                             np.array([state.norm]), x.ravel())[0]
-    return float(row[0]) if x.ndim == 0 else row.reshape(x.shape)
 
 
 def eigenfunction_rows(alpha, beta, even, norm, x):

@@ -1,12 +1,11 @@
 """Initial states, their expansion over bound states, and time evolution.
 
-A Gaussian packet (or a single designated eigenstate) is projected onto a
-bound-state set by closed-form overlap integrals.  Evolution is diagonal:
-coefficient ``n`` picks up ``exp(-i * rate_n * tau)`` where ``rate_n`` is the
-state's phase rate in scaled time.  The infinitely deep well gets its own
-projection and evolution path over the trigonometric basis
-``sqrt(2) cos(n pi x)`` for odd ``n`` and ``sqrt(2) sin(n pi x)`` for even
-``n``, whose phase law is exactly quadratic, ``exp(-2 pi i n^2 tau)``.
+A Gaussian packet is projected onto a bound-state set by closed-form overlap
+integrals.  Evolution is diagonal: coefficient ``n`` picks up ``exp(-i *
+rate_n * tau)`` where ``rate_n`` is the state's phase rate in scaled time.
+The infinitely deep well gets its own projection over the trigonometric
+basis ``sqrt(2) cos(n pi x)`` for odd ``n`` and ``sqrt(2) sin(n pi x)`` for
+even ``n``, whose phase law is exactly quadratic, ``exp(-2 pi i n^2 tau)``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessWarning
-from .spectrum import (BoundState, Spectrum, edge_values, eigenfunction_rows,
-                       profile_overlaps)
+from .spectrum import Spectrum, edge_values, eigenfunction_rows
 
 COMPLETENESS_FLOOR = 0.999
 _SNAPSHOT_BLOCK = 65536
@@ -148,29 +146,22 @@ def _gaussian_transforms(spec: GaussianSpec, alpha, beta=None):
 def project(initial, states: Spectrum) -> SpectralDecomposition:
     """Overlap coefficients of an initial state with each bound state.
 
-    ``initial`` is a :class:`GaussianSpec` or a :class:`BoundState` drawn
-    from the same well.  Coefficients are real for these real initial
-    states.  A :class:`CompletenessWarning` is issued when the captured
-    weight falls below ``COMPLETENESS_FLOOR``, which signals that the packet
-    leaks into unbound levels and results are outside the method's domain of
-    validity.
+    ``initial`` is a :class:`GaussianSpec`; the coefficients of this real
+    state are real.  A :class:`CompletenessWarning` is issued when the
+    captured weight falls below ``COMPLETENESS_FLOOR``, which signals that
+    the packet leaks into unbound levels and results are outside the
+    method's domain of validity.
     """
     if not states:
         raise ValueError("need at least one bound state")
-    alpha, beta, even, norm = states.alpha, states.beta, states.even, states.norm
-
-    if isinstance(initial, GaussianSpec):
-        edge = edge_values(alpha, even)
-        inside, right, left = _gaussian_transforms(initial, alpha, beta)
-        overlaps = np.where(even, inside.real + edge * (right + left),
-                            inside.imag + edge * (right - left))
-        coeffs = norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
-    elif isinstance(initial, BoundState):
-        same = even == (initial.parity == "even")
-        overlaps = profile_overlaps(initial.alpha, initial.beta, alpha, beta, even)
-        coeffs = np.where(same, initial.norm * norm * overlaps, 0.0)
-    else:
+    if not isinstance(initial, GaussianSpec):
         raise TypeError(f"unsupported initial state {type(initial).__name__}")
+    alpha, beta, even = states.alpha, states.beta, states.even
+    edge = edge_values(alpha, even)
+    inside, right, left = _gaussian_transforms(initial, alpha, beta)
+    overlaps = np.where(even, inside.real + edge * (right + left),
+                        inside.imag + edge * (right - left))
+    coeffs = states.norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
 
     completeness = float(np.sum(coeffs ** 2))
     if completeness < COMPLETENESS_FLOOR:
@@ -231,29 +222,3 @@ def infinite_project(spec: GaussianSpec, n_max: int | None = None) -> InfiniteWe
         if reached.size:
             coeffs = coeffs[:reached[0] + 1]
     return InfiniteWellState(coefficients=coeffs.astype(complex))
-
-
-def infinite_evolve(state: InfiniteWellState, tau: float) -> InfiniteWellState:
-    """Quadratic phase law; exactly periodic with unit period."""
-    phases = np.exp(-2j * np.pi * state.n ** 2 * tau)
-    return InfiniteWellState(coefficients=state.coefficients * phases)
-
-
-def parity_filtered(state: InfiniteWellState, parity: str,
-                    renormalize: bool = True) -> InfiniteWellState:
-    """Keep one parity sector of a box-basis state.
-
-    Even-parity amplitudes sit on the cosine modes (odd ``n``), odd-parity
-    amplitudes on the sine modes (even ``n``).
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    keep_odd_n = (parity == "even")
-    mask = (state.n % 2 == 1) == keep_odd_n
-    c = np.where(mask, state.coefficients, 0.0)
-    if renormalize:
-        total = np.sqrt(np.sum(np.abs(c) ** 2))
-        if total == 0:
-            raise ValueError(f"state has no {parity}-parity component")
-        c = c / total
-    return InfiniteWellState(coefficients=c)

@@ -18,8 +18,8 @@ from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       WellConfig, autocorrelation, barker, detect_revival,
                       detection_grid, infinite_project, orthonormality_matrix,
                       oscillator_phase_rates, oscillator_timescales,
-                      parity_filtered, project, scan_superrevival,
-                      solve_spectrum, squeezed_weights, table1_report)
+                      project, scan_superrevival, solve_spectrum,
+                      squeezed_weights, table1_report)
 from qrevival.wavepacket import COMPLETENESS_FLOOR
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -185,10 +185,11 @@ def test_criterion_3_box_parity_theorems():
             problems.append(f"even packet |A({k}/8)|^2 = {abs(amp)**2:.12f}")
 
     narrow = infinite_project(GaussianSpec(x0=0.2, sigma=0.06))
-    odd_state = parity_filtered(narrow, "odd")
+    # the odd-parity part sits on the sine modes, even n; renormalised
+    odd_weights = np.where(narrow.n % 2 == 0, narrow.weights, 0.0)
+    odd_weights = odd_weights / odd_weights.sum()
     for k in range(1, 9):
-        amp = np.sum(odd_state.weights
-                     * np.exp(-2j * np.pi * odd_state.n ** 2 * (k / 4.0)))
+        amp = np.sum(odd_weights * np.exp(-2j * np.pi * narrow.n ** 2 * (k / 4.0)))
         if abs(amp) ** 2 <= 1.0 - 1e-9:
             problems.append(f"odd packet |A({k}/4)|^2 = {abs(amp)**2:.12f}")
 
@@ -286,8 +287,7 @@ def test_criterion_5_property_suite():
         problems.append(f"evolution is not unitary: {unit_dev:.2e}")
 
     _, decomp_even, _ = projections[12.0, CENTERED_PACKET]
-    odd_amp = max(abs(c) for c, s in zip(decomp_even.coefficients, states12)
-                  if s.parity == "odd")
+    odd_amp = np.abs(decomp_even.coefficients[~states12.even]).max()
     if odd_amp > 1e-12:
         problems.append(f"parity selection broken: {odd_amp:.2e}")
 

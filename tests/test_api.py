@@ -1,7 +1,8 @@
 import qrevival
 
 DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
-           "timescales", "TimescaleHierarchy")
+           "timescales", "TimescaleHierarchy", "BoundState",
+           "eigenfunction_value", "infinite_evolve", "parity_filtered")
 
 
 def test_every_exported_name_resolves():

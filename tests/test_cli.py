@@ -16,7 +16,7 @@ import qrevival
 from qrevival import (BUILTIN_SCENARIOS, GaussianSpec, ScenarioConfig, WellConfig,
                       autocorrelation, coherent_weights, load_scenario, project,
                       snapshot, solve_spectrum, squeezed_weights, table1_report)
-from qrevival import cli
+from qrevival import cli, revival
 from qrevival.cli import main
 
 
@@ -179,9 +179,17 @@ def test_autocorr_refuses_an_oversized_grid_before_building_it(runner):
 def test_autocorr_grid_limit_counts_samples(runner):
     # tau_max / tau_step = MAX_SAMPLES means MAX_SAMPLES + 1 samples
     result = runner.invoke(main, ["autocorr", "--epsilon", "12", "--tau-max", "1",
-                                  "--tau-step", repr(1.0 / cli.MAX_SAMPLES)])
+                                  "--tau-step", repr(1.0 / revival.MAX_SAMPLES)])
     assert result.exit_code == 2
-    assert f"{cli.MAX_SAMPLES + 1} samples" in result.stderr
+    assert f"{revival.MAX_SAMPLES + 1} samples" in result.stderr
+
+
+def test_autocorr_keeps_a_two_sample_grid(runner):
+    result = runner.invoke(main, ["autocorr", "--epsilon", "12", "--tau-max", "1e-4",
+                                  "--tau-step", "1e-4"])
+    assert result.exit_code == 0
+    header, *rows = result.stdout.splitlines()
+    assert header == "tau,autocorr" and len(rows) == 2
 
 
 def test_autocorr_flag_conflicts(runner):
@@ -579,9 +587,12 @@ def test_oscillator_zero_beta_reports_no_superrevival_scale(runner):
 # At alpha = sqrt(2) the centre level is 2, where beta = -1/6 cancels
 # 1 + 3 n beta and beta = -1/3 cancels 2 n + 3 beta n^2.  The latter's
 # revival window (0.9, 1.5) ends on its exact recurrence at t_sr / 2 = 1.5.
+# Near -1/6 the revival time is finite but about 2.5e4, and its window
+# would hold 1.5e8 samples.
 CANCELLING = [("-0.16666666666666666", ["revival_closed_form", "t_revival"], 2,
                "not finite and positive"),
-              ("-0.3333333333333333", ["t_classical"], 4, "peaks at its edge")]
+              ("-0.3333333333333333", ["t_classical"], 4, "peaks at its edge"),
+              ("-0.16666", [], 2, "150000000 samples")]
 
 
 @pytest.mark.parametrize("beta, nulls, code, message", CANCELLING)
@@ -618,8 +629,7 @@ def _scenario_runs(name):
     runs = [
         (["autocorr", "--scenario", name, "--tau-max", "0.05", "--reference",
           "--format", "json"], 0),
-        (["revivals", "--scenario", name, "--superrevival"],
-         4 if name == "fig1b" else 0),  # fig1b recovers only near tau = 201
+        (["revivals", "--scenario", name, "--superrevival"], 0),
     ]
     finite_well = cfg.epsilon is not None and np.isfinite(cfg.epsilon)
     runs.append((["snapshot", "--scenario", name, "--tau", "0,0.5", "--grid", "32",

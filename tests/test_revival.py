@@ -569,6 +569,17 @@ def test_ambiguous_window_is_refused():
         detect_revival(series, (1.0, 1.02))
 
 
+def test_detection_grid_bounds_its_size_before_building_it():
+    assert detection_grid(0.0, 1e-4, 1e-4).tolist() == [0.0, 1e-4]
+    with pytest.raises(ValueError, match="too narrow"):
+        detection_grid(0.5, 0.5, 1.0)
+    # counted on the float bounds, so no integer conversion can overflow
+    for hi, step, count in ((1.0, 1.0 / revival.MAX_SAMPLES, revival.MAX_SAMPLES + 1),
+                            (1.0, 5e-324, "inf"), (np.nan, 1e-4, "nan")):
+        with pytest.raises(ValueError, match=f"hold {count} samples"):
+            detection_grid(0.0, hi, step)
+
+
 def test_detection_rejects_coarse_grids():
     taus = np.arange(0, 200, dtype=float) * 1e-2
     series = AutocorrSeries(tau=taus, values=np.ones_like(taus))
@@ -683,11 +694,10 @@ def materialised_envelope(w, rates, period, horizon):
 
 def streamed_envelope(w, rates, horizon, period):
     """``|A(0)|^2`` and the envelope the scan folds, taken to the horizon."""
-    for head, heights, peak_taus, done in revival._envelope_runs(w, rates, horizon,
-                                                                 period):
-        pass
-    assert done == len(heights)
-    return head, heights, peak_taus
+    heads, heights, peak_taus = zip(*revival._envelope_cycles(w, rates, horizon,
+                                                              period))
+    assert len(set(heads)) == 1
+    return heads[0], np.array(heights), np.array(peak_taus)
 
 
 @pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
@@ -752,7 +762,7 @@ def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
 def test_cycle_starts_match_the_floor_of_every_sample(period):
     last = 600000
     n_cycles = int(np.floor(last * SCAN_STEP / period))
-    starts = revival._cycle_starts(n_cycles, period)
+    starts = [revival._cycle_start(k, period) for k in range(n_cycles + 1)]
     cycle = np.floor(np.arange(last + 1, dtype=float) * SCAN_STEP / period)
     expected = np.searchsorted(cycle, np.arange(n_cycles + 1))
     assert np.array_equal(starts, expected)
@@ -763,7 +773,7 @@ def test_cycle_starts_correct_the_estimate_both_ways():
     period, n_cycles = 0.007, 85714
     k = np.arange(n_cycles + 1)
     estimate = np.ceil(k * period / SCAN_STEP).astype(np.int64)
-    miss = estimate - revival._cycle_starts(n_cycles, period)
+    miss = estimate - [revival._cycle_start(int(j), period) for j in k]
     assert miss.min() == -1 and miss.max() == 1
 
 
@@ -809,6 +819,21 @@ def test_streamed_scan_holds_one_run_in_memory():
     finally:
         tracemalloc.stop()
     assert detected == 201.472  # 4,000,001 samples
+    assert peak < 16 * 2 ** 20
+
+
+def test_long_horizon_scan_holds_no_per_cycle_arrays():
+    # 852,000 whole cycles fit in the horizon, but the recovery comes in
+    # the 13th: nothing is held per cycle that has not been sampled
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    period = barker(WellConfig(epsilon=12.0)).approx_revival_time
+    tracemalloc.start()
+    try:
+        detected = scan_superrevival(w, rates, 1e6, period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert detected == 14.891
     assert peak < 16 * 2 ** 20
 
 

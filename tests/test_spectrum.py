@@ -5,14 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qrevival import (ConvergenceError, WellConfig, barker,
-                      eigenfunction_value, orthonormality_matrix,
-                      solve_spectrum, transcendental_residual)
+from qrevival import (ConvergenceError, Spectrum, WellConfig, barker,
+                      orthonormality_matrix, solve_spectrum,
+                      transcendental_residual)
+from qrevival.spectrum import eigenfunction_rows
 
 
-def closed_form_norm(state):
+def closed_form_norm(beta):
     """Textbook normalization constant; cross-check for the numerical norm."""
-    return np.sqrt(2.0 / (1.0 + 1.0 / state.beta))
+    return np.sqrt(2.0 / (1.0 + 1.0 / beta))
+
+
+def level_values(states, i, x):
+    """Level ``i``'s normalized eigenfunction at the positions ``x``."""
+    level = slice(i, i + 1)
+    return eigenfunction_rows(states.alpha[level], states.beta[level],
+                              states.even[level], states.norm[level],
+                              np.asarray(x, dtype=float))[0]
 
 
 def mp_beta(epsilon, n):
@@ -45,25 +54,20 @@ def test_bound_state_counts(epsilon, count):
 def test_levels_agree_with_the_arrays(epsilon):
     states = solve_spectrum(WellConfig(epsilon=epsilon))
     n = len(states)
-    assert n == int(np.floor(2.0 * epsilon / np.pi)) + 1
-    for i in sorted({0, n // 2, n - 1, -1, -n}):
-        level, j = states[i], i % n
-        assert level.index == j + 1
-        assert level.parity == ("even" if states.even[j] else "odd")
-        assert (level.alpha, level.beta, level.norm) == \
-            (states.alpha[j], states.beta[j], states.norm[j])
-        assert level.energy == states.energy[j]
-        assert level.weakly_bound == states.weakly_bound[j]
-    assert [level.alpha for level in states] == states.alpha.tolist()
-    for bad in (n, -n - 1):
-        with pytest.raises(IndexError):
-            states[bad]
+    assert n == int(np.floor(2.0 * epsilon / np.pi)) + 1 and states
+    for name in ("alpha", "beta", "even", "norm", "energy", "rates", "weakly_bound"):
+        assert getattr(states, name).shape == (n,)
+    assert np.array_equal(states.even, np.arange(n) % 2 == 0)
+    assert np.array_equal(states.weakly_bound, states.beta < 1e-6)
+    # each energy keeps the bits of a Python float squared by pow()
+    assert states.energy.tolist() == [a ** 2 for a in states.alpha.tolist()]
+    assert not hasattr(Spectrum, "__getitem__")
 
 
 def test_unit_strength_well_binds_single_even_state():
     states = solve_spectrum(WellConfig(epsilon=1.0))
     assert len(states) == 1
-    assert states[0].parity == "even"
+    assert states.even[0]
 
 
 def test_roots_against_high_precision_bisection(well12):
@@ -78,50 +82,48 @@ def test_roots_against_high_precision_bisection(well12):
             return a * mpmath.tan(a) - b
         return a * mpmath.cot(a) + b
 
-    for state in well12:
-        k = (state.index - 1) // 2
-        if state.parity == "even":
+    for i, alpha in enumerate(well12.alpha):
+        k, parity = i // 2, "even" if well12.even[i] else "odd"
+        if parity == "even":
             lo, hi = k * mpmath.pi + mpmath.mpf("1e-30"), k * mpmath.pi + mpmath.pi / 2
         else:
             lo, hi = k * mpmath.pi + mpmath.pi / 2, (k + 1) * mpmath.pi
         hi = min(hi, eps)
-        flo = residual(lo, state.parity)
+        flo = residual(lo, parity)
         for _ in range(220):
             mid = (lo + hi) / 2
-            fm = residual(mid, state.parity)
+            fm = residual(mid, parity)
             if mpmath.sign(fm) == mpmath.sign(flo):
                 lo, flo = mid, fm
             else:
                 hi = mid
         oracle = float((lo + hi) / 2)
-        assert abs(state.alpha - oracle) < 1e-12
+        assert abs(alpha - oracle) < 1e-12
     assert np.abs(transcendental_residual(well12.alpha, well12.beta,
                                           well12.even)).max() < 1e-10
 
 
 def test_interlacing_and_parity_alternation(well12):
-    alphas = [s.alpha for s in well12]
-    assert all(a < b for a, b in zip(alphas, alphas[1:]))
-    assert [s.parity for s in well12] == ["even", "odd"] * 4
+    assert np.all(np.diff(well12.alpha) > 0)
+    assert well12.even.tolist() == [True, False] * 4
 
 
 def test_alpha_beta_circle(well12):
-    for s in well12:
-        assert np.isclose(s.alpha ** 2 + s.beta ** 2, 144.0, rtol=1e-12)
+    assert np.allclose(well12.alpha ** 2 + well12.beta ** 2, 144.0, rtol=1e-12, atol=0)
 
 
 def test_normalization_against_quad_oracle(well12):
-    for state in well12:
-        xmax = 0.5 + 30.0 / state.beta
-        val, _ = quad(lambda x, s=state: eigenfunction_value(s, x) ** 2,
+    for i, beta in enumerate(well12.beta):
+        xmax = 0.5 + 30.0 / beta
+        val, _ = quad(lambda x, i=i: level_values(well12, i, [x])[0] ** 2,
                       -xmax, xmax, points=(-0.5, 0.5), epsabs=1e-12, limit=300)
         assert abs(val - 1.0) < 1e-8
 
 
 def test_numerical_norm_confirms_closed_form(well12):
     # the closed-form constant is exact at a true root; record the gap
-    gaps = [abs(s.norm - closed_form_norm(s)) / s.norm for s in well12]
-    assert max(gaps) < 1e-10
+    gaps = np.abs(well12.norm - closed_form_norm(well12.beta)) / well12.norm
+    assert gaps.max() < 1e-10
 
 
 def test_gram_matrix_is_identity(well12):
@@ -131,36 +133,32 @@ def test_gram_matrix_is_identity(well12):
 
 def test_opposite_parity_overlaps_are_exact_zeros(well12):
     gram = orthonormality_matrix(well12)
-    for i, si in enumerate(well12):
-        for k, sk in enumerate(well12):
-            if si.parity != sk.parity:
-                assert gram[i, k] == 0.0
+    opposite = well12.even[:, None] != well12.even[None, :]
+    assert opposite.sum() == 32
+    assert np.all(gram[opposite] == 0.0)
 
 
 def test_eigenfunction_continuity_at_the_walls(well12):
-    for state in well12:
+    for i in range(len(well12)):
         for edge in (-0.5, 0.5):
-            inside = eigenfunction_value(state, edge)
-            outside = eigenfunction_value(state, edge + np.copysign(1e-12, edge))
+            inside, outside = level_values(
+                well12, i, [edge, edge + np.copysign(1e-12, edge)])
             assert abs(inside - outside) < 1e-9
 
 
 def test_odd_states_vanish_at_center(well12):
-    for state in well12:
-        if state.parity == "odd":
-            assert eigenfunction_value(state, 0.0) == 0.0
+    for i in np.flatnonzero(~well12.even):
+        assert level_values(well12, i, [0.0])[0] == 0.0
 
 
 def test_exponential_decay_outside(well12):
-    state = well12[0]
-    near, far = eigenfunction_value(state, 0.7), eigenfunction_value(state, 1.2)
-    assert abs(far) < abs(near) * np.exp(-2.0 * state.beta * 0.49)
+    near, far = level_values(well12, 0, [0.7, 1.2])
+    assert abs(far) < abs(near) * np.exp(-2.0 * well12.beta[0] * 0.49)
 
 
 def test_even_state_edge_value_matches_decay_formula(well12):
-    state = well12[0]
-    assert np.isclose(eigenfunction_value(state, 0.5),
-                      state.norm * np.cos(state.alpha), rtol=1e-13)
+    assert np.isclose(level_values(well12, 0, [0.5])[0],
+                      well12.norm[0] * np.cos(well12.alpha[0]), rtol=1e-13)
 
 
 def test_barker_tabulated_values():
@@ -196,8 +194,8 @@ def test_rejects_invalid_strength(bad):
 def test_weakly_bound_flag_for_vanishing_well():
     states = solve_spectrum(WellConfig(epsilon=1e-4))
     assert len(states) == 1
-    assert states[0].weakly_bound
-    assert states[0].beta < 1e-6
+    assert states.weakly_bound[0]
+    assert states.beta[0] < 1e-6
 
 
 @pytest.mark.parametrize("epsilon", [1e-20, 1e-100])
@@ -267,17 +265,12 @@ def test_count_tracks_strength_formula():
         assert abs(len(states) - (2.0 * eps / np.pi + 1.0)) < 1.0
 
 
-def test_eigenfunction_rejects_nonfinite_positions(well12):
-    with pytest.raises(ValueError):
-        eigenfunction_value(well12[0], np.inf)
-
-
 def test_orthonormality_requires_states():
     with pytest.raises(ValueError):
         orthonormality_matrix([])
 
 
 def test_phase_rate_convention(well12):
-    state = well12[0]
-    assert np.isclose(well12.rates[0], 8.0 * state.alpha ** 2 / np.pi, rtol=1e-15)
-    assert state.energy == state.alpha ** 2
+    alpha = float(well12.alpha[0])
+    assert np.isclose(well12.rates[0], 8.0 * alpha ** 2 / np.pi, rtol=1e-15)
+    assert well12.energy[0] == alpha ** 2

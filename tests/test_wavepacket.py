@@ -7,11 +7,10 @@ from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 from scipy.special import wofz
 
-from qrevival import (CompletenessWarning, GaussianSpec, WellConfig,
-                      eigenfunction_value, evolve, infinite_evolve,
-                      infinite_project, parity_filtered, project, snapshot,
-                      solve_spectrum)
-from qrevival.spectrum import edge_values
+from qrevival import (CompletenessWarning, GaussianSpec, SpectralDecomposition,
+                      WellConfig, evolve, infinite_project,
+                      orthonormality_matrix, project, snapshot, solve_spectrum)
+from qrevival.spectrum import edge_values, eigenfunction_rows
 from qrevival.wavepacket import faddeeva
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -95,8 +94,7 @@ def test_coefficients_match_quad_oracle(epsilon, x0, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
         ours = project(packet, states).coefficients.real
-    oracle = quad_coefficients(packet, [s.alpha for s in states],
-                               [s.beta for s in states])
+    oracle = quad_coefficients(packet, states.alpha, states.beta)
     assert np.abs(ours - oracle).max() <= 1e-13
 
 
@@ -121,9 +119,7 @@ def test_coefficients_real_for_real_packet(decomp12):
 def test_centered_packet_kills_odd_states(well12):
     with pytest.warns(CompletenessWarning):
         decomp = project(CENTERED_PACKET, well12)
-    odd = [abs(c) for c, s in zip(decomp.coefficients, well12)
-           if s.parity == "odd"]
-    assert max(odd) < 1e-12
+    assert np.abs(decomp.coefficients[~well12.even]).max() < 1e-12
 
 
 def test_centered_packet_leakage_warns(well12):
@@ -134,8 +130,15 @@ def test_centered_packet_leakage_warns(well12):
     assert 0.99 < decomp.completeness < 0.999
 
 
+def eigenstate_decomposition(states, k):
+    """Level ``k`` expanded over ``states``: row ``k`` of the Gram matrix."""
+    row = orthonormality_matrix(states)[k]
+    return SpectralDecomposition(coefficients=row.astype(complex),
+                                 completeness=float(np.sum(row ** 2)))
+
+
 def test_eigenstate_projects_to_kronecker_delta(well12):
-    decomp = project(well12[2], well12)
+    decomp = eigenstate_decomposition(well12, 2)
     expected = np.zeros(len(well12))
     expected[2] = 1.0
     assert np.abs(np.abs(decomp.coefficients) - expected).max() < 1e-8
@@ -153,7 +156,7 @@ def test_evolution_is_unitary(decomp12, well12, tau):
 
 
 def test_stationary_state_overlap_stays_unity(well12):
-    decomp = project(well12[3], well12)
+    decomp = eigenstate_decomposition(well12, 3)
     for tau in (0.3, 1.7, 9.2):
         c = evolve(decomp, well12, tau)
         overlap = np.vdot(decomp.coefficients, c)
@@ -199,7 +202,10 @@ def test_snapshot_sums_the_levels_in_order(epsilon):
     c = evolve(decomp, states, 0.37)
     psi = np.zeros(len(grid), dtype=complex)
     for k in range(len(states)):
-        psi += c[k] * eigenfunction_value(states[k], grid)
+        level = slice(k, k + 1)
+        psi += c[k] * eigenfunction_rows(states.alpha[level], states.beta[level],
+                                         states.even[level], states.norm[level],
+                                         grid)[0]
     assert np.array_equal(snapshot(decomp, states, 0.37, grid), np.abs(psi) ** 2)
 
 
@@ -281,15 +287,6 @@ def test_box_truncation_is_converged():
     assert np.abs(a.coefficients - b.coefficients[:64]).max() < 1e-12
 
 
-def test_box_evolution_is_unitary_and_periodic():
-    state = infinite_project(PAPER_PACKET)
-    moved = infinite_evolve(state, 0.37)
-    assert abs(moved.completeness - state.completeness) < 1e-12
-    once = infinite_evolve(state, 1.0)
-    overlap = np.vdot(state.coefficients, once.coefficients)
-    assert abs(abs(overlap) - state.completeness) < 1e-12
-
-
 def test_even_packet_recurs_every_eighth_period():
     state = infinite_project(CENTERED_PACKET)
     w = state.weights
@@ -300,20 +297,11 @@ def test_even_packet_recurs_every_eighth_period():
 
 def test_odd_packet_recurs_every_quarter_period():
     base = infinite_project(GaussianSpec(x0=0.2, sigma=0.06))
-    odd = parity_filtered(base, "odd")
-    w = odd.weights
-    amp = np.sum(w * np.exp(-2j * np.pi * odd.n ** 2 / 4.0))
+    # the odd-parity part sits on the sine modes, even n
+    w = np.where(base.n % 2 == 0, base.weights, 0.0)
+    w = w / w.sum()
+    amp = np.sum(w * np.exp(-2j * np.pi * base.n ** 2 / 4.0))
     assert abs(amp - w.sum()) < 1e-12
-
-
-def test_parity_filter_validates(decomp12):
-    state = infinite_project(PAPER_PACKET)
-    with pytest.raises(ValueError):
-        parity_filtered(state, "sideways")
-    filtered = parity_filtered(state, "odd")
-    assert abs(filtered.completeness - 1.0) < 1e-12
-    kept = np.abs(filtered.coefficients[1::2])
-    assert kept.max() > 0
 
 
 def test_deep_well_matches_box_coefficients():
