@@ -56,7 +56,51 @@ def _emit(text: str, out: str | None):
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, each
+    numpy array in ``payload`` standing for its ``tolist()``.
+
+    ``indent`` sends every value through the pure-Python encoder.  A flat
+    numeric array is instead encoded whole by the C encoder and re-indented,
+    one array at a time; parts of ``payload`` that hold no array go to
+    ``json.dumps`` unchanged.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, newline):
+    """The indented JSON of ``value``, every line break in it written as
+    ``newline``; objects that hold arrays need string keys."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind in "biuf" and len(value):
+            inner = newline + "  "
+            # no number's JSON holds ", ", so it separates the items alone
+            items = json.dumps(value.tolist())[1:-1].replace(", ", "," + inner)
+            return "[" + inner + items + newline + "]"
+        value = value.tolist()
+    try:
+        return json.dumps(value, indent=2, sort_keys=True,
+                          default=_refuse_array).replace("\n", newline)
+    except _HoldsArray:
+        pass
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("an object holding arrays needs string keys")
+        items = [inner + json.dumps(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + ",".join(items) + newline + "}"
+    items = [inner + _json_text(item, inner) for item in value]
+    return "[" + ",".join(items) + newline + "]"
+
+
+class _HoldsArray(Exception):
+    """``json.dumps`` met a numpy array."""
+
+
+def _refuse_array(value):
+    if isinstance(value, np.ndarray):
+        raise _HoldsArray
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cli_errors(fn):
@@ -235,10 +279,10 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
             header += ",reference"
         _emit(header + "\n" + csv_rows(columns), out)
     else:
-        payload = {"scenario": cfg.to_dict(), "tau": list(series.tau),
-                   "autocorr": list(series.values)}
+        payload = {"scenario": cfg.to_dict(), "tau": series.tau,
+                   "autocorr": series.values}
         if ref_values is not None:
-            payload["reference"] = list(ref_values)
+            payload["reference"] = ref_values
         _emit(_json_dump(payload), out)
 
 
@@ -251,6 +295,8 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
 def cmd_table1(x0, sigma, epsilons, fmt, out):
     """Detected vs predicted revival times across well strengths."""
     eps_list = [float(tok) for tok in epsilons.split(",") if tok.strip()]
+    if not eps_list:
+        raise ValueError("no well strengths given")
     packet = GaussianSpec(x0=x0, sigma=sigma)
     reports = table1_report(packet, eps_list)
     if fmt == "csv":
@@ -342,8 +388,7 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
         _emit("".join(text), out)
     else:
         payload = {"scenario": cfg.to_dict(), "snapshots": [
-            {"tau": t, "xbar": list(grid),
-             "density": list(snapshot(decomp, states, t, grid))}
+            {"tau": t, "xbar": grid, "density": snapshot(decomp, states, t, grid)}
             for t in taus
         ]}
         _emit(_json_dump(payload), out)
@@ -374,7 +419,7 @@ def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
             "beta": beta,
             "source": fock.source,
             "mean_n": fock.mean_n,
-            "weights": list(fock.weights),
+            "weights": fock.weights,
             "timescales": {
                 "revival_closed_form": revival,
                 "superrevival_closed_form": superrevival,

@@ -145,12 +145,38 @@ def _uniform_progression(taus):
     return float(a[0]), float(step), descending
 
 
+def _phase_table(th, step, size):
+    """``exp(-i th r*step)`` for ``r < size``, as a ``size x N`` array.
+
+    Row ``r`` is the product, in ascending order, of the direct
+    exponentials ``exp(-i th 2**k*step)`` at the powers of two in ``r``, so
+    the table costs ``N*ceil(log2 size)`` exponentials and ``N*size``
+    complex multiplies, and each row is a function of ``r`` alone.
+    """
+    table = np.empty((size, len(th)), dtype=complex)
+    table[0] = 1.0
+    width = 1
+    while width < size:
+        more = min(width, size - width)
+        power = np.exp(-1j * (th * (width * step)))
+        np.multiply(table[:more], power, out=table[width:width + more])
+        width *= 2
+    return table
+
+
 def _blocked_amplitudes(w, th, start, step, count):
     """``A`` at ``start + j*step``, ``j < count``, by one factored GEMM.
 
     With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
-    the phase factors into ``exp(-i th (start + b*B*step))`` and
-    ``exp(-i th r*step)``, so ``N*(B + count/B)`` exponentials replace
+    the phase factors into a lead ``exp(-i th (start + b*B*step))`` and a
+    tail ``exp(-i th r*step)``.  The tail is one :func:`_phase_table`; with
+    ``b = a*B + s`` the lead is row ``s`` of the table at step ``B*step``
+    times ``exp(-i th (start + a*B*B*step))``.  Each factor is then a
+    product of at most ``ceil(log2 B) + 1`` direct exponentials, so it errs
+    by at most that many exponentials' and complex multiplies' roundings, a
+    few ulps each, besides the ``th*tau*eps`` of its rounded phase, which a
+    direct exponential shares.  A call takes about
+    ``N*(2*ceil(log2 B) + count/B**2 + runs)`` exponentials in place of
     ``N*count``.  The product is taken in balanced runs of whole rows,
     yielded as ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so
     no caller need hold more than one run.  A run holds at most ``_CHUNK``
@@ -158,19 +184,25 @@ def _blocked_amplitudes(w, th, start, step, count):
     never a single row of a longer product: numpy sends a one-row product
     to GEMV, which sums in another order, while longer runs give the bits
     of the whole product.  The cap on ``B`` keeps the tail operand in cache
-    on long grids, at the price of more, shorter rows.  The time
-    of every sample is a function of ``j`` alone, and the weights enter one
+    on long grids, at the price of more, shorter rows.  Every factor of
+    sample ``j`` is a function of ``j`` alone, and the weights enter one
     GEMM operand linearly, so mirrored grids and power-of-two weight
     scalings give bit-identical and exactly scaled series.
     """
     block = min(math.isqrt(count), _MAX_BLOCK)
     rows = -(-count // block)
     runs = max(1, min(-(-rows // max(1, _CHUNK // block)), rows // 2))
-    tail = np.exp(-1j * np.outer(th, np.arange(block) * step))
+    tail = _phase_table(th, step, block).T
+    block_steps = _phase_table(th, block * step, block)
     for k in range(runs):
         b0, b1 = k * rows // runs, (k + 1) * rows // runs
-        heads = start + (np.arange(b0, b1) * block) * step
-        lead = w * np.exp(-1j * np.outer(heads, th))
+        lead = np.empty((b1 - b0, len(th)), dtype=complex)
+        for a in range(b0 // block, (b1 - 1) // block + 1):
+            lo, hi = max(b0, a * block), min(b1, (a + 1) * block)
+            head = np.exp(-1j * (th * (start + (a * block * block) * step)))
+            np.multiply(block_steps[lo - a * block:hi - a * block], head,
+                        out=lead[lo - b0:hi - b0])
+        lead *= w
         j0 = b0 * block
         yield j0, (lead @ tail).ravel()[:count - j0]
 

@@ -279,6 +279,15 @@ def test_table1_reports_the_revivals_time_after_a_retry(runner):
     assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846487920572
 
 
+@pytest.mark.parametrize("epsilons", ["", " , "])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table1_refuses_an_empty_strength_list(runner, epsilons, fmt):
+    result = runner.invoke(main, ["table1", "--epsilons", epsilons, "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "no well strengths given" in result.stderr
+
+
 # --- revivals command -----------------------------------------------------------
 
 
@@ -655,6 +664,9 @@ def test_json_output_is_strict_json(runner, name):
         assert result.exit_code == code, (args, result.stderr)
         if code == 0:
             text = result.stdout
+            # what json.dumps prints for the payload the text encodes
+            canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert_same_text(text, canonical)
             if name == "infinite" and '"scenario"' in text:
                 assert text.count(KNOWN_ECHO) == 1, args
                 text = text.replace(KNOWN_ECHO, '"epsilon": null')
@@ -762,3 +774,48 @@ def test_table1_csv_bytes_match_python_formatting(runner):
             f"{_fmt(r.peak_height_at_revival)},{_fmt(r.completeness)}")
     result = runner.invoke(main, ["table1"])
     assert_same_text(result.stdout, "\n".join(lines) + "\n")
+
+
+# --- JSON byte identity ------------------------------------------------------------
+# The JSON writer encodes arrays on their own; it must still print exactly what
+# json.dumps(..., indent=2, sort_keys=True) prints for the payload.  Every
+# command's output is also checked to be its own canonical form, on every
+# built-in scenario, in test_json_output_is_strict_json.
+
+
+def _spectrum_rows():
+    result = CliRunner().invoke(main, ["spectrum", "--epsilon", "12", "--format", "json"])
+    return json.loads(result.stdout)["states"]
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("payload", [
+    {"empty": np.array([]), "one": np.array([0.25]), "count": 0},
+    {"values": np.array([0.5, np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e-324, 1e22])},
+    {"n": np.arange(4), "even": np.array([True, False]), "grid": np.zeros((2, 2))},
+    {"states": _spectrum_rows()},
+    {"states": _spectrum_rows(), "alpha": np.linspace(0.0, 1.0, 5)},
+    [{"tau": 0.5, "xbar": np.linspace(-1.25, 1.25, 3), "density": np.ones(3)}, []],
+    {"name": "Schr\u00f6dinger \u03c8 \"\\\n", "tau": np.arange(3.0), "none": None},
+    np.array([1.5, -2.0]),
+])
+def test_json_writer_prints_the_bytes_of_json_dumps(payload):
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert cli._json_dump(payload) == expected
+
+
+def test_json_writer_refuses_what_it_cannot_print_as_json_dumps_would():
+    # json.dumps would quote the key of an object holding an array
+    with pytest.raises(TypeError, match="needs string keys"):
+        cli._json_dump({1: np.arange(2.0)})
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        cli._json_dump({"levels": {1, 2}, "tau": np.arange(2.0)})

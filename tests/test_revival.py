@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       GaussianSpec, HorizonTooShortError, WellConfig,
@@ -262,19 +265,65 @@ def test_long_grids_cap_the_block_width():
 def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     # 90,007 samples: B = 300 columns and 301 rows.  A _CHUNK of 500 or 700
     # holds fewer than three rows, so runs of two or three rows replace it.
+    # The whole product is built in one piece from the kernel's own tables.
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     count, step = 90007, 1e-3
     block = math.isqrt(count)
-    heads = (np.arange(-(-count // block)) * block) * step
-    lead = w * np.exp(-1j * np.outer(heads, rates))
-    tail = np.exp(-1j * np.outer(rates, np.arange(block) * step))
-    whole = (lead @ tail).ravel()[:count]
+    b = np.arange(-(-count // block))
+    a = b // block
+    lead = revival._phase_table(rates, block * step, block)[b - a * block]
+    lead *= np.exp(-1j * np.outer((a * (block * block)) * step, rates))
+    lead *= w
+    whole = (lead @ revival._phase_table(rates, step, block).T).ravel()[:count]
     monkeypatch.setattr(revival, "_CHUNK", chunk)
     runs = list(revival._blocked_amplitudes(w, rates, 0.0, step, count))
     assert len(runs) > 1
     assert all(2 * block <= len(amps) <= max(chunk, 3 * block) for _, amps in runs[:-1])
     assert len(runs[-1][1]) > block
     assert np.array_equal(np.concatenate([amps for _, amps in runs]), whole)
+
+
+def test_phase_table_rows_are_products_of_direct_powers():
+    rates = np.array([0.0, 1.0, 2.0 * np.pi * 512 ** 2, 7.3e3])
+    step = 1e-3
+    table = revival._phase_table(rates, step, 37)
+    phases = np.outer(np.arange(37) * step, rates)
+    # each of the six factors rounds its phase and its value once
+    bound = 4 * np.finfo(float).eps * (6 + phases)
+    assert np.all(np.abs(table - np.exp(-1j * phases)) <= bound)
+    # row 21 = 1 + 4 + 16 multiplies the direct powers in ascending order
+    powers = [np.exp(-1j * (rates * (2 ** k * step))) for k in (0, 2, 4)]
+    assert np.array_equal(table[21], (powers[0] * powers[1]) * powers[2])
+    # a row depends on its index alone, not on the length of the table
+    assert np.array_equal(revival._phase_table(rates, step, 20), table[:20])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(levels=st.integers(2, 600),
+       count=st.integers(revival._CHUNK + 1, 2 * revival._CHUNK).filter(
+           lambda c: math.isqrt(c) ** 2 != c),
+       first=st.integers(1, 10 ** 5),
+       step=st.sampled_from([1e-4, 1e-3]),
+       top_rate=st.floats(1.0, 2e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_kernel_properties(levels, count, first, step, top_rate, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.random(levels)
+    w /= w.sum()
+    rates = rng.uniform(0.0, top_rate, levels)
+    taus = (first + np.arange(count)) * step
+    assert revival._uniform_progression(taus) is not None
+    fwd = autocorrelation(w, rates, taus).values
+    # a spread subset, with both ends, against the pointwise direct sum
+    picks = np.append(np.arange(0, count, 97), count - 1)
+    assert np.abs(fwd[picks] - direct_series(w, rates, taus[picks])).max() < 1e-9
+    for chunk in (500, 4096):
+        with mock.patch.object(revival, "_CHUNK", chunk):
+            assert np.array_equal(autocorrelation(w, rates, taus).values, fwd)
+    assert np.array_equal(autocorrelation(w, rates, -taus[::-1]).values[::-1], fwd)
+    for power in (-3, 5):
+        scaled = autocorrelation(np.ldexp(w, power), rates, taus).values
+        assert np.array_equal(scaled, np.ldexp(fwd, 2 * power))
 
 
 def test_other_grids_take_the_direct_path(blocked_calls):
