@@ -20,9 +20,8 @@ from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
 from .spectrum import (BarkerApproximation, Spectrum, WellConfig, barker,
                        orthonormality_matrix, solve_spectrum,
                        transcendental_residual)
-from .wavepacket import (GaussianSpec, InfiniteWellState,
-                         SpectralDecomposition, evolve, infinite_project,
-                         project, snapshot)
+from .wavepacket import (GaussianSpec, SpectralDecomposition, evolve, project,
+                         snapshot)
 
 __version__ = "0.1.0"
 
@@ -31,13 +30,13 @@ __all__ = [
     "BUILTIN_SCENARIOS", "CompletenessWarning",
     "ConvergenceError", "CutoffTooSmallError", "EdgePeakError", "FockWeights",
     "GaussianSpec",
-    "HorizonTooShortError", "InfiniteWellState",
+    "HorizonTooShortError",
     "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "WellConfig", "autocorrelation", "barker",
     "coherent_weights", "detect_revival",
     "detection_grid", "evolve",
-    "hermite_log", "infinite_project", "load_scenario",
+    "hermite_log", "load_scenario",
     "orthonormality_matrix", "oscillator_phase_rates",
     "oscillator_timescales", "principal_revival",
     "project", "scan_superrevival",

@@ -27,7 +27,7 @@ from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
 from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
                         require_finite)
 from .spectrum import WellConfig, barker, solve_spectrum
-from .wavepacket import GaussianSpec, infinite_project, project, snapshot
+from .wavepacket import GaussianSpec, project, snapshot
 
 # Ad-hoc systems override these: --epsilon the well's strength, --beta the
 # oscillator's nonlinearity.
@@ -192,12 +192,7 @@ def _fock_for(cfg: ScenarioConfig):
 def _series_inputs(cfg: ScenarioConfig, fock):
     """Weights, phase rates and completeness for a scenario's system."""
     if cfg.epsilon is not None:
-        if math.isinf(cfg.epsilon):
-            state = infinite_project(cfg.packet)
-            return state.weights, state.rates, state.completeness
-        states = solve_spectrum(WellConfig(cfg.epsilon))
-        decomp = project(cfg.packet, states)
-        return decomp.weights, states.rates, decomp.completeness
+        return _well_inputs(cfg.epsilon, cfg.packet)
     return fock.weights, oscillator_phase_rates(fock.n, cfg.oscillator.beta), 1.0
 
 
@@ -205,15 +200,18 @@ def _reference_inputs(cfg: ScenarioConfig, fock):
     """Dashed-line counterpart: the box for wells, the quadratic-spectrum
     oscillator for oscillator scenarios."""
     if cfg.epsilon is not None:
-        state = infinite_project(cfg.packet)
-        return state.weights, state.rates
+        return _well_inputs(math.inf, cfg.packet)[:2]
     return fock.weights, oscillator_phase_rates(fock.n, 0.0)
+
+
+def _well_inputs(epsilon, packet):
+    states = solve_spectrum(WellConfig(epsilon))
+    decomp = project(packet, states)
+    return decomp.weights, states.rates, decomp.completeness
 
 
 def _revival_prediction(cfg: ScenarioConfig, fock) -> float:
     if cfg.epsilon is not None:
-        if math.isinf(cfg.epsilon):
-            return 1.0
         return barker(WellConfig(cfg.epsilon)).approx_revival_time
     return oscillator_timescales(fock, cfg.oscillator.beta).revival_time
 
@@ -229,6 +227,8 @@ def main():
 @cli_errors
 def cmd_spectrum(epsilon, fmt, out):
     """Bound-state table for a well of the given strength."""
+    # the box's table would print inf and NaN residuals
+    require_finite(epsilon=epsilon)
     states = solve_spectrum(WellConfig(epsilon=epsilon))
     n = range(1, len(states) + 1)
     parity = ["even" if even else "odd" for even in states.even.tolist()]
@@ -297,6 +297,8 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
     eps_list = [float(tok) for tok in epsilons.split(",") if tok.strip()]
     if not eps_list:
         raise ValueError("no well strengths given")
+    for eps in eps_list:
+        require_finite(epsilon=eps)
     packet = GaussianSpec(x0=x0, sigma=sigma)
     reports = table1_report(packet, eps_list)
     if fmt == "csv":

@@ -3,8 +3,9 @@
 The squared autocorrelation of a state with weights ``w_n`` and phase rates
 ``theta_n`` is ``|sum_n w_n exp(-i theta_n tau)|^2``, a pure function of the
 weights and the spectrum.  The same machinery therefore serves the finite
-well (``theta = 8 alpha^2 / pi``), the box (``theta = 2 pi n^2``) and the
-cubic-nonlinear oscillator (``theta = 2 pi n^2 + 2 pi beta n^3``).
+well (``theta = 8 alpha^2 / pi``), its ``epsilon = inf`` limit the box
+(where that is ``2 pi n^2``) and the cubic-nonlinear oscillator (``theta =
+2 pi n^2 + 2 pi beta n^3``).
 """
 
 from __future__ import annotations

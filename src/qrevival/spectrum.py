@@ -20,10 +20,15 @@ relative error of about ``eps * epsilon / (epsilon - k pi / 2)`` (``eps``
 the rounding unit).  The one refusal is a strength at most ``1e4`` rounding
 units of ``epsilon`` above a threshold ``k pi / 2``, where that top ``beta``
 would carry fewer than about four correct digits.
+
+``epsilon = inf`` is the infinitely deep well, the box, where the law gives
+``alpha = n pi / 2`` and ``beta = inf`` in closed form; its spectrum holds the
+first ``BOX_LEVELS`` levels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,8 @@ _NEWTON_CAP = 16
 # Refuse a strength whose distance above the last threshold is this many
 # rounding units of epsilon or fewer: the top beta would keep under ~4 digits.
 _THRESHOLD_GAP = 1e4 * np.finfo(float).eps
+# Levels of the box (epsilon = inf), which has infinitely many.
+BOX_LEVELS = 512
 
 
 @dataclass(frozen=True)
@@ -47,12 +54,14 @@ class WellConfig:
     def __post_init__(self):
         eps = self.epsilon
         # the weakest level's beta is about epsilon^2, which must not underflow
-        if not (np.isfinite(eps) and eps > 0 and eps * eps >= np.finfo(float).tiny):
-            raise ValueError(f"well strength must be finite and at least 1.5e-154, "
+        if not (eps > 0 and eps * eps >= np.finfo(float).tiny):
+            raise ValueError(f"well strength must be at least 1.5e-154 or inf, "
                              f"got {eps}")
 
     @property
     def predicted_state_count(self) -> int:
+        if math.isinf(self.epsilon):
+            return BOX_LEVELS
         return int(np.floor(2.0 * self.epsilon / np.pi)) + 1
 
 
@@ -104,7 +113,7 @@ class BarkerApproximation:
 def barker(config: WellConfig) -> BarkerApproximation:
     """Closed-form effective-length ratios for a well of strength epsilon."""
     ratio = 1.0 + 1.0 / config.epsilon
-    scale = (config.epsilon / (1.0 + config.epsilon)) ** 2
+    scale = 1.0 / ratio ** 2
     return BarkerApproximation(
         effective_length_ratio=ratio,
         approx_energy_scale=scale,
@@ -186,8 +195,12 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
     Each accepted root satisfies the defining transcendental equation to
     ``RESIDUAL_TOL``, or to the precision achievable in double arithmetic
     for very strong wells (the residual's condition number grows like
-    ``epsilon^2 / alpha``).
+    ``epsilon^2 / alpha``).  The box's levels are closed forms.
     """
+    if math.isinf(config.epsilon):
+        n = np.arange(1, BOX_LEVELS + 1)
+        return Spectrum(alpha=0.5 * np.pi * n, beta=np.full(BOX_LEVELS, np.inf),
+                        even=n % 2 == 1, norm=np.full(BOX_LEVELS, math.sqrt(2.0)))
     root, beta, even_mask = _solve_roots(config)
 
     # Residual acceptance accounts for the conditioning of the tan/cot form.

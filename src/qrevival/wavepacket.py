@@ -3,9 +3,9 @@
 A Gaussian packet is projected onto a bound-state set by closed-form overlap
 integrals.  Evolution is diagonal: coefficient ``n`` picks up ``exp(-i *
 rate_n * tau)`` where ``rate_n`` is the state's phase rate in scaled time.
-The infinitely deep well gets its own projection over the trigonometric
-basis ``sqrt(2) cos(n pi x)`` for odd ``n`` and ``sqrt(2) sin(n pi x)`` for
-even ``n``, whose phase law is exactly quadratic, ``exp(-2 pi i n^2 tau)``.
+The infinitely deep well is the spectrum at ``epsilon = inf``: the basis
+``sqrt(2) cos(n pi x)`` for odd ``n`` and ``sqrt(2) sin(n pi x)`` for even
+``n``, whose phase law is exactly quadratic, ``exp(-2 pi i n^2 tau)``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from .spectrum import Spectrum, edge_values, eigenfunction_rows
 
 COMPLETENESS_FLOOR = 0.999
 _SNAPSHOT_BLOCK = 65536
-_INFINITE_N_CAP = 512
-_INFINITE_TRUNCATION = 1e-10
+_BOX_TRUNCATION = 1e-10
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,10 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # a subnormal width leaves the wall distances in its units infinite
+        if not (np.isfinite(self.sigma) and self.sigma >= np.finfo(float).tiny):
+            raise ValueError(f"sigma must be positive and at least 2.2e-308, "
+                             f"got {self.sigma}")
         if not (np.isfinite(self.x0) and abs(self.x0) < 0.5):
             raise ValueError(f"packet must start inside the well, got x0={self.x0}")
 
@@ -48,29 +49,6 @@ class SpectralDecomposition:
 
     coefficients: np.ndarray
     completeness: float
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.abs(self.coefficients) ** 2
-
-
-@dataclass(frozen=True)
-class InfiniteWellState:
-    """Coefficients over the trigonometric basis, index ``n = 1..len``."""
-
-    coefficients: np.ndarray
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.arange(1, len(self.coefficients) + 1)
-
-    @property
-    def completeness(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
-
-    @property
-    def rates(self) -> np.ndarray:
-        return 2.0 * np.pi * self.n ** 2
 
     @property
     def weights(self) -> np.ndarray:
@@ -105,7 +83,9 @@ def faddeeva(z):
     for coeff in _WEIDEMAN_COEFFS:
         poly *= ratio
         poly += coeff
-    return 2.0 * poly / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
+    # where den**2 overflows, w(z) is 1 / (sqrt(pi) den) to rounding
+    with np.errstate(over="ignore"):
+        return 2.0 * poly / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
 
 
 def _gaussian_transforms(spec: GaussianSpec, alpha, beta=None):
@@ -133,8 +113,11 @@ def _gaussian_transforms(spec: GaussianSpec, alpha, beta=None):
     if beta is not None:
         args += [1j * (u_right + s * beta), 1j * (u_left + s * beta)]
     w_right, w_left, *w_tails = np.split(faddeeva(np.concatenate(args)), len(args))
-    right = np.exp(1j * alpha - u_right ** 2) * w_right
-    left = np.exp(-1j * alpha - u_left ** 2) * w_left
+    # C pow(), as Python's ``float ** 2`` calls, but overflowing to inf for
+    # a packet far narrower than its distance to a wall
+    with np.errstate(over="ignore"):
+        right = np.exp(1j * alpha - np.float_power(u_right, 2)) * w_right
+        left = np.exp(-1j * alpha - np.float_power(u_left, 2)) * w_left
     centre = 2.0 * np.exp(2j * alpha * spec.x0 - c * c)
     scale = spec.sigma * math.sqrt(0.5 * math.pi)
     inside = scale * (centre - left - right)
@@ -151,17 +134,34 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
     captured weight falls below ``COMPLETENESS_FLOOR``, which signals that
     the packet leaks into unbound levels and results are outside the
     method's domain of validity.
+
+    The box (``beta = inf``) differs in three ways.  Its levels have no wall
+    tails, whose transforms would be NaN.  The packet is normalized over the
+    interior, where the box basis is complete.  Its coefficients past the
+    first level at which the captured weight reaches ``1 - 1e-10`` are set
+    to zero: the weights of a smooth packet fall off only algebraically, so
+    the autocorrelation's own cut would keep hundreds of them.
     """
     if not states:
         raise ValueError("need at least one bound state")
     if not isinstance(initial, GaussianSpec):
         raise TypeError(f"unsupported initial state {type(initial).__name__}")
     alpha, beta, even = states.alpha, states.beta, states.even
-    edge = edge_values(alpha, even)
-    inside, right, left = _gaussian_transforms(initial, alpha, beta)
-    overlaps = np.where(even, inside.real + edge * (right + left),
-                        inside.imag + edge * (right - left))
-    coeffs = states.norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
+    if math.isinf(beta[0]):
+        (inside,) = _gaussian_transforms(initial, alpha)
+        x0, sigma = initial.x0, initial.sigma
+        interior = 0.5 * math.sqrt(math.pi) * sigma * (
+            math.erf((0.5 - x0) / sigma) + math.erf((0.5 + x0) / sigma))
+        coeffs = states.norm * np.where(even, inside.real, inside.imag) / math.sqrt(interior)
+        reached = np.flatnonzero(np.cumsum(coeffs ** 2) >= 1.0 - _BOX_TRUNCATION)
+        if reached.size:
+            coeffs[reached[0] + 1:] = 0.0
+    else:
+        edge = edge_values(alpha, even)
+        inside, right, left = _gaussian_transforms(initial, alpha, beta)
+        overlaps = np.where(even, inside.real + edge * (right + left),
+                            inside.imag + edge * (right - left))
+        coeffs = states.norm * overlaps / math.sqrt(initial.sigma * math.sqrt(math.pi))
 
     completeness = float(np.sum(coeffs ** 2))
     if completeness < COMPLETENESS_FLOOR:
@@ -202,23 +202,3 @@ def snapshot(decomp: SpectralDecomposition, states: Spectrum, tau: float,
         # a sum over the slow axis adds the rows one after another
         psi = terms.sum(axis=0)
     return np.abs(psi) ** 2
-
-
-def infinite_project(spec: GaussianSpec, n_max: int | None = None) -> InfiniteWellState:
-    """Expand a Gaussian over the trigonometric basis of the box.
-
-    The packet is normalized over the box interior, where the basis is
-    complete.  When ``n_max`` is omitted the expansion keeps the fewest
-    modes whose captured weight reaches ``1 - 1e-10``, or the mode cap if
-    none does.
-    """
-    n = np.arange(1, (_INFINITE_N_CAP if n_max is None else n_max) + 1)
-    (inside,) = _gaussian_transforms(spec, 0.5 * np.pi * n)
-    box_norm2 = 0.5 * math.sqrt(math.pi) * spec.sigma * (
-        math.erf((0.5 - spec.x0) / spec.sigma) + math.erf((0.5 + spec.x0) / spec.sigma))
-    coeffs = math.sqrt(2.0 / box_norm2) * np.where(n % 2 == 1, inside.real, inside.imag)
-    if n_max is None:
-        reached = np.flatnonzero(np.cumsum(coeffs ** 2) >= 1.0 - _INFINITE_TRUNCATION)
-        if reached.size:
-            coeffs = coeffs[:reached[0] + 1]
-    return InfiniteWellState(coefficients=coeffs.astype(complex))

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       WellConfig, autocorrelation, barker, detect_revival,
-                      detection_grid, infinite_project, orthonormality_matrix,
+                      detection_grid, orthonormality_matrix,
                       oscillator_phase_rates, oscillator_timescales,
                       project, scan_superrevival, solve_spectrum,
                       squeezed_weights, table1_report)
@@ -177,29 +177,29 @@ def test_criterion_2_bound_state_counts():
 def test_criterion_3_box_parity_theorems():
     problems = []
 
-    even_state = infinite_project(CENTERED_PACKET)
+    box = solve_spectrum(WellConfig(epsilon=math.inf))
+    n = np.arange(1, len(box) + 1)
+    even_weights = project(CENTERED_PACKET, box).weights
     for k in range(1, 9):
-        amp = np.sum(even_state.weights
-                     * np.exp(-2j * np.pi * even_state.n ** 2 * (k / 8.0)))
+        amp = np.sum(even_weights * np.exp(-2j * np.pi * n ** 2 * (k / 8.0)))
         if abs(amp) ** 2 <= 1.0 - 1e-9:
             problems.append(f"even packet |A({k}/8)|^2 = {abs(amp)**2:.12f}")
 
-    narrow = infinite_project(GaussianSpec(x0=0.2, sigma=0.06))
+    narrow = project(GaussianSpec(x0=0.2, sigma=0.06), box).weights
     # the odd-parity part sits on the sine modes, even n; renormalised
-    odd_weights = np.where(narrow.n % 2 == 0, narrow.weights, 0.0)
+    odd_weights = np.where(n % 2 == 0, narrow, 0.0)
     odd_weights = odd_weights / odd_weights.sum()
     for k in range(1, 9):
-        amp = np.sum(odd_weights * np.exp(-2j * np.pi * narrow.n ** 2 * (k / 4.0)))
+        amp = np.sum(odd_weights * np.exp(-2j * np.pi * n ** 2 * (k / 4.0)))
         if abs(amp) ** 2 <= 1.0 - 1e-9:
             problems.append(f"odd packet |A({k}/4)|^2 = {abs(amp)**2:.12f}")
 
-    amp = np.sum(narrow.weights * np.exp(-2j * np.pi * narrow.n ** 2))
+    amp = np.sum(narrow * np.exp(-2j * np.pi * n ** 2))
     if abs(amp) ** 2 <= 1.0 - 1e-9:
         problems.append(f"arbitrary packet |A(1)|^2 = {abs(amp)**2:.12f}")
 
-    box = infinite_project(PAPER_PACKET)
     taus = np.arange(0, 8001, dtype=float) * 1e-4
-    vals = autocorrelation(box.weights, box.rates, taus).values
+    vals = autocorrelation(project(PAPER_PACKET, box).weights, box.rates, taus).values
     for target in (1.0 / 3.0, 2.0 / 3.0):
         m = (taus > target - 0.05) & (taus < target + 0.05)
         sub = vals[m]
@@ -307,16 +307,15 @@ def test_criterion_5_property_suite():
             if completeness[name] < 1.0 - 1e-10:
                 problems.append(f"{name}: kept levels hold only {completeness[name]!r}")
             continue
+        key = (cfg.epsilon, cfg.packet)
+        if key not in projections:
+            projections[key] = well_projection(*key)
+        _, decomp, warned = projections[key]
+        value = decomp.completeness
         if math.isinf(cfg.epsilon):
-            box, warned = recording_warnings(infinite_project, cfg.packet)
-            value = box.completeness
-            oracle = box_completeness_oracle(cfg.packet, len(box.coefficients))
+            kept = int(np.flatnonzero(decomp.coefficients)[-1]) + 1
+            oracle = box_completeness_oracle(cfg.packet, kept)
         else:
-            key = (cfg.epsilon, cfg.packet)
-            if key not in projections:
-                projections[key] = well_projection(*key)
-            _, decomp, warned = projections[key]
-            value = decomp.completeness
             oracle = well_completeness_oracle(cfg.epsilon, cfg.packet)
         completeness[name] = value
         if abs(value - oracle) > 1e-10:

@@ -2,7 +2,8 @@ import qrevival
 
 DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
            "timescales", "TimescaleHierarchy", "BoundState",
-           "eigenfunction_value", "infinite_evolve", "parity_filtered")
+           "eigenfunction_value", "infinite_evolve", "parity_filtered",
+           "InfiniteWellState", "infinite_project")
 
 
 def test_every_exported_name_resolves():

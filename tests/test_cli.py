@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -96,6 +97,17 @@ def test_spectrum_rejects_bad_strength(runner):
     result = runner.invoke(main, ["spectrum", "--epsilon", "-4"])
     assert result.exit_code == 2
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["spectrum", "--epsilon"], ["table1", "--epsilons"]])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_refuse_a_strength_that_is_not_finite(runner, args, value, fmt):
+    # the box is a spectrum, but its table would print inf and NaN residuals
+    result = runner.invoke(main, [*args, value, "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "must be finite" in result.stderr
 
 
 def test_spectrum_json_payload(runner):
@@ -443,6 +455,31 @@ def test_revivals_window_edge_exit_code(runner):
     assert result.exit_code == 4
     assert result.stdout == ""
     assert "peaks at its edge sample" in result.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["revivals", "--epsilon", "12", "--sigma", "1e-160"], 0),
+    (["revivals", "--scenario", "infinite", "--sigma", "1e-160"], 0),
+    (["revivals", "--scenario", "infinite", "--sigma", "1e-300"], 4),
+    (["revivals", "--epsilon", "1e4", "--sigma", "1e-300"], 4),
+    (["autocorr", "--epsilon", "12", "--sigma", "1e-300", "--tau-max", "0.01"], 0),
+    (["snapshot", "--epsilon", "12", "--sigma", "1e-300", "--tau", "0.5"], 0),
+    (["revivals", "--epsilon", "12", "--sigma", "1e-310"], 2),
+])
+def test_narrow_packets_exit_cleanly(runner, args, code):
+    # a packet far narrower than its distance to the walls captures next to
+    # nothing, which is warned about, and leaves nothing to detect; no
+    # overflow may escape as a crash or a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code:
+        assert result.stdout == ""
+        assert "error: " in result.stderr
 
 
 # --- snapshot command ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       GaussianSpec, HorizonTooShortError, WellConfig,
                       autocorrelation, barker, coherent_weights,
-                      detect_revival, detection_grid, infinite_project,
+                      detect_revival, detection_grid,
                       load_scenario, oscillator_phase_rates,
                       oscillator_timescales, principal_revival, project,
                       revival, scan_superrevival, solve_spectrum,
@@ -51,7 +52,10 @@ def mp_peak(weights, rates, tau0):
 
 @pytest.fixture(scope="module")
 def box_state():
-    return infinite_project(PAPER_PACKET)
+    """The paper packet in the box, the well at epsilon = inf."""
+    states = solve_spectrum(WellConfig(epsilon=math.inf))
+    return SimpleNamespace(weights=project(PAPER_PACKET, states).weights,
+                           rates=states.rates)
 
 
 # --- series ------------------------------------------------------------

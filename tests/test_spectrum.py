@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -172,6 +174,23 @@ def test_barker_tabulated_values():
 
 def test_barker_infinite_depth_limit():
     assert abs(barker(WellConfig(epsilon=1e12)).approx_revival_time - 1.0) < 1e-11
+    box = barker(WellConfig(epsilon=math.inf))
+    assert box.approx_revival_time == box.approx_energy_scale == 1.0
+
+
+def test_box_spectrum_is_closed_form_and_orthonormal():
+    box = solve_spectrum(WellConfig(epsilon=math.inf))
+    n = np.arange(1, len(box) + 1)
+    assert len(box) == 512 == WellConfig(epsilon=math.inf).predicted_state_count
+    with mpmath.workdps(30):
+        error = [float(abs(mpmath.mpf(float(a)) - k * mpmath.pi / 2))
+                 for k, a in zip(n.tolist(), box.alpha)]
+    assert np.all(np.array(error) <= np.spacing(box.alpha))
+    assert np.all(box.beta == math.inf)
+    assert np.array_equal(box.even, n % 2 == 1)
+    assert np.abs(box.rates / (2.0 * math.pi * n ** 2) - 1.0).max() < 1e-15
+    gram = orthonormality_matrix(box)
+    assert np.abs(gram - np.eye(len(box))).max() < 1e-13
 
 
 def test_barker_identity_and_monotonicity():
@@ -185,7 +204,7 @@ def test_barker_identity_and_monotonicity():
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, np.inf, 1e-160])
+@pytest.mark.parametrize("bad", [0.0, -3.0, np.nan, -np.inf, 1e-160])
 def test_rejects_invalid_strength(bad):
     with pytest.raises(ValueError):
         WellConfig(epsilon=bad)

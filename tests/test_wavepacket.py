@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 from scipy.special import wofz
 
 from qrevival import (CompletenessWarning, GaussianSpec, SpectralDecomposition,
-                      WellConfig, evolve, infinite_project,
-                      orthonormality_matrix, project, snapshot, solve_spectrum)
+                      Spectrum, WellConfig, evolve, orthonormality_matrix,
+                      project, snapshot, solve_spectrum)
 from qrevival.spectrum import edge_values, eigenfunction_rows
 from qrevival.wavepacket import faddeeva
 
@@ -235,23 +237,32 @@ def test_gaussian_spec_validation(x0, sigma):
 
 # --- box reference -----------------------------------------------------
 
+BOX = solve_spectrum(WellConfig(epsilon=math.inf))
+BOX_N = np.arange(1, len(BOX) + 1)
+
+
+def kept_levels(decomp):
+    """Levels up to the last one the box truncation left nonzero."""
+    return int(np.flatnonzero(decomp.coefficients)[-1]) + 1
+
 
 def test_box_centered_packet_uses_cosines_only():
-    state = infinite_project(CENTERED_PACKET)
-    sin_modes = np.abs(state.coefficients[1::2])
+    decomp = project(CENTERED_PACKET, BOX)
+    sin_modes = np.abs(decomp.coefficients[1::2])
     assert sin_modes.max() < 1e-12
 
 
 def test_box_completeness_for_centered_packet():
-    state = infinite_project(CENTERED_PACKET)
-    assert state.completeness >= 1.0 - 1e-10
+    decomp = project(CENTERED_PACKET, BOX)
+    assert decomp.completeness >= 1.0 - 1e-10
 
 
 @quiet_quad
 @pytest.mark.parametrize("x0, sigma", ORACLE_PACKETS + [(0.2, 0.06)])
 def test_box_coefficients_match_quad_oracle(x0, sigma):
     packet = GaussianSpec(x0=x0, sigma=sigma)
-    ours = infinite_project(packet).coefficients.real
+    decomp = project(packet, BOX)
+    ours = decomp.coefficients.real[:kept_levels(decomp)]
 
     def gauss(x):
         return math.exp(-(x - x0) ** 2 / (2.0 * sigma ** 2))
@@ -266,9 +277,32 @@ def test_box_coefficients_match_quad_oracle(x0, sigma):
 
 def test_box_keeps_the_fewest_modes_that_reach_the_target():
     for packet in (CENTERED_PACKET, GaussianSpec(x0=-0.15, sigma=0.05)):
-        state = infinite_project(packet)
-        weights = state.weights
-        assert weights.sum() >= 1.0 - 1e-10 > weights[:-1].sum()
+        decomp = project(packet, BOX)
+        weights = decomp.weights
+        kept = kept_levels(decomp)
+        assert kept < len(BOX)
+        assert not weights[kept:].any()
+        assert weights.sum() >= 1.0 - 1e-10 > weights[:kept - 1].sum()
+
+
+PACKET_STRENGTHS = st.one_of(st.floats(-2.0, 4.0).map(lambda p: 10.0 ** p),
+                            st.just(math.inf))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(PACKET_STRENGTHS, st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+       st.floats(-3.0, 0.0).map(lambda p: 10.0 ** p))
+def test_projection_properties_over_the_domain(epsilon, x0, sigma):
+    # wells and the box alike: bound states never capture more than the
+    # packet, and a centred packet has no overlap with an odd level
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompletenessWarning)
+        decomp = project(GaussianSpec(x0=x0, sigma=sigma), states)
+        centred = project(GaussianSpec(x0=0.0, sigma=sigma), states)
+    assert decomp.completeness <= 1.0 + 1e-12
+    assert centred.completeness <= 1.0 + 1e-12
+    assert not centred.coefficients[~states.even].any()
 
 
 def test_faddeeva_matches_scipy_wofz():
@@ -282,33 +316,36 @@ def test_faddeeva_matches_scipy_wofz():
 
 
 def test_box_truncation_is_converged():
-    a = infinite_project(CENTERED_PACKET, n_max=64)
-    b = infinite_project(CENTERED_PACKET, n_max=128)
+    # the levels kept do not depend on how many the box spectrum offers
+    few = Spectrum(alpha=BOX.alpha[:64], beta=BOX.beta[:64], even=BOX.even[:64],
+                   norm=BOX.norm[:64])
+    a = project(CENTERED_PACKET, few)
+    b = project(CENTERED_PACKET, BOX)
+    assert kept_levels(a) == kept_levels(b) < 64
     assert np.abs(a.coefficients - b.coefficients[:64]).max() < 1e-12
 
 
 def test_even_packet_recurs_every_eighth_period():
-    state = infinite_project(CENTERED_PACKET)
-    w = state.weights
-    amp = np.sum(w * np.exp(-2j * np.pi * state.n ** 2 / 8.0))
+    w = project(CENTERED_PACKET, BOX).weights
+    amp = np.sum(w * np.exp(-2j * np.pi * BOX_N ** 2 / 8.0))
     # the recurrence carries a fixed global phase of -pi/4
     assert abs(amp - np.exp(-1j * np.pi / 4.0) * w.sum()) < 1e-12
 
 
 def test_odd_packet_recurs_every_quarter_period():
-    base = infinite_project(GaussianSpec(x0=0.2, sigma=0.06))
+    base = project(GaussianSpec(x0=0.2, sigma=0.06), BOX)
     # the odd-parity part sits on the sine modes, even n
-    w = np.where(base.n % 2 == 0, base.weights, 0.0)
+    w = np.where(BOX_N % 2 == 0, base.weights, 0.0)
     w = w / w.sum()
-    amp = np.sum(w * np.exp(-2j * np.pi * base.n ** 2 / 4.0))
+    amp = np.sum(w * np.exp(-2j * np.pi * BOX_N ** 2 / 4.0))
     assert abs(amp - w.sum()) < 1e-12
 
 
 def test_deep_well_matches_box_coefficients():
     states = solve_spectrum(WellConfig(epsilon=1000.0))
     decomp = project(CENTERED_PACKET, states)
-    box = infinite_project(CENTERED_PACKET)
-    n = min(len(decomp.coefficients), len(box.coefficients))
+    box = project(CENTERED_PACKET, BOX)
+    n = kept_levels(box)
     diff = np.abs(decomp.coefficients[:n].real - box.coefficients[:n].real)
     assert diff.max() < 1e-3
 
@@ -343,11 +380,10 @@ def four_pass_project(spec, states):
 
 
 def four_pass_box(spec):
-    n = np.arange(1, 513)
-    inside = four_pass_overlaps(spec, 0.5 * np.pi * n, 0.0)[0]
+    inside = four_pass_overlaps(spec, BOX.alpha, 0.0)[0]
     box_norm2 = 0.5 * math.sqrt(math.pi) * spec.sigma * (
         math.erf((0.5 - spec.x0) / spec.sigma) + math.erf((0.5 + spec.x0) / spec.sigma))
-    return math.sqrt(2.0 / box_norm2) * np.where(n % 2 == 1, inside.real, inside.imag)
+    return math.sqrt(2.0) * np.where(BOX.even, inside.real, inside.imag) / math.sqrt(box_norm2)
 
 
 def seeded_projection_cases():
@@ -367,5 +403,7 @@ def test_one_faddeeva_pass_gives_the_bits_of_four():
         coeffs, completeness = four_pass_project(spec, states)
         assert np.array_equal(decomp.coefficients, coeffs.astype(complex)), epsilon
         assert decomp.completeness == completeness, epsilon
-        box = infinite_project(spec, n_max=512)
-        assert np.array_equal(box.coefficients, four_pass_box(spec).astype(complex))
+        box = project(spec, BOX)
+        kept = kept_levels(box)
+        assert np.array_equal(box.coefficients[:kept], four_pass_box(spec)[:kept])
+        assert not box.coefficients[kept:].any()
