@@ -24,6 +24,10 @@ _TAIL_MASS = 1e-10
 # The automatic truncation grows a little past the acceptance threshold so
 # that weighted moments (not just the total mass) stay accurate.
 _TAIL_MASS_AUTO = 1e-12
+# Without a cutoff the raw weights are computed over 64, 128, ... levels
+# until the last four are at most 2**-60 of their sum.
+_FIRST_RANGE = 64
+_RUN_OUT = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,34 @@ def hermite_log(n_max: int, x: float):
     return np.array(logs), np.array(signs)
 
 
+def _log_factorials(n_raw: int) -> np.ndarray:
+    """``log(n!)`` for ``n = 0..n_raw``."""
+    return np.array([math.lgamma(k) for k in range(1, n_raw + 2)])
+
+
+def _reaching(raw, n_raw):
+    """``raw(n_raw)``, or without a cutoff's ``n_raw`` the raw weights over
+    the first range of levels in which they run out.
+
+    The ranges double from ``_FIRST_RANGE`` to ``FOCK_CUTOFF_CAP``; a range
+    is enough once its sum is positive and its last four weights are at most
+    ``_RUN_OUT`` of it.  The levels past it then carry too little to move the
+    sum, so the weights that ``_finalize`` keeps are those of the full range.
+    A range whose weights all underflow, below a large mean, is not enough.
+    """
+    if n_raw is not None:
+        return raw(n_raw)
+    n_raw = _FIRST_RANGE
+    weights = raw(n_raw)
+    while n_raw < FOCK_CUTOFF_CAP:
+        total = weights.sum()
+        if total > 0 and weights[-4:].max() <= _RUN_OUT * total:
+            break
+        n_raw = min(2 * n_raw, FOCK_CUTOFF_CAP)
+        weights = raw(n_raw)
+    return weights
+
+
 def _finalize(raw: np.ndarray, cutoff, source: str) -> FockWeights:
     """Truncate raw weights, guarding the mass left outside the kept modes."""
     total = raw.sum()
@@ -108,16 +140,17 @@ def _finalize(raw: np.ndarray, cutoff, source: str) -> FockWeights:
 def coherent_weights(alpha: complex, cutoff: int | None = None) -> FockWeights:
     """Poissonian weights of a coherent amplitude, computed in log space."""
     mean = abs(alpha) ** 2
-    n_raw = FOCK_CUTOFF_CAP if cutoff is None else max(cutoff, int(10 * (1 + mean)))
-    n = np.arange(n_raw + 1)
-    if mean == 0:
-        raw = np.zeros(n_raw + 1)
-        raw[0] = 1.0
-    else:
-        logs = -mean + n * math.log(mean) - np.array(
-            [math.lgamma(k + 1) for k in n])
-        raw = np.exp(logs)
-    return _finalize(raw, cutoff, source=f"coherent(alpha={alpha})")
+
+    def raw(n_raw):
+        if mean == 0:
+            weights = np.zeros(n_raw + 1)
+            weights[0] = 1.0
+            return weights
+        n = np.arange(n_raw + 1)
+        return np.exp(-mean + n * math.log(mean) - _log_factorials(n_raw))
+
+    n_raw = None if cutoff is None else max(cutoff, int(10 * (1 + mean)))
+    return _finalize(_reaching(raw, n_raw), cutoff, source=f"coherent(alpha={alpha})")
 
 
 def squeezed_weights(s: float, alpha: float,
@@ -140,17 +173,20 @@ def squeezed_weights(s: float, alpha: float,
     r = 0.5 * math.log(s)
     t = (s - 1.0) / (s + 1.0)  # tanh r
     x_h = s * math.sqrt(2.0) * alpha / math.sqrt(s * s - 1.0)
-    n_raw = FOCK_CUTOFF_CAP if cutoff is None else max(
-        cutoff, int(10 * (1 + math.sinh(r) ** 2 + alpha * alpha)))
-    n = np.arange(n_raw + 1)
-
-    h_logs, h_signs = hermite_log(n_raw, x_h)
     prefactor = math.log(2.0 * math.sqrt(s) / (s + 1.0)) \
         - 2.0 * s * alpha * alpha / (s + 1.0)
-    logs = prefactor + n * math.log(t) - n * math.log(2.0) \
-        - np.array([math.lgamma(k + 1) for k in n]) + 2.0 * h_logs
-    raw = np.where(h_signs == 0.0, 0.0, np.exp(logs))
-    return _finalize(raw, cutoff, source=f"squeezed(s={s}, alpha={alpha})")
+
+    def raw(n_raw):
+        n = np.arange(n_raw + 1)
+        h_logs, h_signs = hermite_log(n_raw, x_h)
+        logs = prefactor + n * math.log(t) - n * math.log(2.0) \
+            - _log_factorials(n_raw) + 2.0 * h_logs
+        return np.where(h_signs == 0.0, 0.0, np.exp(logs))
+
+    n_raw = None if cutoff is None else max(
+        cutoff, int(10 * (1 + math.sinh(r) ** 2 + alpha * alpha)))
+    return _finalize(_reaching(raw, n_raw), cutoff,
+                     source=f"squeezed(s={s}, alpha={alpha})")
 
 
 def oscillator_phase_rates(n, beta: float) -> np.ndarray:

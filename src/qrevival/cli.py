@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Emits deterministic CSV or JSON for every bundled scenario.  Numbers are
-printed with 17 significant digits so repeated runs diff clean.  Exit codes:
-0 success, 2 validation error, 3 numerical non-convergence, 4 detection
-ambiguity, a window-edge peak or an exhausted scan horizon.
+Emits deterministic CSV or JSON for every bundled scenario.  CSV prints each
+float as ``%.16e``, JSON as Python's shortest ``repr``, so repeated runs diff
+clean.  Exit codes: 0 success, 2 validation error, 3 numerical
+non-convergence, 4 detection ambiguity, a window-edge peak or an exhausted
+scan horizon.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
-from .csvtext import csv_rows
+from .csvtext import csv_rows, json_floats
 from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
@@ -60,9 +61,9 @@ def _json_dump(payload) -> str:
     numpy array in ``payload`` standing for its ``tolist()``.
 
     ``indent`` sends every value through the pure-Python encoder.  A flat
-    numeric array is instead encoded whole by the C encoder and re-indented,
-    one array at a time; parts of ``payload`` that hold no array go to
-    ``json.dumps`` unchanged.
+    float64 array is instead printed whole by ``json_floats``, one array at
+    a time; parts of ``payload`` that hold no array go to ``json.dumps``
+    unchanged.
     """
     return _json_text(payload, "\n") + "\n"
 
@@ -71,11 +72,9 @@ def _json_text(value, newline):
     """The indented JSON of ``value``, every line break in it written as
     ``newline``; objects that hold arrays need string keys."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind in "biuf" and len(value):
+        if value.ndim == 1 and value.dtype == np.float64 and len(value):
             inner = newline + "  "
-            # no number's JSON holds ", ", so it separates the items alone
-            items = json.dumps(value.tolist())[1:-1].replace(", ", "," + inner)
-            return "[" + inner + items + newline + "]"
+            return "[" + inner + json_floats(value, "," + inner) + newline + "]"
         value = value.tolist()
     try:
         return json.dumps(value, indent=2, sort_keys=True,

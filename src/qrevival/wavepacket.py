@@ -135,9 +135,11 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
     the packet leaks into unbound levels and results are outside the
     method's domain of validity.
 
-    The box (``beta = inf``) differs in three ways.  Its levels have no wall
+    The box (``beta = inf``) differs in four ways.  Its levels have no wall
     tails, whose transforms would be NaN.  The packet is normalized over the
-    interior, where the box basis is complete.  Its coefficients past the
+    interior, where the box basis is complete.  It has no unbound levels, so
+    its warning places the missing weight above its top level, as for a
+    packet too narrow for ``BOX_LEVELS`` modes.  Its coefficients past the
     first level at which the captured weight reaches ``1 - 1e-10`` are set
     to zero: the weights of a smooth packet fall off only algebraically, so
     the autocorrelation's own cut would keep hundreds of them.
@@ -147,7 +149,8 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
     if not isinstance(initial, GaussianSpec):
         raise TypeError(f"unsupported initial state {type(initial).__name__}")
     alpha, beta, even = states.alpha, states.beta, states.even
-    if math.isinf(beta[0]):
+    box = math.isinf(beta[0])
+    if box:
         (inside,) = _gaussian_transforms(initial, alpha)
         x0, sigma = initial.x0, initial.sigma
         interior = 0.5 * math.sqrt(math.pi) * sigma * (
@@ -165,9 +168,13 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
 
     completeness = float(np.sum(coeffs ** 2))
     if completeness < COMPLETENESS_FLOOR:
-        warnings.warn(
-            f"bound states capture only {completeness:.6f} of the initial state",
-            CompletenessWarning, stacklevel=2)
+        if box:
+            message = (f"the box's first {len(states)} levels capture only "
+                       f"{completeness:.6f} of the initial state; the rest lies "
+                       f"in the levels above them")
+        else:
+            message = f"bound states capture only {completeness:.6f} of the initial state"
+        warnings.warn(message, CompletenessWarning, stacklevel=2)
     return SpectralDecomposition(coefficients=coeffs.astype(complex),
                                  completeness=completeness)
 

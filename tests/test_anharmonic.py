@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
+from qrevival import anharmonic
 from qrevival import (CutoffTooSmallError, autocorrelation, coherent_weights,
                       hermite_log, oscillator_phase_rates,
                       oscillator_timescales, squeezed_weights)
@@ -117,6 +118,52 @@ def test_unit_squeeze_dispatches_to_coherent():
 def test_squeeze_below_unity_is_rejected():
     with pytest.raises(ValueError):
         squeezed_weights(0.5, 0.0)
+
+
+# --- the computed range --------------------------------------------------
+
+
+def full_range_weights(s, alpha):
+    """Weights computed over every level up to the cap, then truncated."""
+    n_raw = anharmonic.FOCK_CUTOFF_CAP
+    n = np.arange(n_raw + 1)
+    log_factorials = np.array([math.lgamma(k + 1) for k in n])
+    if s == 1.0:
+        mean = alpha ** 2
+        raw = np.exp(-mean + n * math.log(mean) - log_factorials) if mean else n == 0
+        source = f"coherent(alpha={alpha})"
+    else:
+        t = (s - 1.0) / (s + 1.0)
+        x_h = s * math.sqrt(2.0) * alpha / math.sqrt(s * s - 1.0)
+        h_logs, h_signs = hermite_log(n_raw, x_h)
+        prefactor = math.log(2.0 * math.sqrt(s) / (s + 1.0)) \
+            - 2.0 * s * alpha * alpha / (s + 1.0)
+        logs = prefactor + n * math.log(t) - n * math.log(2.0) \
+            - log_factorials + 2.0 * h_logs
+        raw = np.where(h_signs == 0.0, 0.0, np.exp(logs))
+        source = f"squeezed(s={s}, alpha={alpha})"
+    return anharmonic._finalize(np.asarray(raw, dtype=float), None, source)
+
+
+RANGE_STATES = ([(1.0, a) for a in (0.0, 0.1, 8.0, 40.0)]
+                + [(s, a) for s in (1.5, 11.0, 100.0) for a in (0.0, 0.5, 5.0, 40.0)])
+
+
+@pytest.mark.parametrize("s, alpha", RANGE_STATES)
+def test_weights_match_the_full_range_bit_for_bit(s, alpha):
+    # The constructors stop at the first range of 64, 128, ... levels whose
+    # last four weights run out; the levels past it must change no bit.  At
+    # alpha = 40 every weight of the first range underflows to zero.
+    try:
+        expected = full_range_weights(s, alpha)
+    except CutoffTooSmallError:
+        with pytest.raises(CutoffTooSmallError):
+            squeezed_weights(s, alpha)
+        return
+    fock = squeezed_weights(s, alpha)
+    assert fock.weights.tobytes() == expected.weights.tobytes()
+    assert fock.mean_n == expected.mean_n
+    assert fock.source == expected.source
 
 
 # --- dynamics -------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The vectorised CSV formatter against Python's ``"{:.16e}"``, byte for byte."""
+"""The vectorised printers against Python, byte for byte: CSV against
+``"{:.16e}"`` and JSON against ``json.dumps``."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrevival import csvtext
-from qrevival.csvtext import csv_rows
+from qrevival import BUILTIN_SCENARIOS, csvtext
+from qrevival.csvtext import csv_rows, json_floats
+from qrevival.revival import detection_grid
 
 
 def python_rows(columns, lead=None):
@@ -129,3 +132,74 @@ def test_masked_lanes_do_not_warn(values):
     # pytest turns RuntimeWarning into an error, so this also checks that
     # log10 and the integer casts never see a masked lane.
     assert_matches_python(values)
+    assert_json_matches_python(values)
+
+
+# --- JSON ----------------------------------------------------------------------
+
+
+def assert_json_matches_python(values):
+    """``json_floats`` against ``json.dumps`` of the list, naming the first
+    value that differs."""
+    values = np.asarray(values, dtype=float)
+    ours = "[" + json_floats(values, ", ") + "]"
+    expected = json.dumps(values.tolist())
+    if ours != expected:
+        pairs = zip(ours[1:-1].split(", "), expected[1:-1].split(", "))
+        first = next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+        pytest.fail(f"first differing value (index, ours, Python's): {first}")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.floats(), max_size=20))
+def test_every_double_prints_as_json_dumps_prints_it(values):
+    assert_json_matches_python(values)
+
+
+def test_json_across_every_exponent():
+    # Uniform bit patterns, as for CSV; 50,000 values cross the blocks and
+    # keep the call near 0.15 s.
+    bits = np.random.default_rng(20261020).integers(
+        0, 2 ** 64, size=50_000, dtype=np.uint64)
+    assert len(bits) > csvtext._BLOCK
+    assert_json_matches_python(bits.view(np.float64))
+
+
+def test_json_every_layout():
+    # For each decimal exponent of a normal double and each digit count, the
+    # double nearest a random decimal with that many digits: positional from
+    # 1e-4 to below 1e16, exponent notation with two and three digits
+    # elsewhere, either sign.
+    rng = np.random.default_rng(11)
+    values = []
+    for p in range(1, 18):
+        digits = rng.integers(10 ** (p - 1), 10 ** p, size=615)
+        for e, d in zip(range(-307, 308), digits.tolist()):
+            values.append(float(f"{d}e{e - p + 1}"))
+    values = np.array(values)
+    assert_json_matches_python(np.concatenate([values, -values]))
+
+
+def test_json_near_each_boundary():
+    tiny = np.finfo(float).tiny
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([10.0 ** k for k in range(-323, 309)])
+    edges = np.array([5e-324, tiny, 1e16, 9999999999999998.0, 1e-4, 1e-5,
+                      1e22, 1e23, 10.0 ** -csvtext.MAX_EXP, 10.0 ** csvtext.MAX_EXP,
+                      0.0, -0.0, math.nan, math.inf, -math.inf])
+    ties = exact_ties()
+    near = np.concatenate([powers_of_two, powers_of_ten, edges, ties])
+    near = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf)])
+    assert_json_matches_python(np.concatenate([near, -near]))
+
+
+def test_json_grids_the_cli_prints():
+    grids = [np.linspace(-1.25, 1.25, n) for n in (32, 256, 512, 1001)]
+    for cfg in BUILTIN_SCENARIOS.values():
+        grids.append(detection_grid(0.0, cfg.tau_max, cfg.tau_step))
+    assert_json_matches_python(np.concatenate(grids))
+
+
+def test_json_separator_joins_the_items():
+    assert json_floats(np.array([0.5, -2.0, 1e-7]), ",\n  ") == "0.5,\n  -2.0,\n  1e-07"
+    assert json_floats(np.empty(0), ", ") == ""

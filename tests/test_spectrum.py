@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from qrevival import (ConvergenceError, Spectrum, WellConfig, barker,
                       orthonormality_matrix, solve_spectrum,
                       transcendental_residual)
-from qrevival.spectrum import eigenfunction_rows
+from qrevival.spectrum import edge_values, eigenfunction_rows
 
 
 def closed_form_norm(beta):
@@ -276,6 +276,28 @@ def test_spectrum_properties_over_the_domain(epsilon):
     # atan2 so that the check itself stays well conditioned
     law = 2.0 * alpha + 2.0 * np.arctan2(alpha, beta) - n * np.pi
     assert np.all(np.abs(law) <= rounding * n * np.pi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(STRENGTHS)
+def test_eigenfunctions_and_slopes_are_continuous_at_the_walls(epsilon):
+    states = solve_spectrum(WellConfig(epsilon=epsilon))
+    alpha, beta, even, norm = states.alpha, states.beta, states.even, states.norm
+    rounding = np.finfo(float).eps
+    # the last point inside each wall and the first outside it
+    outer = np.nextafter(0.5, 1.0)
+    rows = eigenfunction_rows(alpha, beta, even, norm,
+                              np.array([-outer, -0.5, 0.5, outer]))
+    # across one ulp the outside branch decays by exp(-2 beta ulp)
+    jump = norm * (2.0 * beta * (outer - 0.5) + 4.0 * rounding)
+    assert np.all(np.abs(rows[:, 1] - rows[:, 0]) <= jump)
+    assert np.all(np.abs(rows[:, 2] - rows[:, 3]) <= jump)
+    # d/dx at x = 1/2: of cos(2 alpha x) or sin(2 alpha x) inside, of the
+    # decaying exponential, -2 beta psi(1/2), outside
+    inside = 2.0 * alpha * np.where(even, -np.sin(alpha), np.cos(alpha))
+    outside = -2.0 * beta * edge_values(alpha, even)
+    n = np.arange(1, len(states) + 1)
+    assert np.all(np.abs(inside - outside) <= 32.0 * rounding * n * epsilon)
 
 
 def test_count_tracks_strength_formula():

@@ -127,7 +127,8 @@ def test_centered_packet_kills_odd_states(well12):
 def test_centered_packet_leakage_warns(well12):
     # this well captures slightly less than the warning floor of the
     # centered packet, which makes the warning path reachable
-    with pytest.warns(CompletenessWarning):
+    with pytest.warns(CompletenessWarning,
+                      match="^bound states capture only 0.99[0-9]{4} of the initial state$"):
         decomp = project(CENTERED_PACKET, well12)
     assert 0.99 < decomp.completeness < 0.999
 
@@ -313,6 +314,17 @@ def test_faddeeva_matches_scipy_wofz():
     for points in (z, axis):
         ref = wofz(points)
         assert (np.abs(faddeeva(points) - ref) / np.abs(ref)).max() <= 5e-14
+
+
+def test_box_warning_places_the_missing_weight_above_its_levels():
+    # a packet of width 1e-3 needs thousands of modes; the box has no
+    # continuum to leak into
+    with pytest.warns(CompletenessWarning) as caught:
+        decomp = project(GaussianSpec(x0=0.2, sigma=1e-3), BOX)
+    assert [str(w.message) for w in caught] == [
+        f"the box's first 512 levels capture only {decomp.completeness:.6f} of the "
+        "initial state; the rest lies in the levels above them"]
+    assert 0.97 < decomp.completeness < 0.98
 
 
 def test_box_truncation_is_converged():
