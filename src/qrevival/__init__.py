@@ -12,26 +12,24 @@ from .anharmonic import (FockWeights, OscillatorTimescales, coherent_weights,
 from .errors import (AmbiguousWindowError, CompletenessWarning,
                      ConvergenceError, CutoffTooSmallError, EdgePeakError,
                      HorizonTooShortError)
-from .revival import (AutocorrSeries, RevivalReport, autocorrelation,
-                      detect_revival, detection_grid, principal_revival,
-                      scan_superrevival, table1_report)
+from .revival import (AutocorrSeries, autocorrelation, detect_revival,
+                      detection_grid, principal_revival, scan_superrevival)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
-from .spectrum import (BarkerApproximation, Spectrum, WellConfig, barker,
-                       orthonormality_matrix, solve_spectrum,
-                       transcendental_residual)
+from .spectrum import (Spectrum, WellConfig, barker, orthonormality_matrix,
+                       solve_spectrum, transcendental_residual)
 from .wavepacket import (GaussianSpec, SpectralDecomposition, evolve, project,
                          snapshot)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousWindowError", "AutocorrSeries", "BarkerApproximation",
+    "AmbiguousWindowError", "AutocorrSeries",
     "BUILTIN_SCENARIOS", "CompletenessWarning",
     "ConvergenceError", "CutoffTooSmallError", "EdgePeakError", "FockWeights",
     "GaussianSpec",
     "HorizonTooShortError",
-    "OscillatorSystem", "OscillatorTimescales", "RevivalReport",
+    "OscillatorSystem", "OscillatorTimescales",
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "WellConfig", "autocorrelation", "barker",
     "coherent_weights", "detect_revival",
@@ -40,6 +38,6 @@ __all__ = [
     "orthonormality_matrix", "oscillator_phase_rates",
     "oscillator_timescales", "principal_revival",
     "project", "scan_superrevival",
-    "snapshot", "solve_spectrum", "squeezed_weights", "table1_report",
+    "snapshot", "solve_spectrum", "squeezed_weights",
     "transcendental_residual",
 ]

@@ -24,8 +24,8 @@ _TAIL_MASS = 1e-10
 # The automatic truncation grows a little past the acceptance threshold so
 # that weighted moments (not just the total mass) stay accurate.
 _TAIL_MASS_AUTO = 1e-12
-# Without a cutoff the raw weights are computed over 64, 128, ... levels
-# until the last four are at most 2**-60 of their sum.
+# The raw weights are computed over 64, 128, ... levels, or from the cutoff
+# on, until the last four are at most 2**-60 of their sum.
 _FIRST_RANGE = 64
 _RUN_OUT = 2.0 ** -60
 
@@ -85,19 +85,22 @@ def _log_factorials(n_raw: int) -> np.ndarray:
     return np.array([math.lgamma(k) for k in range(1, n_raw + 2)])
 
 
-def _reaching(raw, n_raw):
-    """``raw(n_raw)``, or without a cutoff's ``n_raw`` the raw weights over
-    the first range of levels in which they run out.
+def _reaching(raw, cutoff):
+    """The raw weights over the first range of levels in which they run out.
 
-    The ranges double from ``_FIRST_RANGE`` to ``FOCK_CUTOFF_CAP``; a range
-    is enough once its sum is positive and its last four weights are at most
-    ``_RUN_OUT`` of it.  The levels past it then carry too little to move the
-    sum, so the weights that ``_finalize`` keeps are those of the full range.
-    A range whose weights all underflow, below a large mean, is not enough.
+    A ``cutoff`` outside ``0..FOCK_CUTOFF_CAP`` is refused before any weight
+    is computed.  The ranges double from ``_FIRST_RANGE``, or from the cutoff
+    if that is larger, to ``FOCK_CUTOFF_CAP``; a range is enough once its sum
+    is positive and its last four weights are at most ``_RUN_OUT`` of it.
+    The levels past it then carry too little to move the sum, so the weights
+    that ``_finalize`` keeps are those of the full range.  A range whose
+    weights all underflow, below a large mean, is not enough.
     """
-    if n_raw is not None:
-        return raw(n_raw)
     n_raw = _FIRST_RANGE
+    if cutoff is not None:
+        if not 0 <= cutoff <= FOCK_CUTOFF_CAP:
+            raise ValueError(f"cutoff must be in 0..{FOCK_CUTOFF_CAP}, got {cutoff}")
+        n_raw = max(n_raw, cutoff)
     weights = raw(n_raw)
     while n_raw < FOCK_CUTOFF_CAP:
         total = weights.sum()
@@ -149,8 +152,7 @@ def coherent_weights(alpha: complex, cutoff: int | None = None) -> FockWeights:
         n = np.arange(n_raw + 1)
         return np.exp(-mean + n * math.log(mean) - _log_factorials(n_raw))
 
-    n_raw = None if cutoff is None else max(cutoff, int(10 * (1 + mean)))
-    return _finalize(_reaching(raw, n_raw), cutoff, source=f"coherent(alpha={alpha})")
+    return _finalize(_reaching(raw, cutoff), cutoff, source=f"coherent(alpha={alpha})")
 
 
 def squeezed_weights(s: float, alpha: float,
@@ -170,7 +172,6 @@ def squeezed_weights(s: float, alpha: float,
     if s == 1.0:
         return coherent_weights(alpha, cutoff)
 
-    r = 0.5 * math.log(s)
     t = (s - 1.0) / (s + 1.0)  # tanh r
     x_h = s * math.sqrt(2.0) * alpha / math.sqrt(s * s - 1.0)
     prefactor = math.log(2.0 * math.sqrt(s) / (s + 1.0)) \
@@ -183,9 +184,7 @@ def squeezed_weights(s: float, alpha: float,
             - _log_factorials(n_raw) + 2.0 * h_logs
         return np.where(h_signs == 0.0, 0.0, np.exp(logs))
 
-    n_raw = None if cutoff is None else max(
-        cutoff, int(10 * (1 + math.sinh(r) ** 2 + alpha * alpha)))
-    return _finalize(_reaching(raw, n_raw), cutoff,
+    return _finalize(_reaching(raw, cutoff), cutoff,
                      source=f"squeezed(s={s}, alpha={alpha})")
 
 

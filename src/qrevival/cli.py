@@ -24,7 +24,7 @@ from .errors import (AmbiguousWindowError, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
                       autocorrelation, detection_grid, principal_revival,
-                      scan_superrevival, table1_report)
+                      scan_superrevival)
 from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
                         require_finite)
 from .spectrum import WellConfig, barker, solve_spectrum
@@ -147,7 +147,7 @@ def system_options(oscillator=True):
 
 def _resolve_scenario(scenario, epsilon=None, x0=None, sigma=None, beta=None,
                       alpha=None, squeeze=None, tau_max=None,
-                      tau_step=None) -> ScenarioConfig:
+                      tau_step=None, horizon=None) -> ScenarioConfig:
     """The named scenario, or the ad-hoc well or oscillator, with the given
     overrides; overriding a block the scenario lacks is refused."""
     if scenario:
@@ -169,10 +169,20 @@ def _resolve_scenario(scenario, epsilon=None, x0=None, sigma=None, beta=None,
             if block not in data:
                 raise ValueError(f"{data['name']!r} has no {block} to override")
             data[block].update(given)
-    for key, value in (("tau_max", tau_max), ("tau_step", tau_step)):
+    for key, value in (("tau_max", tau_max), ("tau_step", tau_step),
+                       ("horizon", horizon)):
         if value is not None:
             data[key] = value
     return ScenarioConfig.from_dict(data)
+
+
+def _echo(cfg: ScenarioConfig) -> dict:
+    """The scenario as it ran, in strict JSON: the box's strength as null,
+    which ``ScenarioConfig.from_dict`` reads back as ``inf``."""
+    data = cfg.to_dict()
+    if cfg.epsilon is not None and math.isinf(cfg.epsilon):
+        data["well"]["epsilon"] = None
+    return data
 
 
 def _fock_for(cfg: ScenarioConfig):
@@ -211,8 +221,19 @@ def _well_inputs(epsilon, packet):
 
 def _revival_prediction(cfg: ScenarioConfig, fock) -> float:
     if cfg.epsilon is not None:
-        return barker(WellConfig(cfg.epsilon)).approx_revival_time
+        return barker(WellConfig(cfg.epsilon))
     return oscillator_timescales(fock, cfg.oscillator.beta).revival_time
+
+
+def _revival_report(weights, rates, predicted) -> dict:
+    """The principal revival near ``predicted``, against that prediction."""
+    detected, height = principal_revival(weights, rates, predicted)
+    return {
+        "detected_revival": detected,
+        "barker_predicted": predicted,
+        "percent_error": 100.0 * abs(detected - predicted) / detected,
+        "peak_height_at_revival": height,
+    }
 
 
 @click.group()
@@ -264,7 +285,7 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
     taus = detection_grid(0.0, cfg.tau_max, cfg.tau_step)
     fock = _fock_for(cfg)
     weights, rates, _completeness = _series_inputs(cfg, fock)
-    series = autocorrelation(weights, rates, taus, provenance=cfg.name)
+    series = autocorrelation(weights, rates, taus)
     ref_values = None
     if reference:
         ref_w, ref_rates = _reference_inputs(cfg, fock)
@@ -278,7 +299,7 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
             header += ",reference"
         _emit(header + "\n" + csv_rows(columns), out)
     else:
-        payload = {"scenario": cfg.to_dict(), "tau": series.tau,
+        payload = {"scenario": _echo(cfg), "tau": series.tau,
                    "autocorr": series.values}
         if ref_values is not None:
             payload["reference"] = ref_values
@@ -299,22 +320,21 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
     for eps in eps_list:
         require_finite(epsilon=eps)
     packet = GaussianSpec(x0=x0, sigma=sigma)
-    reports = table1_report(packet, eps_list)
+    rows = []
+    for eps in eps_list:
+        weights, rates, completeness = _well_inputs(eps, packet)
+        report = _revival_report(weights, rates, barker(WellConfig(eps)))
+        rows.append({"epsilon": eps, "detected": report["detected_revival"],
+                     "barker": report["barker_predicted"],
+                     "percent_error": report["percent_error"],
+                     "peak_height": report["peak_height_at_revival"],
+                     "completeness": completeness})
     if fmt == "csv":
-        columns = [[getattr(r, key) for r in reports] for key in (
-            "epsilon", "detected_revival", "barker_predicted", "percent_error",
-            "peak_height_at_revival", "completeness")]
-        _emit("epsilon,detected,barker,percent_error,peak_height,completeness\n"
-              + csv_rows(columns), out)
+        columns = [[row[key] for row in rows] for key in rows[0]]
+        _emit(",".join(rows[0]) + "\n" + csv_rows(columns), out)
     else:
-        payload = [
-            {"epsilon": r.epsilon, "detected": r.detected_revival,
-             "barker": r.barker_predicted, "percent_error": r.percent_error,
-             "peak_height": r.peak_height_at_revival,
-             "completeness": r.completeness, "grid_step": DETECTION_MAX_STEP,
-             "refine_tol": REFINE_TOL}
-            for r in reports
-        ]
+        payload = [dict(row, grid_step=DETECTION_MAX_STEP, refine_tol=REFINE_TOL)
+                   for row in rows]
         _emit(_json_dump(payload), out)
 
 
@@ -328,29 +348,24 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
 @cli_errors
 def cmd_revivals(horizon, superrevival, fmt, out, **system):
     """Detect the principal revival (and optionally the first superrevival)."""
-    cfg = _resolve_scenario(**system)
-    horizon = cfg.horizon if horizon is None else horizon
-    if not (math.isfinite(horizon) and horizon >= 2.0):
-        raise ValueError(f"horizon must be at least 2 and finite, got {horizon}")
+    cfg = _resolve_scenario(horizon=horizon, **system)
+    if not cfg.horizon >= 2.0:
+        raise ValueError(f"horizon must be at least 2, got {cfg.horizon}")
     fock = _fock_for(cfg)
     weights, rates, completeness = _series_inputs(cfg, fock)
     predicted = _revival_prediction(cfg, fock)
-    detected, height = principal_revival(weights, rates, predicted,
-                                         provenance=cfg.name)
+    report = _revival_report(weights, rates, predicted)
 
     super_tau = None
     if superrevival:
-        super_tau = scan_superrevival(weights, rates, horizon, predicted)
+        super_tau = scan_superrevival(weights, rates, cfg.horizon, predicted)
 
     payload = {
-        "scenario": cfg.to_dict(),
-        "detected_revival": detected,
-        "barker_predicted": predicted,
-        "percent_error": 100.0 * abs(detected - predicted) / detected,
-        "peak_height_at_revival": height,
+        "scenario": _echo(cfg),
+        **report,
         "detected_superrevival": super_tau,
         "completeness": completeness,
-        "horizon": horizon,
+        "horizon": cfg.horizon,
         "grid_step": DETECTION_MAX_STEP,
         "envelope_step": ENVELOPE_STEP,
         "superrevival_scanned": bool(superrevival),
@@ -388,7 +403,7 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
             text += [f"# tau = {label}\nxbar,density\n", csv_rows([grid, dens])]
         _emit("".join(text), out)
     else:
-        payload = {"scenario": cfg.to_dict(), "snapshots": [
+        payload = {"scenario": _echo(cfg), "snapshots": [
             {"tau": t, "xbar": grid, "density": snapshot(decomp, states, t, grid)}
             for t in taus
         ]}

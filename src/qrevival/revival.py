@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
-from .spectrum import WellConfig, barker, solve_spectrum
-from .wavepacket import GaussianSpec, project
 
 _CHUNK = 65536
 # Widest block of the factored kernel: its N x B tail stays in cache.
@@ -56,18 +54,6 @@ class AutocorrSeries:
             raise ValueError("grid and values must align")
         if len(self.tau) > 1 and not np.all(np.diff(self.tau) > 0):
             raise ValueError("time grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class RevivalReport:
-    """Detected revival of one scenario against its closed-form prediction."""
-
-    epsilon: float
-    detected_revival: float
-    barker_predicted: float
-    percent_error: float
-    peak_height_at_revival: float
-    completeness: float
 
 
 def _carried_levels(weights, rates):
@@ -423,7 +409,7 @@ def detection_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(int(k0), int(k1) + 1, dtype=float) * step
 
 
-def principal_revival(weights, rates, predicted: float, provenance: str = ""):
+def principal_revival(weights, rates, predicted: float):
     """Principal revival near ``predicted`` as ``(time, height)``.
 
     ``|A|^2`` is sampled every ``DETECTION_MAX_STEP`` on ``DEFAULT_WINDOW``
@@ -444,17 +430,15 @@ def principal_revival(weights, rates, predicted: float, provenance: str = ""):
     if len(_carried_levels(weights, rates)[0]) < 2:
         raise ValueError("|A|^2 is constant: fewer than two levels carry weight")
     try:
-        return _window_revival(weights, rates, predicted, DEFAULT_WINDOW,
-                               provenance)
+        return _window_revival(weights, rates, predicted, DEFAULT_WINDOW)
     except AmbiguousWindowError:
-        return _window_revival(weights, rates, predicted, RETRY_WINDOW,
-                               provenance)
+        return _window_revival(weights, rates, predicted, RETRY_WINDOW)
 
 
-def _window_revival(weights, rates, predicted, scale, provenance):
+def _window_revival(weights, rates, predicted, scale):
     window = (scale[0] * predicted, scale[1] * predicted)
     taus = detection_grid(window[0], window[1], DETECTION_MAX_STEP)
-    series = autocorrelation(weights, rates, taus, provenance=provenance)
+    series = autocorrelation(weights, rates, taus)
     detected, height = detect_revival(series, window)
     i0, i1 = _window_bounds(series.tau, window)
     peak = i0 + int(np.argmax(series.values[i0:i1]))
@@ -465,30 +449,3 @@ def _window_revival(weights, rates, predicted, scale, provenance):
             f"the window")
     return detected, height
 
-
-def table1_report(packet: GaussianSpec, epsilons) -> list[RevivalReport]:
-    """End-to-end revival comparison for a list of well strengths.
-
-    For each strength: solve the spectrum, project the packet, find the
-    principal revival around the effective-length prediction and report the
-    percentage discrepancy.  Completeness warnings from the projection
-    propagate to the caller.
-    """
-    reports = []
-    for eps in epsilons:
-        config = WellConfig(epsilon=float(eps))
-        states = solve_spectrum(config)
-        decomp = project(packet, states)
-        predicted = barker(config).approx_revival_time
-        detected, height = principal_revival(
-            decomp.weights, states.rates, predicted,
-            provenance=f"well(epsilon={eps})")
-        reports.append(RevivalReport(
-            epsilon=float(eps),
-            detected_revival=detected,
-            barker_predicted=predicted,
-            percent_error=100.0 * abs(detected - predicted) / detected,
-            peak_height_at_revival=height,
-            completeness=decomp.completeness,
-        ))
-    return reports

@@ -1,11 +1,11 @@
 """Named parameter sets and their JSON round-trip.
 
-Each scenario pins one system (a well of strength ``epsilon``, with ``inf``
-selecting the infinitely deep reference well, or the nonlinear oscillator
-with a chosen initial state), a packet where applicable, and the default
-output grid and scan horizon.  The built-ins cover the bundled reference
-curves and are compiled in so no external files are needed to reproduce
-them.
+Each scenario pins one system (a well of strength ``epsilon``, with ``inf``,
+``null`` in strict JSON, selecting the infinitely deep reference well, or
+the nonlinear oscillator with a chosen initial state), a packet where
+applicable, and the default output grid and scan horizon.  The built-ins
+cover the bundled reference curves and are compiled in so no external files
+are needed to reproduce them.
 """
 
 from __future__ import annotations
@@ -87,7 +87,9 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         epsilon = None
         if "well" in data:
-            epsilon = float(data["well"]["epsilon"])
+            value = data["well"]["epsilon"]
+            # strict JSON has no infinity: it writes the box's strength as null
+            epsilon = math.inf if value is None else float(value)
         osc = None
         if "oscillator" in data:
             block = data["oscillator"]
@@ -108,9 +110,6 @@ class ScenarioConfig:
             horizon=float(data["horizon"]),
             epsilon=epsilon, oscillator=osc, packet=packet,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -101,24 +101,10 @@ class Spectrum:
         return transcendental_residual(self.alpha, self.beta, self.even)
 
 
-@dataclass(frozen=True)
-class BarkerApproximation:
-    """First-order mapping of the finite well onto a longer infinite well."""
-
-    effective_length_ratio: float
-    approx_energy_scale: float
-    approx_revival_time: float
-
-
-def barker(config: WellConfig) -> BarkerApproximation:
-    """Closed-form effective-length ratios for a well of strength epsilon."""
-    ratio = 1.0 + 1.0 / config.epsilon
-    scale = 1.0 / ratio ** 2
-    return BarkerApproximation(
-        effective_length_ratio=ratio,
-        approx_energy_scale=scale,
-        approx_revival_time=ratio ** 2,
-    )
+def barker(config: WellConfig) -> float:
+    """Barker's revival time ``(1 + 1/epsilon)^2``: the box's, scaled by
+    the square of the well's effective length ratio ``1 + 1/epsilon``."""
+    return (1.0 + 1.0 / config.epsilon) ** 2
 
 
 def transcendental_residual(alpha, beta, even):

@@ -4,12 +4,14 @@ Each test prints one PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py
 to see the lines as the suite executes.
 """
 
+import json
 import math
 import time
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
@@ -19,7 +21,8 @@ from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       detection_grid, orthonormality_matrix,
                       oscillator_phase_rates, oscillator_timescales,
                       project, scan_superrevival, solve_spectrum,
-                      squeezed_weights, table1_report)
+                      squeezed_weights)
+from qrevival.cli import main
 from qrevival.wavepacket import COMPLETENESS_FLOOR
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
@@ -132,8 +135,11 @@ def envelope_series(weights, rates, horizon):
 @pytest.fixture(scope="module")
 def table1():
     start = time.perf_counter()
-    reports = table1_report(PAPER_PACKET, [12.0, 30.0, 100.0])
-    return reports, time.perf_counter() - start
+    result = CliRunner().invoke(main, ["table1", "--x0", repr(PAPER_PACKET.x0),
+                                       "--sigma", repr(PAPER_PACKET.sigma),
+                                       "--epsilons", "12,30,100", "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    return json.loads(result.stdout), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -150,20 +156,20 @@ def test_criterion_1_revival_time_table(table1):
     paper_errors = [0.9, 0.09, 0.0039]
     problems = []
     for r, ref, perr in zip(reports, refs, paper_errors):
-        if abs(r.detected_revival - ref) / ref > 0.006:
-            problems.append(f"detected {r.detected_revival:.5f} != {ref} at 0.6%")
-        exact = (1.0 + 1.0 / r.epsilon) ** 2
-        if abs(r.barker_predicted - exact) / exact > 1e-12:
-            problems.append(f"prediction column off at eps={r.epsilon}")
-        if not (perr / 3.0 <= r.percent_error <= perr * 3.0):
-            problems.append(
-                f"error {r.percent_error:.4f}% outside 3x of {perr}% at eps={r.epsilon}")
-    errs = [r.percent_error for r in reports]
+        if abs(r["detected"] - ref) / ref > 0.006:
+            problems.append(f"detected {r['detected']:.5f} != {ref} at 0.6%")
+        exact = (1.0 + 1.0 / r["epsilon"]) ** 2
+        if abs(r["barker"] - exact) / exact > 1e-12:
+            problems.append(f"prediction column off at eps={r['epsilon']}")
+        if not (perr / 3.0 <= r["percent_error"] <= perr * 3.0):
+            problems.append(f"error {r['percent_error']:.4f}% outside 3x of {perr}% "
+                            f"at eps={r['epsilon']}")
+    errs = [r["percent_error"] for r in reports]
     if not errs[0] > errs[1] > errs[2]:
         problems.append(f"errors not monotone: {errs}")
     if elapsed >= 30.0:
         problems.append(f"runtime {elapsed:.1f}s exceeds 30s")
-    detail = (f"detected {[round(r.detected_revival, 5) for r in reports]}, "
+    detail = (f"detected {[round(r['detected'], 5) for r in reports]}, "
               f"errors {[round(e, 4) for e in errs]}%, runtime {elapsed:.2f}s")
     verdict("1 (revival-time table)", not problems, detail + "; " + "; ".join(problems))
 
@@ -341,7 +347,7 @@ def test_criterion_5_property_suite():
         problems.append("peak location moved under weight rescaling")
 
     _, _, w_big, rates_big = well_pipeline(1e4, PAPER_PACKET)
-    predicted = barker(WellConfig(1e4)).approx_revival_time
+    predicted = barker(WellConfig(1e4))
     win = (0.9 * predicted, 1.5 * predicted)
     series = autocorrelation(w_big, rates_big, detection_grid(*win, 1e-4))
     detected_big, _ = detect_revival(series, win)
@@ -360,7 +366,7 @@ def test_criterion_6_finite_well_superrevivals():
     found = {}
     for eps, horizon, expected in ((12.0, 40.0, 5.738), (15.0, 60.0, 10.110)):
         _, _, w, rates = well_pipeline(eps, CENTERED_PACKET)
-        period = barker(WellConfig(epsilon=eps)).approx_revival_time
+        period = barker(WellConfig(epsilon=eps))
         tau_sr = scan_superrevival(w, rates, horizon, period)
         found[eps] = tau_sr
         if tau_sr is None:

@@ -69,6 +69,37 @@ def test_undersized_cutoff_is_refused():
         coherent_weights(2.0, cutoff=6)
 
 
+@pytest.mark.parametrize("cutoff", [-1, anharmonic.FOCK_CUTOFF_CAP + 1, 300000])
+@pytest.mark.parametrize("s", [1.0, 3.0])
+def test_cutoff_outside_the_cap_is_refused_before_any_weight(monkeypatch, s, cutoff):
+    def no_weights(n_raw):
+        raise AssertionError("weights computed before the cutoff was checked")
+
+    monkeypatch.setattr(anharmonic, "_log_factorials", no_weights)
+    with pytest.raises(ValueError, match=f"cutoff must be in 0..2048, got {cutoff}"):
+        squeezed_weights(s, 2.0, cutoff)
+
+
+@pytest.mark.parametrize("s, alpha, cutoff", [(1.0, 300.0, 10), (1.0, 2.0, 2048),
+                                              (3.0, 1.0, 100), (100.0, 30.0, 2048)])
+def test_a_cutoff_computes_at_most_the_cap(monkeypatch, s, alpha, cutoff):
+    # the ranges double from the cutoff to the cap, whatever the mean
+    sizes = []
+    log_factorials = anharmonic._log_factorials
+
+    def counted(n_raw):
+        sizes.append(n_raw)
+        return log_factorials(n_raw)
+
+    monkeypatch.setattr(anharmonic, "_log_factorials", counted)
+    try:
+        squeezed_weights(s, alpha, cutoff)
+    except (ValueError, CutoffTooSmallError):
+        pass
+    assert sizes and max(sizes) <= anharmonic.FOCK_CUTOFF_CAP
+    assert sizes[0] == max(64, cutoff)
+
+
 # --- squeezed ------------------------------------------------------------
 
 
@@ -123,7 +154,7 @@ def test_squeeze_below_unity_is_rejected():
 # --- the computed range --------------------------------------------------
 
 
-def full_range_weights(s, alpha):
+def full_range_weights(s, alpha, cutoff=None):
     """Weights computed over every level up to the cap, then truncated."""
     n_raw = anharmonic.FOCK_CUTOFF_CAP
     n = np.arange(n_raw + 1)
@@ -142,7 +173,7 @@ def full_range_weights(s, alpha):
             - log_factorials + 2.0 * h_logs
         raw = np.where(h_signs == 0.0, 0.0, np.exp(logs))
         source = f"squeezed(s={s}, alpha={alpha})"
-    return anharmonic._finalize(np.asarray(raw, dtype=float), None, source)
+    return anharmonic._finalize(np.asarray(raw, dtype=float), cutoff, source)
 
 
 RANGE_STATES = ([(1.0, a) for a in (0.0, 0.1, 8.0, 40.0)]
@@ -164,6 +195,21 @@ def test_weights_match_the_full_range_bit_for_bit(s, alpha):
     assert fock.weights.tobytes() == expected.weights.tobytes()
     assert fock.mean_n == expected.mean_n
     assert fock.source == expected.source
+
+
+@pytest.mark.parametrize("cutoff", [40, 300, 2048])
+@pytest.mark.parametrize("s, alpha", RANGE_STATES)
+def test_cutoff_weights_match_the_full_range_bit_for_bit(s, alpha, cutoff):
+    # a cutoff's ranges double from it to the cap, as the automatic ones do
+    try:
+        expected = full_range_weights(s, alpha, cutoff)
+    except CutoffTooSmallError:
+        with pytest.raises(CutoffTooSmallError):
+            squeezed_weights(s, alpha, cutoff)
+        return
+    fock = squeezed_weights(s, alpha, cutoff)
+    assert fock.weights.tobytes() == expected.weights.tobytes()
+    assert fock.mean_n == expected.mean_n
 
 
 # --- dynamics -------------------------------------------------------------

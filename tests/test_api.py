@@ -3,7 +3,8 @@ import qrevival
 DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
            "timescales", "TimescaleHierarchy", "BoundState",
            "eigenfunction_value", "infinite_evolve", "parity_filtered",
-           "InfiniteWellState", "infinite_project")
+           "InfiniteWellState", "infinite_project", "table1_report",
+           "RevivalReport", "BarkerApproximation")
 
 
 def test_every_exported_name_resolves():

@@ -8,15 +8,16 @@ import subprocess
 import sys
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qrevival
-from qrevival import (BUILTIN_SCENARIOS, GaussianSpec, ScenarioConfig, WellConfig,
+from qrevival import (BUILTIN_SCENARIOS, ScenarioConfig, WellConfig,
                       autocorrelation, coherent_weights, load_scenario, project,
-                      snapshot, solve_spectrum, squeezed_weights, table1_report)
+                      snapshot, solve_spectrum, squeezed_weights)
 from qrevival import cli, revival
 from qrevival.cli import main
 
@@ -37,13 +38,13 @@ def rows(csv_text):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_scenario_json_round_trip(name):
     cfg = BUILTIN_SCENARIOS[name]
-    assert ScenarioConfig.from_json(cfg.to_json()) == cfg
+    assert ScenarioConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
 
 def test_scenario_file_loading(tmp_path):
     path = tmp_path / "custom.json"
     cfg = BUILTIN_SCENARIOS["fig1a"]
-    path.write_text(cfg.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert load_scenario(str(path)) == cfg
 
 
@@ -289,6 +290,25 @@ def test_table1_reports_the_revivals_time_after_a_retry(runner):
     # the maximum of |A|^2, 1.508184648792057229... at 40 digits (checked
     # against mpmath in test_revival.py)
     assert json.loads(table.stdout)[0]["detected"] == detected == 1.5081846487920572
+
+
+@pytest.mark.parametrize("eps", [12.0, 30.0, 100.0, 4.712860219282728])
+def test_table1_rows_are_the_revivals_reports(runner, eps):
+    # 4.712860219282728 takes the retry window (test_revival.py)
+    single = runner.invoke(main, ["revivals", "--epsilon", repr(eps),
+                                  "--x0", "0.2", "--sigma", "0.1"])
+    assert single.exit_code == 0
+    r = json.loads(single.stdout)
+    expected = [eps, r["detected_revival"], r["barker_predicted"], r["percent_error"],
+                r["peak_height_at_revival"], r["completeness"]]
+    table = runner.invoke(main, ["table1", "--epsilons", repr(eps), "--format", "json"])
+    (row,) = json.loads(table.stdout)
+    assert [row[key] for key in ("epsilon", "detected", "barker", "percent_error",
+                                 "peak_height", "completeness")] == expected
+    csv = runner.invoke(main, ["table1", "--epsilons", repr(eps)])
+    _, (values,) = rows(csv.stdout)
+    # %.16e round-trips every double
+    assert [float(value) for value in values] == expected
 
 
 @pytest.mark.parametrize("epsilons", ["", " , "])
@@ -624,6 +644,23 @@ def test_oscillator_refuses_non_finite_parameters(runner, args):
     assert "must be finite" in result.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--alpha", "2", "--cutoff", "-1"], "cutoff must be in 0..2048, got -1"),
+    (["--alpha", "2", "--cutoff", "2049"], "cutoff must be in 0..2048, got 2049"),
+    (["--alpha", "2", "--squeeze", "3", "--cutoff", "300000"],
+     "cutoff must be in 0..2048, got 300000"),
+    # every weight of every range up to the cap underflows below this mean
+    (["--alpha", "300", "--cutoff", "10"], "weight distribution has no mass"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oscillator_refuses_a_cutoff_out_of_range(runner, args, message, fmt):
+    result = runner.invoke(main, ["oscillator", "--beta", "0.002", *args,
+                                  "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_oscillator_zero_beta_reports_no_superrevival_scale(runner):
     result = runner.invoke(main, ["oscillator", "--beta", "0", "--alpha", "2"])
     payload = json.loads(result.stdout)
@@ -662,12 +699,6 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-# The box's strength is echoed as the one non-JSON token of its scenario block;
-# the benchmark's checks read that echo as a number, so it stays until the
-# benchmark changes with it (ROADMAP).
-KNOWN_ECHO = '"epsilon": Infinity'
-
-
 def _scenario_runs(name):
     """Each JSON-emitting command on one built-in scenario, as
     ``(args, expected exit code)``."""
@@ -704,12 +735,32 @@ def test_json_output_is_strict_json(runner, name):
             # what json.dumps prints for the payload the text encodes
             canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
             assert_same_text(text, canonical)
-            if name == "infinite" and '"scenario"' in text:
-                assert text.count(KNOWN_ECHO) == 1, args
-                text = text.replace(KNOWN_ECHO, '"epsilon": null')
             json.loads(text, parse_constant=_refuse_constant)
         else:
             assert result.stdout == "", args
+
+
+_OVERRIDES = {"--tau-max": "tau_max", "--tau-step": "tau_step", "--horizon": "horizon"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_json_echo_rebuilds_the_scenario_that_ran(runner, name):
+    cfg = BUILTIN_SCENARIOS[name]
+    runs = [["autocorr", "--scenario", name, "--format", "json", "--tau-max", "0.01"],
+            ["autocorr", "--scenario", name, "--format", "json", "--tau-max", "0.01",
+             "--tau-step", "0.002"],
+            ["revivals", "--scenario", name],
+            ["revivals", "--scenario", name, "--horizon", "30.5"]]
+    if cfg.epsilon is not None and np.isfinite(cfg.epsilon):
+        runs.append(["snapshot", "--scenario", name, "--tau", "0.5", "--grid", "32",
+                     "--format", "json"])
+    for args in runs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.stderr)
+        echo = json.loads(result.stdout)["scenario"]
+        overrides = {_OVERRIDES[flag]: float(value)
+                     for flag, value in zip(args, args[1:]) if flag in _OVERRIDES}
+        assert ScenarioConfig.from_dict(echo) == replace(cfg, **overrides), args
 
 
 # --- CSV byte identity -------------------------------------------------------------
@@ -802,13 +853,13 @@ def test_oscillator_csv_bytes_match_python_formatting(runner, args):
 
 
 def test_table1_csv_bytes_match_python_formatting(runner):
-    reports = table1_report(GaussianSpec(x0=0.2, sigma=0.1), [12.0, 30.0, 100.0])
     lines = ["epsilon,detected,barker,percent_error,peak_height,completeness"]
-    for r in reports:
-        lines.append(
-            f"{_fmt(r.epsilon)},{_fmt(r.detected_revival)},"
-            f"{_fmt(r.barker_predicted)},{_fmt(r.percent_error)},"
-            f"{_fmt(r.peak_height_at_revival)},{_fmt(r.completeness)}")
+    for eps in (12.0, 30.0, 100.0):
+        # the default packet of both commands is x0 = 0.2, sigma = 0.1
+        r = json.loads(runner.invoke(main, ["revivals", "--epsilon", repr(eps)]).stdout)
+        lines.append(",".join(_fmt(value) for value in (
+            eps, r["detected_revival"], r["barker_predicted"], r["percent_error"],
+            r["peak_height_at_revival"], r["completeness"])))
     result = runner.invoke(main, ["table1"])
     assert_same_text(result.stdout, "\n".join(lines) + "\n")
 

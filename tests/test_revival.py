@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,8 @@ from qrevival import (AmbiguousWindowError, AutocorrSeries, EdgePeakError,
                       load_scenario, oscillator_phase_rates,
                       oscillator_timescales, principal_revival, project,
                       revival, scan_superrevival, solve_spectrum,
-                      squeezed_weights, table1_report)
+                      squeezed_weights)
+from qrevival.cli import main
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 
@@ -29,6 +32,16 @@ def well_inputs(epsilon, packet):
         decomp = project(packet, states)
     weights = np.abs(decomp.coefficients) ** 2
     return weights, states.rates, decomp
+
+
+def table1_rows(epsilons):
+    """The rows of ``table1 --format json`` for these strengths and
+    ``PAPER_PACKET``."""
+    result = CliRunner().invoke(main, [
+        "table1", "--x0", repr(PAPER_PACKET.x0), "--sigma", repr(PAPER_PACKET.sigma),
+        "--epsilons", ",".join(map(repr, epsilons)), "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 def mp_peak(weights, rates, tau0):
@@ -399,7 +412,7 @@ def nonzero_levels(weights, rates):
 @pytest.fixture(scope="module")
 def deep_well():
     w, rates, _ = well_inputs(DEEP_EPSILON, DEEP_PACKET)
-    predicted = barker(WellConfig(epsilon=DEEP_EPSILON)).approx_revival_time
+    predicted = barker(WellConfig(epsilon=DEEP_EPSILON))
     return w, rates, predicted
 
 
@@ -542,7 +555,7 @@ def test_series_without_levels_keeps_the_parabola(kind, value, beta,
 
 def well_revival_inputs(epsilon):
     w, rates, _ = well_inputs(epsilon, PAPER_PACKET)
-    return w, rates, barker(WellConfig(epsilon=epsilon)).approx_revival_time
+    return w, rates, barker(WellConfig(epsilon=epsilon))
 
 
 def test_parabolic_vertex_of_a_mirrored_series_is_mirrored():
@@ -652,7 +665,7 @@ def test_detection_requires_coverage():
 
 def envelope_scan(epsilon, horizon):
     w, rates, _ = well_inputs(epsilon, GaussianSpec(x0=0.0, sigma=0.1))
-    period = barker(WellConfig(epsilon=epsilon)).approx_revival_time
+    period = barker(WellConfig(epsilon=epsilon))
     return w, rates, horizon, period
 
 
@@ -728,7 +741,7 @@ def fig5_scan_inputs():
 
 def fig2_scan_inputs():
     w, rates, _ = well_inputs(12.0, GaussianSpec(x0=0.0, sigma=0.1))
-    return w, rates, barker(WellConfig(epsilon=12.0)).approx_revival_time, 40.0
+    return w, rates, barker(WellConfig(epsilon=12.0)), 40.0
 
 
 def squeezed_scan_inputs():  # a squeezed vacuum of the superrevival_scan bench
@@ -864,7 +877,7 @@ def test_streamed_scan_rejects_a_non_finite_horizon():
 
 def test_streamed_scan_holds_one_run_in_memory():
     w, rates, _ = well_inputs(30.0, PAPER_PACKET)
-    period = barker(WellConfig(epsilon=30.0)).approx_revival_time
+    period = barker(WellConfig(epsilon=30.0))
     tracemalloc.start()
     try:
         detected = scan_superrevival(w, rates, 4000.0, period)
@@ -879,7 +892,7 @@ def test_long_horizon_scan_holds_no_per_cycle_arrays():
     # 852,000 whole cycles fit in the horizon, but the recovery comes in
     # the 13th: nothing is held per cycle that has not been sampled
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
-    period = barker(WellConfig(epsilon=12.0)).approx_revival_time
+    period = barker(WellConfig(epsilon=12.0))
     tracemalloc.start()
     try:
         detected = scan_superrevival(w, rates, 1e6, period)
@@ -909,7 +922,7 @@ def consumed_runs(monkeypatch):
 
 def test_full_horizon_scan_holds_one_run_in_memory(consumed_runs):
     w, rates, _ = well_inputs(100.0, PAPER_PACKET)
-    period = barker(WellConfig(epsilon=100.0)).approx_revival_time
+    period = barker(WellConfig(epsilon=100.0))
     tracemalloc.start()
     try:
         with pytest.raises(HorizonTooShortError):
@@ -954,59 +967,59 @@ def test_table1_retries_an_ambiguous_window():
     eps = 4.712860219282728
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        (report,) = table1_report(PAPER_PACKET, [eps])
+        (report,) = table1_rows([eps])
     w, rates, _ = well_inputs(eps, PAPER_PACKET)
-    predicted = barker(WellConfig(epsilon=eps)).approx_revival_time
+    predicted = barker(WellConfig(epsilon=eps))
     with pytest.raises(AmbiguousWindowError):
         lo, hi = 0.9 * predicted, 1.5 * predicted
         detect_revival(autocorrelation(w, rates, detection_grid(lo, hi, 1e-4)),
                        (lo, hi))
-    assert report.detected_revival == principal_revival(w, rates, predicted)[0]
+    assert report["detected"] == principal_revival(w, rates, predicted)[0]
     # The maximum of |A|^2 there is 1.508184648792057229... (40 digits); the
     # parabola through the grid triple put it at 1.5081846466397775.  The
     # top level's beta behind it matches mpmath to 1e-12 (test_spectrum.py).
-    assert report.detected_revival == 1.5081846487920572
-    root, peak = mp_peak(w, rates, report.detected_revival)
-    assert abs(report.detected_revival - float(root)) < 1e-12
-    assert abs(report.peak_height_at_revival - float(peak)) < 1e-12
+    assert report["detected"] == 1.5081846487920572
+    root, peak = mp_peak(w, rates, report["detected"])
+    assert abs(report["detected"] - float(root)) < 1e-12
+    assert abs(report["peak_height"] - float(peak)) < 1e-12
 
 
 def test_window_edge_peak_is_refused():
     w, rates, _ = well_inputs(4.712628857664328,
                               GaussianSpec(x0=-0.15839646014543776,
                                            sigma=0.08053085345697969))
-    predicted = barker(WellConfig(epsilon=4.712628857664328)).approx_revival_time
+    predicted = barker(WellConfig(epsilon=4.712628857664328))
     with pytest.raises(EdgePeakError, match="edge"):
         principal_revival(w, rates, predicted)
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return table1_report(PAPER_PACKET, [12.0, 30.0, 100.0])
+    return table1_rows([12.0, 30.0, 100.0])
 
 
 def test_report_prediction_column_is_closed_form(reports):
     for r in reports:
-        exact = (1.0 + 1.0 / r.epsilon) ** 2
-        assert abs(r.barker_predicted - exact) < 1e-12
+        exact = (1.0 + 1.0 / r["epsilon"]) ** 2
+        assert abs(r["barker"] - exact) < 1e-12
 
 
 def test_report_errors_shrink_with_depth(reports):
-    errors = [r.percent_error for r in reports]
+    errors = [r["percent_error"] for r in reports]
     assert errors[0] > errors[1] > errors[2]
 
 
 def test_report_detected_times_drop_toward_unity(reports):
-    detected = [r.detected_revival for r in reports]
+    detected = [r["detected"] for r in reports]
     assert detected[0] > detected[1] > detected[2] > 1.0
 
 
 def test_report_percent_error_definition(reports):
     r = reports[0]
-    manual = 100.0 * abs(r.detected_revival - r.barker_predicted) / r.detected_revival
-    assert abs(r.percent_error - manual) < 1e-12
+    manual = 100.0 * abs(r["detected"] - r["barker"]) / r["detected"]
+    assert abs(r["percent_error"] - manual) < 1e-12
 
 
 def test_report_carries_scan_metadata(reports):
     for r in reports:
-        assert r.completeness >= 0.999
+        assert r["completeness"] >= 0.999

@@ -165,17 +165,15 @@ def test_even_state_edge_value_matches_decay_formula(well12):
 
 def test_barker_tabulated_values():
     approx = barker(WellConfig(epsilon=12.0))
-    assert np.isclose(approx.approx_revival_time, (13.0 / 12.0) ** 2, rtol=1e-15)
-    assert round(approx.approx_revival_time, 3) == 1.174
-    assert np.isclose(barker(WellConfig(epsilon=30.0)).approx_revival_time,
-                      (31.0 / 30.0) ** 2, rtol=1e-15)
-    assert abs(barker(WellConfig(epsilon=30.0)).approx_revival_time - 1.06778) < 1e-5
+    assert np.isclose(approx, (13.0 / 12.0) ** 2, rtol=1e-15)
+    assert round(approx, 3) == 1.174
+    assert np.isclose(barker(WellConfig(epsilon=30.0)), (31.0 / 30.0) ** 2, rtol=1e-15)
+    assert abs(barker(WellConfig(epsilon=30.0)) - 1.06778) < 1e-5
 
 
 def test_barker_infinite_depth_limit():
-    assert abs(barker(WellConfig(epsilon=1e12)).approx_revival_time - 1.0) < 1e-11
-    box = barker(WellConfig(epsilon=math.inf))
-    assert box.approx_revival_time == box.approx_energy_scale == 1.0
+    assert abs(barker(WellConfig(epsilon=1e12)) - 1.0) < 1e-11
+    assert barker(WellConfig(epsilon=math.inf)) == 1.0
 
 
 def test_box_spectrum_is_closed_form_and_orthonormal():
@@ -198,9 +196,10 @@ def test_barker_identity_and_monotonicity():
     times = []
     for eps in eps_grid:
         approx = barker(WellConfig(epsilon=eps))
-        assert approx.approx_revival_time == approx.effective_length_ratio ** 2
-        assert approx.approx_revival_time > 1.0
-        times.append(approx.approx_revival_time)
+        # the square of the effective length ratio, bit for bit
+        assert approx == (1.0 + 1.0 / eps) ** 2
+        assert approx > 1.0
+        times.append(approx)
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
