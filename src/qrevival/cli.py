@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .csvtext import csv_rows, json_floats
-from .errors import (AmbiguousWindowError, ConvergenceError,
+from .errors import (AmbiguousWindowError, CompletenessWarning, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
                       autocorrelation, detection_grid, principal_revival,
@@ -103,10 +104,22 @@ def _refuse_array(value):
 
 
 def cli_errors(fn):
+    """Typed errors as ``error: <message>`` and an exit code, and
+    completeness warnings as ``warning: <message>``, both on stderr."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        show = warnings.showwarning
+
+        def show_warning(message, category, *rest):
+            if issubclass(category, CompletenessWarning):
+                sys.stderr.write(f"warning: {message}\n")
+            else:
+                show(message, category, *rest)
+
         try:
-            return fn(*args, **kwargs)
+            with warnings.catch_warnings():
+                warnings.showwarning = show_warning
+                return fn(*args, **kwargs)
         except (click.ClickException, click.Abort):
             raise
         except (AmbiguousWindowError, EdgePeakError, HorizonTooShortError) as exc:

@@ -142,16 +142,53 @@ def _phase_table(th, step, size):
     """
     table = np.empty((size, len(th)), dtype=complex)
     table[0] = 1.0
-    width = 1
-    while width < size:
-        more = min(width, size - width)
-        power = np.exp(-1j * (th * (width * step)))
-        np.multiply(table[:more], power, out=table[width:width + more])
-        width *= 2
+    _fill_phase_rows(table, th, step, 1, size)
     return table
 
 
-def _blocked_amplitudes(w, th, start, step, count):
+def _fill_phase_rows(table, th, step, lo, hi):
+    """Rows ``lo:hi`` of :func:`_phase_table` written into ``table``, whose
+    rows below ``lo`` hold it already: row ``r`` is row ``r - 2**k`` times
+    ``exp(-i th 2**k*step)``, ``2**k`` the highest power of two in ``r``."""
+    width = 1
+    while width < hi:
+        a, b = max(lo, width), min(hi, 2 * width)
+        if a < b:
+            power = np.exp(-1j * (th * (width * step)))
+            np.multiply(table[a - width:b - width], power, out=table[a:b])
+        width *= 2
+
+
+class _BlockTables:
+    """The block width ``B`` of a ``count``-sample grid and the phase tables
+    of :func:`_blocked_amplitudes`, shared by the products taken over it.
+
+    The tail ``exp(-i th r*step)``, ``r < B``, is built whole.  The lead
+    steps ``exp(-i th s*B*step)`` are filled, with the bits of one
+    :func:`_phase_table`, only as far as a product has reached, at least
+    doubling each time, so a scan that stops early builds few of them.
+    """
+
+    def __init__(self, th, step, count):
+        self.th, self.step = th, step
+        self.block = min(math.isqrt(count), _MAX_BLOCK)
+        self.tail = _phase_table(th, step, self.block)
+        self._lead = np.empty((self.block, len(th)), dtype=complex)
+        self._lead[0] = 1.0
+        self._filled = 1
+
+    def lead_steps(self, rows):
+        """The lead-step table, filled at least for ``s < rows``."""
+        if self._filled < rows:
+            hi = min(self.block, max(rows, 2 * self._filled))
+            _fill_phase_rows(self._lead, self.th, self.block * self.step,
+                             self._filled, hi)
+            self._filled = hi
+        return self._lead
+
+
+def _blocked_amplitudes(w, th, start, step, count, rows=None, dtype=complex,
+                        tables=None):
     """``A`` at ``start + j*step``, ``j < count``, by one factored GEMM.
 
     With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
@@ -175,14 +212,21 @@ def _blocked_amplitudes(w, th, start, step, count):
     sample ``j`` is a function of ``j`` alone, and the weights enter one
     GEMM operand linearly, so mirrored grids and power-of-two weight
     scalings give bit-identical and exactly scaled series.
+
+    ``rows = (b0, b1)``, at least two rows, takes only the rows ``b0:b1``
+    of the same product, with the bits of the whole.  ``dtype`` complex64
+    casts both factors, built in float64 as always, before the product.
+    ``tables`` are the :class:`_BlockTables` of this grid.
     """
-    block = min(math.isqrt(count), _MAX_BLOCK)
-    rows = -(-count // block)
-    runs = max(1, min(-(-rows // max(1, _CHUNK // block)), rows // 2))
-    tail = _phase_table(th, step, block).T
-    block_steps = _phase_table(th, block * step, block)
+    tables = tables or _BlockTables(th, step, count)
+    block = tables.block
+    b_lo, b_hi = rows or (0, -(-count // block))
+    span = b_hi - b_lo
+    runs = max(1, min(-(-span // max(1, _CHUNK // block)), span // 2))
+    tail = tables.tail.T.astype(dtype, copy=False)
     for k in range(runs):
-        b0, b1 = k * rows // runs, (k + 1) * rows // runs
+        b0, b1 = b_lo + k * span // runs, b_lo + (k + 1) * span // runs
+        block_steps = tables.lead_steps(min(b1, block))
         lead = np.empty((b1 - b0, len(th)), dtype=complex)
         for a in range(b0 // block, (b1 - 1) // block + 1):
             lo, hi = max(b0, a * block), min(b1, (a + 1) * block)
@@ -191,7 +235,7 @@ def _blocked_amplitudes(w, th, start, step, count):
                         out=lead[lo - b0:hi - b0])
         lead *= w
         j0 = b0 * block
-        yield j0, (lead @ tail).ravel()[:count - j0]
+        yield j0, (lead.astype(dtype, copy=False) @ tail).ravel()[:count - j0]
 
 
 def _window_bounds(tau, window):
@@ -304,42 +348,34 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     """First time the per-cycle peak envelope recovers after a collapse.
 
     The envelope is the highest ``|A|^2`` of each whole revival cycle on the
-    grid ``j*ENVELOPE_STEP`` up to ``horizon`` (:func:`_envelope_cycles`).
-    Its level is ``SUPERREVIVAL_THRESHOLD`` of the first sample,
-    ``|A(0)|^2``, which bounds every sample up to rounding since ``|A| <=
-    sum(w)``.  Returns the peak time of the first cycle at or above the
-    level after a cycle below it, once the run completing that cycle is
-    folded.  Returns ``None`` when no cycle dips and raises
+    grid ``j*ENVELOPE_STEP``, ``j <= floor(horizon / ENVELOPE_STEP + 1e-9)``,
+    where cycle ``k`` holds the samples with ``floor(j*ENVELOPE_STEP /
+    period) == k`` (:func:`_cycle_starts`).  Its level is
+    ``SUPERREVIVAL_THRESHOLD`` of the first sample, ``|A(0)|^2``, which
+    bounds every sample up to rounding since ``|A| <= sum(w)``.  Returns the
+    time of the first maximum of the first cycle at or above the level after
+    a cycle below it, once the run completing that cycle is screened.
+    Returns ``None`` when no cycle dips and raises
     :class:`HorizonTooShortError` when one dips but none recovers; both
     verdicts scan the whole horizon.
+
+    Every verdict and time is the one the float64 kernel gives, but most
+    cycles are decided in single precision.  The weights are scaled by the
+    power of two that puts ``sum(w)`` in ``[0.5, 1)``; that is exact, so
+    power-of-two scalings of the weights scan alike.  The screen
+    (:func:`_screened_heights`) casts the very float64 factors the float64
+    kernel multiplies to complex64, so the two series differ by rounding
+    alone, by at most ``_screen_margin(N)`` at any sample, and so do the
+    heights of any cycle.  A cycle whose screened height lies further than
+    that from the level is decided by it.  The others, and the recovering
+    cycle, whose first maximum gives the time, are recomputed in float64
+    from whole rows of the same product, as is ``|A(0)|^2``: every float64
+    value has the bits of the whole product, which are those of
+    ``autocorrelation`` on the grid whenever it infers ``ENVELOPE_STEP`` as
+    the grid's step.  The scan holds one kernel run and one cycle's maximum
+    however long the horizon.
     """
-    first_dip = None
-    for k, (head, height, peak_tau) in enumerate(
-            _envelope_cycles(weights, rates, horizon, revival_period)):
-        if first_dip is None:
-            if height < SUPERREVIVAL_THRESHOLD * head:
-                first_dip = k
-        elif height >= SUPERREVIVAL_THRESHOLD * head:
-            return peak_tau
-    if first_dip is None:
-        return None
-    raise HorizonTooShortError(
-        f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
-        f"{first_dip} but never recovers within the sampled horizon")
-
-
-def _envelope_cycles(weights, rates, horizon, period):
-    """Fold ``|A|^2`` at ``j*ENVELOPE_STEP``, ``j <= floor(horizon /
-    ENVELOPE_STEP + 1e-9)``, into the peak height and its time per whole
-    cycle ``_cycle_start(k):_cycle_start(k + 1)``, run by run.
-
-    A cycle takes one argmax per run slice, kept only when strictly higher,
-    so one spanning a run edge keeps its first maximum.  Each cycle is
-    yielded as ``(|A(0)|^2, height, peak_tau)`` as soon as the run that
-    completes it is folded, so the scan holds one kernel run and the
-    current cycle however long the horizon.  Its samples are those of
-    ``autocorrelation(weights, rates, grid)`` bit for bit.
-    """
+    period = revival_period
     if not math.isfinite(horizon):
         raise ValueError(f"scan horizon must be finite, got {horizon}")
     steps = horizon / ENVELOPE_STEP
@@ -353,41 +389,147 @@ def _envelope_cycles(weights, rates, horizon, period):
     n_cycles = int(math.floor(float(last) * ENVELOPE_STEP / period))
     if n_cycles < 2:
         raise ValueError("series must span at least two revival cycles")
-    # the spacing autocorrelation infers from this grid's end points
-    spacing = (float(last) * ENVELOPE_STEP) / last
-    # cycle k's unfolded samples are lo:hi
-    k, lo, hi = 0, 0, _cycle_start(1, period)
-    height, peak_tau = -math.inf, 0.0
-    for j0, amps in _blocked_amplitudes(w, th, 0.0, spacing, last + 1):
-        values = np.abs(amps) ** 2
-        if j0 == 0:
-            head = values[0]
-        j1 = j0 + len(values)
-        # samples past the last whole cycle are drawn but join no cycle
-        while k < n_cycles and lo < j1:
-            i = lo - j0 + int(np.argmax(values[lo - j0:min(hi, j1) - j0]))
+    w = np.ldexp(w, -math.frexp(w.sum())[1])
+    count = last + 1
+    tables = _BlockTables(th, ENVELOPE_STEP, count)
+
+    def cycle_peak(cycle):
+        return _float64_peak(w, th, count, tables, *_cycle_starts(cycle, cycle + 2, period))
+
+    level = SUPERREVIVAL_THRESHOLD * _float64_peak(w, th, count, tables, 0, 1)[0]
+    margin = _screen_margin(len(th))
+    first_dip = None
+    for k, heights in _screened_heights(w, th, count, period, n_cycles, tables):
+        if first_dip is None:
+            for i in np.flatnonzero(heights < level + margin):
+                if heights[i] < level - margin or cycle_peak(k + i)[0] < level:
+                    first_dip = k + int(i)
+                    break
+        if first_dip is not None:
+            for i in np.flatnonzero(heights >= level - margin):
+                if k + i > first_dip:
+                    height, peak_tau = cycle_peak(k + i)
+                    if height >= level:
+                        return peak_tau
+    if first_dip is None:
+        return None
+    raise HorizonTooShortError(
+        f"envelope dips below {SUPERREVIVAL_THRESHOLD:.0%} at cycle "
+        f"{first_dip} but never recovers within the sampled horizon")
+
+
+def _float64_peak(w, th, count, tables, lo, hi):
+    """Float64 maximum of ``|A|^2`` over samples ``lo:hi`` of the scan grid
+    and the time of the first sample that reaches it, from at least two
+    whole rows of the kernel's product.  A later run's sample of the same
+    height does not move the peak."""
+    block = tables.block
+    rows = -(-count // block)
+    b0, b1 = lo // block, -(-hi // block)
+    if b1 - b0 < 2:
+        b0, b1 = (b0, b0 + 2) if b0 + 2 <= rows else (rows - 2, rows)
+    height, peak = -math.inf, lo
+    for j0, amps in _blocked_amplitudes(w, th, 0.0, ENVELOPE_STEP, count,
+                                        rows=(b0, b1), tables=tables):
+        a, b = max(lo, j0), min(hi, j0 + len(amps))
+        if a < b:
+            values = np.abs(amps[a - j0:b - j0]) ** 2
+            i = int(np.argmax(values))
             if values[i] > height:
-                height, peak_tau = values[i], float(j0 + i) * ENVELOPE_STEP
-            if hi > j1:
-                lo = j1
-                break
-            yield head, height, peak_tau
-            k, lo, hi = k + 1, hi, _cycle_start(k + 2, period)
-            height = -math.inf
+                height, peak = values[i], a + i
+    return height, float(peak) * ENVELOPE_STEP
 
 
-def _cycle_start(k, period):
-    """Least ``j`` with ``floor((float(j) * ENVELOPE_STEP) / period) >= k``.
+def _screen_margin(levels):
+    """Bound on ``|V32 - V64|`` at any sample of the screen over ``levels``
+    levels whose weights sum to less than one.
+
+    ``V64`` is ``np.abs(a)**2`` of the float64 kernel's product and ``V32``
+    the sum of the squared parts of the same product taken in complex64.
+    The float64 factors, lead times weight ``L_n`` and tail ``T_n``, are
+    products of a few dozen unit exponentials and complex multiplies, so
+    ``S = sum |L_n T_n| < 1 + 2**-30`` bounds ``|A|``.  In a precision of
+    unit roundoff ``u``, with ``gamma_k = k*u / (1 - k*u)``:
+
+    - casting moves each factor ``z`` by at most ``u*|z|``, so the product
+      of the two cast factors moves by at most ``(2u + u**2)|L_n T_n|``;
+    - the GEMM sums ``2N`` real products into the real part and ``2N`` into
+      the imaginary part, in any order and with or without fused
+      multiply-adds, so each part errs by at most ``gamma_2N`` times the sum
+      of its terms' moduli, and ``A`` by at most ``sqrt(2) * gamma_2N *
+      (1 + u)**2 * S``.
+
+    That gives ``|A' - A| <= d``, ``d = (2u + u**2 + sqrt(2) * gamma_2N *
+    (1 + u)**2) * S``, and ``||A'|^2 - |A|^2| <= d * (2S + d)``.  Squaring
+    adds ``e * (S + d)**2``: ``e = gamma_2`` for two squares and a sum in
+    float32, and ``e = 64u`` in float64, which covers any ``|a|`` within a
+    few ulps.  The margin is the sum of the float32 and the float64 bound,
+    the latter counting casts that do not happen, widened by ``2**-20`` of
+    itself and by ``2**-50``: that absorbs the rounding of ``level +-
+    margin`` and float32 underflow, at most ``2**-120`` per level.  It does
+    not depend on ``tau``, since both series share every factor and so every
+    rounding of the phase: about ``(6 + 4*sqrt(2)*N) * 2**-24``.  Past
+    ``2**20`` levels it is infinite and every cycle is recomputed.
+    """
+    if not levels < 2 ** 20:
+        return math.inf
+    s = 1.0 + 2.0 ** -30
+
+    def bound(u, square):
+        gamma = 2 * levels * u / (1.0 - 2 * levels * u)
+        d = (2 * u + u * u + math.sqrt(2.0) * gamma * (1.0 + u) ** 2) * s
+        return d * (2 * s + d) + square * (s + d) ** 2
+
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    screen = bound(u32, 2 * u32 / (1.0 - 2 * u32)) + bound(u64, 64 * u64)
+    return screen * (1.0 + 2.0 ** -20) + 2.0 ** -50
+
+
+def _screened_heights(w, th, count, period, n_cycles, tables):
+    """Complex64 heights of whole cycles, run by run, as ``(k, heights)``:
+    float64 maxima of ``|A|^2`` over cycles ``k, k + 1, ...``, those the run
+    completes.
+
+    A run folds into per-cycle maxima by one ``np.maximum.reduceat`` over
+    the cycle starts inside it; the cycle it leaves open carries its maximum
+    into the next run.  ``|A|^2`` is the sum of the squared parts, rounded
+    three times in float32 and written over the run.  Samples past the last
+    whole cycle are drawn but join no cycle.
+    """
+    k, carried = 0, -math.inf
+    for j0, amps in _blocked_amplitudes(w, th, 0.0, ENVELOPE_STEP, count,
+                                        dtype=np.complex64, tables=tables):
+        if k == n_cycles:
+            continue
+        done = min(n_cycles, math.floor(float(j0 + len(amps)) * ENVELOPE_STEP / period))
+        # cycles k..done-1 end in this run, at these offsets
+        ends = _cycle_starts(k + 1, done + 1, period) - j0
+        stop = ends[-1] if done == n_cycles else len(amps)
+        parts = amps[:stop].view(np.float32)
+        np.square(parts, out=parts)
+        values = np.add(parts[0::2], parts[1::2], out=parts[0::2])
+        maxima = np.maximum.reduceat(values, np.r_[0, ends[ends < stop]]).astype(float)
+        maxima[0] = max(maxima[0], carried)
+        carried = maxima[done - k] if len(maxima) > done - k else -math.inf
+        if done > k:
+            yield k, maxima[:done - k]
+        k = done
+
+
+def _cycle_starts(k0, k1, period):
+    """First samples of cycles ``k0:k1``: for each ``k`` the least ``j`` with
+    ``floor((float(j) * ENVELOPE_STEP) / period) >= k``.
 
     The estimate ``ceil(k * period / ENVELOPE_STEP)`` can miss it by
     rounding; unit steps against that exact expression, which never
     decreases in ``j``, put it right.
     """
-    j = math.ceil(k * period / ENVELOPE_STEP)
-    while math.floor(j * ENVELOPE_STEP / period) < k:
-        j += 1
-    while j > 0 and math.floor((j - 1) * ENVELOPE_STEP / period) >= k:
-        j -= 1
+    k = np.arange(k0, k1)
+    j = np.ceil(k * period / ENVELOPE_STEP).astype(np.int64)
+    while (low := np.floor(j * ENVELOPE_STEP / period) < k).any():
+        j += low
+    while (high := (j > 0) & (np.floor((j - 1) * ENVELOPE_STEP / period) >= k)).any():
+        j -= high
     return j
 
 

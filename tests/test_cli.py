@@ -320,6 +320,17 @@ def test_table1_refuses_an_empty_strength_list(runner, epsilons, fmt):
     assert "no well strengths given" in result.stderr
 
 
+def test_a_completeness_warning_is_one_plain_stderr_line(runner):
+    # Table 1's retried near-threshold well leaks 27 % of the packet into
+    # the continuum; the warning names neither a source file nor a line
+    result = runner.invoke(main, ["table1", "--epsilons", "4.712860219282728"])
+    assert result.exit_code == 0
+    assert result.stderr == \
+        "warning: bound states capture only 0.730282 of the initial state\n"
+    _, (values,) = rows(result.stdout)
+    assert float(values[-1]) == pytest.approx(0.730282, abs=5e-7)
+
+
 # --- revivals command -----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -753,28 +754,46 @@ def coherent_scan_inputs():  # a coherent state of the superrevival_scan bench
 
 
 def materialised_envelope(w, rates, period, horizon):
-    series = autocorrelation(w, rates, scan_grid(horizon))
+    taus = scan_grid(horizon)
+    # the scan runs the kernel at SCAN_STEP, autocorrelation at the step it
+    # infers from the grid: the same here
+    assert revival._uniform_progression(taus)[1] == SCAN_STEP
+    series = autocorrelation(w, rates, taus)
     n_cycles = int(np.floor((series.tau[-1] - series.tau[0]) / period))
     return series, mask_envelope(series.tau, series.values, period, n_cycles)
 
 
-def streamed_envelope(w, rates, horizon, period):
-    """``|A(0)|^2`` and the envelope the scan folds, taken to the horizon."""
-    heads, heights, peak_taus = zip(*revival._envelope_cycles(w, rates, horizon,
-                                                              period))
-    assert len(set(heads)) == 1
-    return heads[0], np.array(heights), np.array(peak_taus)
+def unit_scale(w):
+    """The power of two by which the scan scales the carried weights ``w``."""
+    return -math.frexp(np.sum(w))[1]
+
+
+def screened_envelope(w, rates, horizon, period):
+    """The screen's heights of every whole cycle, in the scan's unit-weight
+    scale, and the margin that bounds their error."""
+    w, rates = revival._carried_levels(w, rates)
+    w = np.ldexp(w, unit_scale(w))
+    count = len(scan_grid(horizon))
+    n_cycles = int(np.floor((count - 1) * SCAN_STEP / period))
+    tables = revival._BlockTables(rates, SCAN_STEP, count)
+    runs = list(revival._screened_heights(w, rates, count, period, n_cycles, tables))
+    assert [k for k, _ in runs] == np.cumsum([0] + [len(h) for _, h in runs[:-1]]).tolist()
+    return np.concatenate([h for _, h in runs]), revival._screen_margin(len(rates))
+
+
+def assert_screen_bounds_the_envelope(w, rates, period, horizon, series, heights):
+    screened, margin = screened_envelope(w, rates, horizon, period)
+    reference = np.ldexp(heights, 2 * unit_scale(series.weights))
+    assert len(screened) == len(heights)
+    assert np.max(np.abs(screened - reference)) <= margin
 
 
 @pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs,
                                     squeezed_scan_inputs, coherent_scan_inputs])
 def test_streamed_scan_matches_the_materialised_path(inputs):
     w, rates, period, horizon = inputs()
-    series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
-    head, streamed_heights, streamed_taus = streamed_envelope(w, rates, horizon, period)
-    assert head == series.values[0]
-    assert np.array_equal(streamed_heights, heights)
-    assert np.array_equal(streamed_taus, peak_taus)
+    series, (heights, _) = materialised_envelope(w, rates, period, horizon)
+    assert_screen_bounds_the_envelope(w, rates, period, horizon, series, heights)
     expected = mask_superrevival(series, period)
     assert expected is not None
     assert scan_superrevival(w, rates, horizon, period) == expected
@@ -790,13 +809,24 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     runs = list(revival._blocked_amplitudes(reference.weights, reference.rates, 0.0,
                                             SCAN_STEP, len(reference.tau)))
     assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
-    series, (heights, peak_taus) = materialised_envelope(w, rates, period, horizon)
+    series, (heights, _) = materialised_envelope(w, rates, period, horizon)
     assert np.allclose(series.values, reference.values, rtol=0, atol=1e-12)
-    _, streamed_heights, streamed_taus = streamed_envelope(w, rates, horizon, period)
-    assert np.array_equal(streamed_heights, heights)
-    assert np.array_equal(streamed_taus, peak_taus)
+    assert_screen_bounds_the_envelope(w, rates, period, horizon, series, heights)
     assert scan_superrevival(w, rates, horizon, period) == \
         mask_superrevival(series, period)
+
+
+def fake_kernel(amps, edges):
+    """A kernel that yields ``amps`` in pieces cut at ``edges`` and at the
+    row bounds of ``rows``, in the precision asked for."""
+    def kernel(w, th, start, step, n, rows=None, dtype=complex, tables=None):
+        assert n == len(amps)
+        block = tables.block
+        lo, hi = (0, n) if rows is None else (rows[0] * block, min(n, rows[1] * block))
+        cuts = np.unique(np.clip(np.r_[lo, edges, hi], lo, hi))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            yield int(a), amps[a:b].astype(dtype)
+    return kernel
 
 
 def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
@@ -805,22 +835,20 @@ def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
         count = int(rng.integers(200, 3000))
         # amplitudes 0..3 square exactly, and their few levels make ties common
         amps = rng.integers(0, 4, count).astype(complex)
-        edges = np.unique(np.r_[0, rng.integers(1, count, 12), count])
-
-        def kernel(w, th, start, step, n):
-            assert n == count
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                yield int(lo), amps[lo:hi]
-
-        monkeypatch.setattr(revival, "_blocked_amplitudes", kernel)
+        edges = rng.integers(1, count, 12)
+        monkeypatch.setattr(revival, "_blocked_amplitudes", fake_kernel(amps, edges))
         period = rng.uniform(4.0, 60.0) * SCAN_STEP
         tau = np.arange(count, dtype=float) * SCAN_STEP
         n_cycles = int(np.floor(tau[-1] / period))
-        whole = mask_envelope(tau, np.abs(amps) ** 2, period, n_cycles)
-        head, heights, peak_taus = streamed_envelope([1.0], [0.0], tau[-1], period)
-        assert head == abs(amps[0]) ** 2
-        assert np.array_equal(heights, whole[0])
-        assert np.array_equal(peak_taus, whole[1])
+        heights, peak_taus = mask_envelope(tau, np.abs(amps) ** 2, period, n_cycles)
+        tables = SimpleNamespace(block=math.isqrt(count))
+        screened = np.concatenate([h for _, h in revival._screened_heights(
+            None, None, count, period, n_cycles, tables)])
+        assert np.array_equal(screened, heights)
+        starts = revival._cycle_starts(0, n_cycles + 1, period)
+        for k in range(n_cycles):
+            assert revival._float64_peak(None, None, count, tables, starts[k],
+                                         starts[k + 1]) == (heights[k], peak_taus[k])
 
 
 @pytest.mark.parametrize("period", [0.004, 0.007, 0.01, 0.1, 1.0 / 3.0,
@@ -828,7 +856,7 @@ def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
 def test_cycle_starts_match_the_floor_of_every_sample(period):
     last = 600000
     n_cycles = int(np.floor(last * SCAN_STEP / period))
-    starts = [revival._cycle_start(k, period) for k in range(n_cycles + 1)]
+    starts = revival._cycle_starts(0, n_cycles + 1, period)
     cycle = np.floor(np.arange(last + 1, dtype=float) * SCAN_STEP / period)
     expected = np.searchsorted(cycle, np.arange(n_cycles + 1))
     assert np.array_equal(starts, expected)
@@ -839,7 +867,7 @@ def test_cycle_starts_correct_the_estimate_both_ways():
     period, n_cycles = 0.007, 85714
     k = np.arange(n_cycles + 1)
     estimate = np.ceil(k * period / SCAN_STEP).astype(np.int64)
-    miss = estimate - [revival._cycle_start(int(j), period) for j in k]
+    miss = estimate - revival._cycle_starts(0, n_cycles + 1, period)
     assert miss.min() == -1 and miss.max() == 1
 
 
@@ -905,19 +933,31 @@ def test_long_horizon_scan_holds_no_per_cycle_arrays():
 
 @pytest.fixture()
 def consumed_runs(monkeypatch):
-    """``[count, runs taken, end of the last run taken]`` per kernel call."""
+    """``[count, runs taken, end of the last run taken, dtype, rows]`` per
+    kernel call."""
     calls = []
     kernel = revival._blocked_amplitudes
 
-    def spy(*args):
-        call = [args[-1], 0, 0]
+    def spy(*args, **kwargs):
+        call = [args[4], 0, 0, kwargs.get("dtype", complex), kwargs.get("rows")]
         calls.append(call)
-        for j0, amps in kernel(*args):
-            call[1:] = call[1] + 1, j0 + len(amps)
+        for j0, amps in kernel(*args, **kwargs):
+            call[1:3] = call[1] + 1, j0 + len(amps)
             yield j0, amps
 
     monkeypatch.setattr(revival, "_blocked_amplitudes", spy)
     return calls
+
+
+def screen_calls(calls):
+    return [call for call in calls if call[3] is np.complex64]
+
+
+def float64_rows(calls):
+    """Row ranges of the scan's float64 products: the head's, then one per
+    cycle recomputed."""
+    return [tuple(map(int, call[4])) for call in calls
+            if call[3] is complex and call[4] is not None]
 
 
 def test_full_horizon_scan_holds_one_run_in_memory(consumed_runs):
@@ -930,18 +970,23 @@ def test_full_horizon_scan_holds_one_run_in_memory(consumed_runs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [(count, taken, end)] = consumed_runs
+    [(count, taken, end, _, _)] = screen_calls(consumed_runs)
     assert count == end == 4000001 and taken > 1  # the whole grid
+    assert float64_rows(consumed_runs)[0] == (0, 2)
     assert peak < 16 * 2 ** 20
 
 
 def test_scan_stops_with_the_run_that_completes_the_recovery(consumed_runs):
     w, rates, period, horizon = fig5_scan_inputs()
     assert scan_superrevival(w, rates, horizon, period) == 31.372
-    list(revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, 600001))  # all runs
-    [(count, taken, end), (_, every, _)] = consumed_runs
+    [(count, taken, end, _, _)] = screen_calls(consumed_runs)
+    every = len(list(revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, 600001)))
     assert count == 600001 and taken == 1 < every
     assert 31372 < end < count
+    # the head, then the recovering cycle: two or three rows of 774 samples
+    (head, recovery) = float64_rows(consumed_runs)
+    assert head == (0, 2) and recovery[0] * 774 <= 31372 < recovery[1] * 774
+    assert 2 <= recovery[1] - recovery[0] <= 3
 
 
 @pytest.mark.parametrize("case", ["none", "short"])
@@ -954,8 +999,86 @@ def test_scan_without_a_recovery_takes_every_run(case, box_state, consumed_runs,
     }[case]
     expected = {"none": None, "short": HorizonTooShortError}[case]
     assert outcome(lambda: scan_superrevival(w, rates, horizon, period)) == expected
-    [(count, taken, end)] = consumed_runs
+    [(count, taken, end, _, _)] = screen_calls(consumed_runs)
     assert end == count and taken > 10
+
+
+# --- single-precision screen ----------------------------------------------
+
+
+def box_scan_inputs(box_state):
+    return box_state.weights, box_state.rates, 1.0, 8.0
+
+
+def deep_well_scan_inputs():  # every one of the 6,367 levels carries weight
+    w, rates, _ = well_inputs(1e4, PAPER_PACKET)
+    return w, rates, barker(WellConfig(epsilon=1e4)), 10.0
+
+
+@pytest.mark.parametrize("inputs", [fig5_scan_inputs, fig2_scan_inputs, "box",
+                                    coherent_scan_inputs, squeezed_scan_inputs,
+                                    deep_well_scan_inputs])
+def test_screen_stays_within_its_margin_at_every_sample(inputs, box_state):
+    w, rates, _, horizon = box_scan_inputs(box_state) if inputs == "box" else inputs()
+    w, rates = revival._carried_levels(w, rates)
+    w = np.ldexp(w, unit_scale(w))
+    taus = scan_grid(horizon)
+    exact = autocorrelation(w, rates, taus).values
+    tables = revival._BlockTables(rates, SCAN_STEP, len(taus))
+    screen = np.empty(len(taus), dtype=np.float32)
+    for j0, amps in revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, len(taus),
+                                                dtype=np.complex64, tables=tables):
+        screen[j0:j0 + len(amps)] = np.square(amps.real) + np.square(amps.imag)
+    margin = revival._screen_margin(len(rates))
+    assert np.max(np.abs(screen - exact)) <= margin
+    # the margin, about (6 + 4 sqrt(2) N) 2**-24, holds the unit roundoff's
+    # growth with the level count and no more
+    assert margin < (7 + 6 * len(rates)) * 2.0 ** -24
+
+
+def test_a_cycle_the_screen_cannot_decide_is_recomputed(consumed_runs, monkeypatch):
+    w, rates, period, horizon = fig2_scan_inputs()
+    series, (heights, _) = materialised_envelope(w, rates, period, horizon)
+    first_dip = int(np.argmax(heights < 0.95 * heights.max()))
+    # a level at the dip's exact height, well inside the margin
+    threshold = heights[first_dip] / heights.max()
+    monkeypatch.setattr(revival, "SUPERREVIVAL_THRESHOLD", threshold)
+    detected = outcome(lambda: scan_superrevival(w, rates, horizon, period))
+    assert detected == mask_superrevival(series, period, threshold)
+    # the head, the cycle at the level and the recovering cycle after it
+    head, *cycles, recovery = float64_rows(consumed_runs)
+    lo, hi = revival._cycle_starts(first_dip, first_dip + 2, period)
+    block = math.isqrt(len(series.tau))
+    assert head == (0, 2) and recovery[0] * block > hi
+    assert any(b0 * block <= lo and hi <= b1 * block for b0, b1 in cycles)
+
+
+@pytest.mark.parametrize("inputs", [fig2_scan_inputs, coherent_scan_inputs, "box",
+                                    "short"])
+def test_power_of_two_weight_scalings_scan_alike(inputs, box_state):
+    w, rates, period, horizon = {
+        "box": lambda: box_scan_inputs(box_state),
+        "short": lambda: fig2_scan_inputs()[:3] + (4.0,),
+    }.get(inputs, inputs)()
+    expected = outcome(lambda: scan_superrevival(w, rates, horizon, period))
+    for power in (-200, 200):
+        scaled = np.ldexp(w, power)
+        assert outcome(lambda: scan_superrevival(scaled, rates, horizon, period)) == \
+            expected
+
+
+@pytest.mark.parametrize("m, alpha", [(363, 4.54412780286066), (418, 5.845121808057226),
+                                      (500, 4.5)])
+def test_coherent_states_superrevive_at_their_exact_recurrence(m, alpha):
+    # At beta = 1/m the phase 2 pi (n^2 + n^3/m) is a multiple of 2 pi for
+    # every n at tau = m, and already at m/2 when m is odd: n^2 (m + n) / 2
+    # is then an integer.  The envelope recovers there, on the grid.
+    w, rates, period, horizon = oscillator_scan_inputs(1.0 / m, alpha=alpha)
+    recurrence = Fraction(m, 2) if m % 2 else Fraction(m)
+    n = coherent_weights(alpha).n
+    assert all((k * k * recurrence * (m + k) / m).denominator == 1 for k in n.tolist())
+    assert recurrence < horizon
+    assert scan_superrevival(w, rates, horizon, period) == float(recurrence)
 
 
 # --- comparison report ----------------------------------------------------
