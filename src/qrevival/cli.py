@@ -2,7 +2,7 @@
 
 Emits deterministic CSV or JSON for every bundled scenario.  CSV prints each
 float as ``%.16e``, JSON as Python's shortest ``repr``, so repeated runs diff
-clean.  Exit codes: 0 success, 2 validation error, 3 numerical
+clean.  Exit codes: 0 success, 2 validation or file error, 3 numerical
 non-convergence, 4 detection ambiguity, a window-edge peak or an exhausted
 scan horizon.
 """
@@ -23,9 +23,8 @@ from .anharmonic import (coherent_weights, oscillator_phase_rates,
 from .csvtext import csv_rows, json_floats
 from .errors import (AmbiguousWindowError, CompletenessWarning, ConvergenceError,
                      CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
-from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, REFINE_TOL,
-                      autocorrelation, detection_grid, principal_revival,
-                      scan_superrevival)
+from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, autocorrelation,
+                      detection_grid, principal_revival, scan_superrevival)
 from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
                         require_finite)
 from .spectrum import WellConfig, barker, solve_spectrum
@@ -128,7 +127,7 @@ def cli_errors(fn):
         except ConvergenceError as exc:
             sys.stderr.write(f"error: {exc}\n")
             sys.exit(3)
-        except (ValueError, CutoffTooSmallError, TypeError) as exc:
+        except (ValueError, CutoffTooSmallError, TypeError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             sys.exit(2)
     return wrapper
@@ -346,9 +345,7 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
         columns = [[row[key] for row in rows] for key in rows[0]]
         _emit(",".join(rows[0]) + "\n" + csv_rows(columns), out)
     else:
-        payload = [dict(row, grid_step=DETECTION_MAX_STEP, refine_tol=REFINE_TOL)
-                   for row in rows]
-        _emit(_json_dump(payload), out)
+        _emit(_json_dump(rows), out)
 
 
 @main.command("revivals")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
 
+# Most samples in one run of the kernel's product.
 _CHUNK = 65536
 # Widest block of the factored kernel: its N x B tail stays in cache.
 _MAX_BLOCK = 2048
@@ -87,69 +88,60 @@ def _carried_levels(weights, rates):
 def autocorrelation(weights, rates, tau_grid, provenance: str = "") -> AutocorrSeries:
     """Squared autocorrelation for nonnegative weights and phase rates.
 
-    Grids whose ``|tau|`` form one uniform progression take the
-    block-factored kernel; every other grid is summed directly, ``_CHUNK``
-    samples at a time.  The series carries the levels that carry weight
-    (:func:`_carried_levels`).
+    The grid's ``|tau|`` must form one uniform progression
+    (:func:`_uniform_progression`), which the block-factored kernel samples.
+    The series carries the levels that carry weight (:func:`_carried_levels`).
     """
     w, th = _carried_levels(weights, rates)
     taus = np.asarray(tau_grid, dtype=float)
-    progression = _uniform_progression(taus) if len(taus) > 1 else None
+    start, step, descending = _uniform_progression(taus)
     out = np.empty(len(taus))
-    if progression is not None:
-        start, step, descending = progression
-        for j0, amps in _blocked_amplitudes(w, th, start, step, len(taus)):
-            out[j0:j0 + len(amps)] = np.abs(amps) ** 2
-        if descending:
-            out = out[::-1].copy()
-    else:
-        for start in range(0, len(taus), _CHUNK):
-            t = taus[start:start + _CHUNK]
-            amps = np.exp(-1j * np.outer(t, th)) @ w
-            out[start:start + _CHUNK] = np.abs(amps) ** 2
+    for j0, amps in _blocked_amplitudes(w, _BlockTables(th, start, step, len(taus))):
+        out[j0:j0 + len(amps)] = np.abs(amps) ** 2
+    if descending:
+        out = out[::-1].copy()
     return AutocorrSeries(tau=taus.copy(), values=out, provenance=provenance,
                           weights=w, rates=th)
 
 
 def _uniform_progression(taus):
-    """``(a_0, step, descending)`` when ``|taus|`` is ``a_0 + j*step`` for
-    ``j = 0, 1, ...`` in ascending order to within rounding, else None.
+    """``(a_0, step, descending)`` with ``|taus|`` equal to ``a_0 + j*step``
+    for ``j = 0, 1, ...`` in ascending order to within rounding.
 
     ``descending`` says the caller's grid runs through that progression
-    backwards, as a grid of negative times does.
+    backwards, as a grid of negative times does.  A grid of one sample is
+    the progression of step 1.  An empty grid, and one whose ``|tau|`` is
+    no such progression, such as a grid that straddles zero, is refused
+    with ``ValueError``.
     """
+    if len(taus) == 0:
+        raise ValueError("the time grid is empty")
     a = np.abs(taus)
+    if len(a) == 1:
+        return float(a[0]), 1.0, False
     descending = bool(a[-1] < a[0])
     if descending:
         a = a[::-1]
     step = (a[-1] - a[0]) / (len(a) - 1)
-    if not step > 0:
-        return None
-    # Grids built as k*step or by linspace sit within an ulp of the line.
-    drift = np.max(np.abs(a - (a[0] + np.arange(len(a)) * step)))
-    if not drift <= 4.0 * np.finfo(float).eps * a[-1]:
-        return None
-    return float(a[0]), float(step), descending
-
-
-def _phase_table(th, step, size):
-    """``exp(-i th r*step)`` for ``r < size``, as a ``size x N`` array.
-
-    Row ``r`` is the product, in ascending order, of the direct
-    exponentials ``exp(-i th 2**k*step)`` at the powers of two in ``r``, so
-    the table costs ``N*ceil(log2 size)`` exponentials and ``N*size``
-    complex multiplies, and each row is a function of ``r`` alone.
-    """
-    table = np.empty((size, len(th)), dtype=complex)
-    table[0] = 1.0
-    _fill_phase_rows(table, th, step, 1, size)
-    return table
+    if step > 0:
+        # Grids built as k*step or by linspace sit within an ulp of the line.
+        drift = np.max(np.abs(a - (a[0] + np.arange(len(a)) * step)))
+        if drift <= 4.0 * np.finfo(float).eps * a[-1]:
+            return float(a[0]), float(step), descending
+    raise ValueError("|tau| of the time grid must form one uniform progression")
 
 
 def _fill_phase_rows(table, th, step, lo, hi):
-    """Rows ``lo:hi`` of :func:`_phase_table` written into ``table``, whose
-    rows below ``lo`` hold it already: row ``r`` is row ``r - 2**k`` times
-    ``exp(-i th 2**k*step)``, ``2**k`` the highest power of two in ``r``."""
+    """Rows ``lo:hi`` of the table ``exp(-i th r*step)``, one row per ``r``,
+    written into ``table``, whose rows below ``lo`` hold it already.
+
+    Row ``r`` is row ``r - 2**k`` times ``exp(-i th 2**k*step)``, ``2**k``
+    the highest power of two in ``r``: the product, in ascending order, of
+    the direct exponentials at the powers of two in ``r``.  A table of
+    ``size`` rows so costs ``N*ceil(log2 size)`` exponentials and
+    ``N*size`` complex multiplies, and each row is a function of ``r``
+    alone.
+    """
     width = 1
     while width < hi:
         a, b = max(lo, width), min(hi, 2 * width)
@@ -160,21 +152,23 @@ def _fill_phase_rows(table, th, step, lo, hi):
 
 
 class _BlockTables:
-    """The block width ``B`` of a ``count``-sample grid and the phase tables
-    of :func:`_blocked_amplitudes`, shared by the products taken over it.
+    """The grid ``start + j*step``, ``j < count``, of phase rates ``th``
+    that :func:`_blocked_amplitudes` samples, with its block width ``B`` and
+    the phase tables shared by the products taken over it.
 
     The tail ``exp(-i th r*step)``, ``r < B``, is built whole.  The lead
-    steps ``exp(-i th s*B*step)`` are filled, with the bits of one
-    :func:`_phase_table`, only as far as a product has reached, at least
-    doubling each time, so a scan that stops early builds few of them.
+    steps ``exp(-i th s*B*step)`` are filled only as far as a product has
+    reached, at least doubling each time, so a scan that stops early builds
+    few of them.  :func:`_fill_phase_rows` fills both.
     """
 
-    def __init__(self, th, step, count):
-        self.th, self.step = th, step
+    def __init__(self, th, start, step, count):
+        self.th, self.start, self.step, self.count = th, start, step, count
         self.block = min(math.isqrt(count), _MAX_BLOCK)
-        self.tail = _phase_table(th, step, self.block)
+        self.tail = np.empty((self.block, len(th)), dtype=complex)
         self._lead = np.empty((self.block, len(th)), dtype=complex)
-        self._lead[0] = 1.0
+        self.tail[0] = self._lead[0] = 1.0
+        _fill_phase_rows(self.tail, th, step, 1, self.block)
         self._filled = 1
 
     def lead_steps(self, rows):
@@ -187,19 +181,19 @@ class _BlockTables:
         return self._lead
 
 
-def _blocked_amplitudes(w, th, start, step, count, rows=None, dtype=complex,
-                        tables=None):
-    """``A`` at ``start + j*step``, ``j < count``, by one factored GEMM.
+def _blocked_amplitudes(w, tables, rows=None, dtype=complex):
+    """``A`` at ``start + j*step``, ``j < count``, the grid ``tables``
+    (:class:`_BlockTables`), by one factored GEMM.
 
     With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
     the phase factors into a lead ``exp(-i th (start + b*B*step))`` and a
-    tail ``exp(-i th r*step)``.  The tail is one :func:`_phase_table`; with
-    ``b = a*B + s`` the lead is row ``s`` of the table at step ``B*step``
-    times ``exp(-i th (start + a*B*B*step))``.  Each factor is then a
-    product of at most ``ceil(log2 B) + 1`` direct exponentials, so it errs
-    by at most that many exponentials' and complex multiplies' roundings, a
-    few ulps each, besides the ``th*tau*eps`` of its rounded phase, which a
-    direct exponential shares.  A call takes about
+    tail ``exp(-i th r*step)``.  The tail is one table of
+    :func:`_fill_phase_rows`; with ``b = a*B + s`` the lead is row ``s`` of
+    the table at step ``B*step`` times ``exp(-i th (start + a*B*B*step))``.
+    Each factor is then a product of at most ``ceil(log2 B) + 1`` direct
+    exponentials, so it errs by at most that many exponentials' and complex
+    multiplies' roundings, a few ulps each, besides the ``th*tau*eps`` of
+    its rounded phase, which a direct exponential shares.  A call takes about
     ``N*(2*ceil(log2 B) + count/B**2 + runs)`` exponentials in place of
     ``N*count``.  The product is taken in balanced runs of whole rows,
     yielded as ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so
@@ -216,9 +210,8 @@ def _blocked_amplitudes(w, th, start, step, count, rows=None, dtype=complex,
     ``rows = (b0, b1)``, at least two rows, takes only the rows ``b0:b1``
     of the same product, with the bits of the whole.  ``dtype`` complex64
     casts both factors, built in float64 as always, before the product.
-    ``tables`` are the :class:`_BlockTables` of this grid.
     """
-    tables = tables or _BlockTables(th, step, count)
+    th, start, step, count = tables.th, tables.start, tables.step, tables.count
     block = tables.block
     b_lo, b_hi = rows or (0, -(-count // block))
     span = b_hi - b_lo
@@ -390,16 +383,15 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     if n_cycles < 2:
         raise ValueError("series must span at least two revival cycles")
     w = np.ldexp(w, -math.frexp(w.sum())[1])
-    count = last + 1
-    tables = _BlockTables(th, ENVELOPE_STEP, count)
+    tables = _BlockTables(th, 0.0, ENVELOPE_STEP, last + 1)
 
     def cycle_peak(cycle):
-        return _float64_peak(w, th, count, tables, *_cycle_starts(cycle, cycle + 2, period))
+        return _float64_peak(w, tables, *_cycle_starts(cycle, cycle + 2, period))
 
-    level = SUPERREVIVAL_THRESHOLD * _float64_peak(w, th, count, tables, 0, 1)[0]
+    level = SUPERREVIVAL_THRESHOLD * _float64_peak(w, tables, 0, 1)[0]
     margin = _screen_margin(len(th))
     first_dip = None
-    for k, heights in _screened_heights(w, th, count, period, n_cycles, tables):
+    for k, heights in _screened_heights(w, tables, period, n_cycles):
         if first_dip is None:
             for i in np.flatnonzero(heights < level + margin):
                 if heights[i] < level - margin or cycle_peak(k + i)[0] < level:
@@ -418,26 +410,25 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
         f"{first_dip} but never recovers within the sampled horizon")
 
 
-def _float64_peak(w, th, count, tables, lo, hi):
-    """Float64 maximum of ``|A|^2`` over samples ``lo:hi`` of the scan grid
-    and the time of the first sample that reaches it, from at least two
-    whole rows of the kernel's product.  A later run's sample of the same
-    height does not move the peak."""
+def _float64_peak(w, tables, lo, hi):
+    """Float64 maximum of ``|A|^2`` over samples ``lo:hi`` of the grid
+    ``tables`` and the time of the first sample that reaches it, from at
+    least two whole rows of the kernel's product.  A later run's sample of
+    the same height does not move the peak."""
     block = tables.block
-    rows = -(-count // block)
+    rows = -(-tables.count // block)
     b0, b1 = lo // block, -(-hi // block)
     if b1 - b0 < 2:
         b0, b1 = (b0, b0 + 2) if b0 + 2 <= rows else (rows - 2, rows)
     height, peak = -math.inf, lo
-    for j0, amps in _blocked_amplitudes(w, th, 0.0, ENVELOPE_STEP, count,
-                                        rows=(b0, b1), tables=tables):
+    for j0, amps in _blocked_amplitudes(w, tables, rows=(b0, b1)):
         a, b = max(lo, j0), min(hi, j0 + len(amps))
         if a < b:
             values = np.abs(amps[a - j0:b - j0]) ** 2
             i = int(np.argmax(values))
             if values[i] > height:
                 height, peak = values[i], a + i
-    return height, float(peak) * ENVELOPE_STEP
+    return height, tables.start + float(peak) * tables.step
 
 
 def _screen_margin(levels):
@@ -485,10 +476,10 @@ def _screen_margin(levels):
     return screen * (1.0 + 2.0 ** -20) + 2.0 ** -50
 
 
-def _screened_heights(w, th, count, period, n_cycles, tables):
-    """Complex64 heights of whole cycles, run by run, as ``(k, heights)``:
-    float64 maxima of ``|A|^2`` over cycles ``k, k + 1, ...``, those the run
-    completes.
+def _screened_heights(w, tables, period, n_cycles):
+    """Complex64 heights of whole cycles of the scan grid ``tables``, run
+    by run, as ``(k, heights)``: float64 maxima of ``|A|^2`` over cycles
+    ``k, k + 1, ...``, those the run completes.
 
     A run folds into per-cycle maxima by one ``np.maximum.reduceat`` over
     the cycle starts inside it; the cycle it leaves open carries its maximum
@@ -497,8 +488,7 @@ def _screened_heights(w, th, count, period, n_cycles, tables):
     whole cycle are drawn but join no cycle.
     """
     k, carried = 0, -math.inf
-    for j0, amps in _blocked_amplitudes(w, th, 0.0, ENVELOPE_STEP, count,
-                                        dtype=np.complex64, tables=tables):
+    for j0, amps in _blocked_amplitudes(w, tables, dtype=np.complex64):
         if k == n_cycles:
             continue
         done = min(n_cycles, math.floor(float(j0 + len(amps)) * ENVELOPE_STEP / period))

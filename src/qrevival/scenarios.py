@@ -151,3 +151,5 @@ def load_scenario(ref: str) -> ScenarioConfig:
         raise ValueError(
             f"unknown scenario {ref!r}: not a built-in ({names}) "
             f"and no such file") from None
+    except KeyError as exc:
+        raise ValueError(f"scenario file {ref!r} lacks the key {exc.args[0]!r}") from None

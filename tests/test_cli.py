@@ -53,6 +53,29 @@ def test_unknown_scenario_is_rejected():
         load_scenario("fig99")
 
 
+@pytest.mark.parametrize("case", ["tau_max", "packet.sigma", "oscillator.kind",
+                                  "directory", "out"])
+def test_file_and_schema_errors_exit_2(runner, tmp_path, case):
+    scenario = tmp_path / "scenario.json"
+    args = ["revivals", "--scenario", str(scenario)]
+    if case == "directory":
+        scenario.mkdir()
+        named = str(scenario)
+    elif case == "out":
+        named = str(tmp_path / "missing" / "out.csv")
+        args = ["spectrum", "--epsilon", "12", "--out", named]
+    else:
+        *block, key = case.split(".")
+        data = BUILTIN_SCENARIOS["fig5" if key == "kind" else "fig1a"].to_dict()
+        del (data[block[0]] if block else data)[key]
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        named = f"lacks the key {key!r}"
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and named in result.stderr
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(name="bad", tau_max=1.0, tau_step=1e-4, horizon=10.0)
@@ -272,12 +295,12 @@ def test_table1_json(runner):
     assert abs(payload[0]["barker"] - (13.0 / 12.0) ** 2) < 1e-12
 
 
-def test_table1_json_reports_the_detection_constants(runner):
+def test_table1_json_rows_repeat_no_constants(runner):
+    # one key per number: the detection constants are not repeated per row
     result = runner.invoke(main, ["table1", "--format", "json"])
     assert result.exit_code == 0
     for row in json.loads(result.stdout):
-        assert row["grid_step"] == 1e-4
-        assert row["refine_tol"] == 1e-9
+        assert "grid_step" not in row and "refine_tol" not in row
 
 
 def test_table1_reports_the_revivals_time_after_a_retry(runner):

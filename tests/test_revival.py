@@ -172,7 +172,7 @@ def test_box_partial_revivals_at_thirds(box_state):
 
 # --- block-factored kernel ---------------------------------------------
 
-LONG = revival._CHUNK + 1  # longer than one chunk of the direct sum
+LONG = revival._CHUNK + 1  # longer than one run of the kernel
 
 
 def direct_series(weights, rates, taus):
@@ -187,26 +187,17 @@ def direct_series(weights, rates, taus):
     return out
 
 
-@pytest.fixture()
-def blocked_calls(monkeypatch):
-    """Sample counts of the calls that reach the blocked kernel."""
-    calls = []
-    kernel = revival._blocked_amplitudes
-
-    def spy(*args):
-        calls.append(args[-1])
-        return kernel(*args)
-
-    monkeypatch.setattr(revival, "_blocked_amplitudes", spy)
-    return calls
+def kernel_runs(w, rates, start, step, count, **kwargs):
+    """The runs of the blocked kernel over the grid ``start + j*step``."""
+    tables = revival._BlockTables(np.asarray(rates, dtype=float), start, step, count)
+    return revival._blocked_amplitudes(np.asarray(w, dtype=float), tables, **kwargs)
 
 
 @pytest.mark.parametrize("first", [0, 12345])
-def test_blocked_kernel_keeps_the_exact_invariants(first, blocked_calls):
+def test_blocked_kernel_keeps_the_exact_invariants(first):
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     taus = np.arange(first, first + LONG + 99, dtype=float) * 1e-3
     fwd = autocorrelation(w, rates, taus).values
-    assert blocked_calls == [len(taus)]
     bwd = autocorrelation(w, rates, -taus[::-1]).values[::-1]
     assert np.array_equal(fwd, bwd)
     assert np.array_equal(autocorrelation(w, rates, taus).values, fwd)
@@ -228,30 +219,27 @@ def well_scan_horizon_100():
 
 
 @pytest.mark.parametrize("scan", [fig5_scan, well_scan_horizon_100])
-def test_blocked_kernel_matches_the_direct_sum(scan, blocked_calls):
+def test_blocked_kernel_matches_the_direct_sum(scan):
     w, rates, taus = scan()
     series = autocorrelation(w, rates, taus)
-    assert blocked_calls == [len(taus)]
     # The direct sum is pointwise, so a spread subset of samples suffices.
     picks = np.append(np.arange(0, len(taus), 29), len(taus) - 1)
     gap = np.abs(series.values[picks] - direct_series(w, rates, taus[picks]))
     assert gap.max() < 1e-9
 
 
-@pytest.mark.parametrize("count", [3, 6001, revival._CHUNK])
-def test_blocked_kernel_takes_every_uniform_grid(count, blocked_calls):
+@pytest.mark.parametrize("count", [1, 2, 3, 6001, revival._CHUNK])
+def test_blocked_kernel_takes_every_uniform_grid(count):
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     taus = np.arange(count, dtype=float) * 1e-3
     values = autocorrelation(w, rates, taus).values
-    assert blocked_calls == [count]
     assert np.abs(values - direct_series(w, rates, taus)).max() < 1e-12
 
 
 @pytest.mark.parametrize("count", [3, revival._CHUNK, LONG, 600001, 4000001])
 def test_blocked_runs_tile_the_grid_in_whole_rows(count):
     block = int(np.sqrt(count))
-    runs = list(revival._blocked_amplitudes(np.array([1.0, 0.5]), np.array([1.0, 7.0]),
-                                            0.0, 1e-3, count))
+    runs = list(kernel_runs([1.0, 0.5], [1.0, 7.0], 0.0, 1e-3, count))
     starts = [j0 for j0, _ in runs]
     ends = [j0 + len(amps) for j0, amps in runs]
     assert starts[0] == 0 and ends[-1] == count and starts[1:] == ends[:-1]
@@ -267,7 +255,7 @@ def test_long_grids_cap_the_block_width():
     w, rates = np.array([0.6, 0.4]), np.array([1.0, 7.0])
     count, step = 200_000_000, 1e-3
     assert revival._MAX_BLOCK == 2048 < math.isqrt(count)
-    runs = revival._blocked_amplitudes(w, rates, 0.0, step, count)
+    runs = kernel_runs(w, rates, 0.0, step, count)
     (j0, first), (j1, second) = next(runs), next(runs)
     runs.close()
     assert j0 == 0 and j1 == len(first)
@@ -289,12 +277,13 @@ def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     block = math.isqrt(count)
     b = np.arange(-(-count // block))
     a = b // block
-    lead = revival._phase_table(rates, block * step, block)[b - a * block]
+    steps = revival._BlockTables(rates, 0.0, block * step, block * block).tail
+    lead = steps[b - a * block]
     lead *= np.exp(-1j * np.outer((a * (block * block)) * step, rates))
     lead *= w
-    whole = (lead @ revival._phase_table(rates, step, block).T).ravel()[:count]
+    whole = (lead @ revival._BlockTables(rates, 0.0, step, count).tail.T).ravel()[:count]
     monkeypatch.setattr(revival, "_CHUNK", chunk)
-    runs = list(revival._blocked_amplitudes(w, rates, 0.0, step, count))
+    runs = list(kernel_runs(w, rates, 0.0, step, count))
     assert len(runs) > 1
     assert all(2 * block <= len(amps) <= max(chunk, 3 * block) for _, amps in runs[:-1])
     assert len(runs[-1][1]) > block
@@ -304,7 +293,8 @@ def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
 def test_phase_table_rows_are_products_of_direct_powers():
     rates = np.array([0.0, 1.0, 2.0 * np.pi * 512 ** 2, 7.3e3])
     step = 1e-3
-    table = revival._phase_table(rates, step, 37)
+    # a grid of 37**2 samples has a tail of 37 rows
+    table = revival._BlockTables(rates, 0.0, step, 37 ** 2).tail
     phases = np.outer(np.arange(37) * step, rates)
     # each of the six factors rounds its phase and its value once
     bound = 4 * np.finfo(float).eps * (6 + phases)
@@ -313,7 +303,7 @@ def test_phase_table_rows_are_products_of_direct_powers():
     powers = [np.exp(-1j * (rates * (2 ** k * step))) for k in (0, 2, 4)]
     assert np.array_equal(table[21], (powers[0] * powers[1]) * powers[2])
     # a row depends on its index alone, not on the length of the table
-    assert np.array_equal(revival._phase_table(rates, step, 20), table[:20])
+    assert np.array_equal(revival._BlockTables(rates, 0.0, step, 20 ** 2).tail, table[:20])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -330,7 +320,7 @@ def test_blocked_kernel_properties(levels, count, first, step, top_rate, seed):
     w /= w.sum()
     rates = rng.uniform(0.0, top_rate, levels)
     taus = (first + np.arange(count)) * step
-    assert revival._uniform_progression(taus) is not None
+    assert revival._uniform_progression(taus)[::2] == (taus[0], False)
     fwd = autocorrelation(w, rates, taus).values
     # a spread subset, with both ends, against the pointwise direct sum
     picks = np.append(np.arange(0, count, 97), count - 1)
@@ -344,7 +334,7 @@ def test_blocked_kernel_properties(levels, count, first, step, top_rate, seed):
         assert np.array_equal(scaled, np.ldexp(fwd, 2 * power))
 
 
-def test_other_grids_take_the_direct_path(blocked_calls):
+def test_other_grids_are_refused_before_any_kernel_run(monkeypatch):
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     uniform = np.arange(LONG, dtype=float) * 1e-3
     nudged = uniform.copy()
@@ -354,11 +344,16 @@ def test_other_grids_take_the_direct_path(blocked_calls):
         "jittered": np.sort(np.random.default_rng(5).uniform(0.0, 65.0, LONG)),
         "geometric": np.geomspace(1e-3, 65.0, LONG),
         "both signs": uniform - uniform[LONG // 2],
+        "empty": np.empty(0),
     }
-    for name, taus in grids.items():
-        values = autocorrelation(w, rates, taus).values
-        assert np.abs(values - direct_series(w, rates, taus)).max() < 1e-12, name
-    assert blocked_calls == []
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(revival, "_blocked_amplitudes", kernel)
+    for taus in grids.values():
+        with pytest.raises(ValueError, match="grid"):
+            autocorrelation(w, rates, taus)
 
 
 # --- carried levels -------------------------------------------------------
@@ -576,12 +571,11 @@ def test_parabolic_vertex_of_a_mirrored_series_is_mirrored():
     lambda: oscillator_inputs(*LOPSIDED[0][:3]),
     lambda: well_revival_inputs(12.0),
 ], ids=["lopsided coherent", "well 12"])
-def test_refinement_keeps_the_exact_invariants(inputs, blocked_calls):
+def test_refinement_keeps_the_exact_invariants(inputs):
     w, rates, predicted = inputs()
     tau_star = principal_revival(w, rates, predicted)[0]
     taus = detection_grid(tau_star - 0.01, tau_star + 0.01, 1e-4)
     window = (taus[0], taus[-1])
-    blocked_calls.clear()
     base = detect_revival(autocorrelation(w, rates, taus), window)
     mirrored = detect_revival(autocorrelation(w, rates, -taus[::-1]),
                               (-window[1], -window[0]))
@@ -590,7 +584,6 @@ def test_refinement_keeps_the_exact_invariants(inputs, blocked_calls):
         scaled = detect_revival(autocorrelation(np.ldexp(w, power), rates, taus),
                                 window)
         assert scaled == (base[0], np.ldexp(base[1], 2 * power))
-    assert blocked_calls == [len(taus)] * 4
 
 
 @pytest.mark.parametrize("taus", [
@@ -598,9 +591,12 @@ def test_refinement_keeps_the_exact_invariants(inputs, blocked_calls):
     (np.arange(-100, 100) + 0.5) * 1e-4,
 ], ids=["sample at 0", "samples straddling 0"])
 def test_peak_at_time_zero_stays_at_zero(taus):
+    # autocorrelation refuses a grid that straddles zero, so the series is
+    # built by hand; it carries its levels, so Newton refines the peak
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
-    tau_star, height = detect_revival(autocorrelation(w, rates, taus),
-                                      (-0.005, 0.005))
+    series = AutocorrSeries(tau=taus, values=direct_series(w, rates, taus),
+                            weights=w, rates=rates)
+    tau_star, height = detect_revival(series, (-0.005, 0.005))
     assert abs(tau_star) < 1e-12
     assert abs(height - w.sum() ** 2) < 1e-12
 
@@ -775,8 +771,8 @@ def screened_envelope(w, rates, horizon, period):
     w = np.ldexp(w, unit_scale(w))
     count = len(scan_grid(horizon))
     n_cycles = int(np.floor((count - 1) * SCAN_STEP / period))
-    tables = revival._BlockTables(rates, SCAN_STEP, count)
-    runs = list(revival._screened_heights(w, rates, count, period, n_cycles, tables))
+    tables = revival._BlockTables(rates, 0.0, SCAN_STEP, count)
+    runs = list(revival._screened_heights(w, tables, period, n_cycles))
     assert [k for k, _ in runs] == np.cumsum([0] + [len(h) for _, h in runs[:-1]]).tolist()
     return np.concatenate([h for _, h in runs]), revival._screen_margin(len(rates))
 
@@ -806,8 +802,8 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     horizon = 10.5
     reference, _ = materialised_envelope(w, rates, period, horizon)
     monkeypatch.setattr(revival, "_CHUNK", 400)
-    runs = list(revival._blocked_amplitudes(reference.weights, reference.rates, 0.0,
-                                            SCAN_STEP, len(reference.tau)))
+    runs = list(kernel_runs(reference.weights, reference.rates, 0.0, SCAN_STEP,
+                            len(reference.tau)))
     assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
     series, (heights, _) = materialised_envelope(w, rates, period, horizon)
     assert np.allclose(series.values, reference.values, rtol=0, atol=1e-12)
@@ -819,7 +815,8 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
 def fake_kernel(amps, edges):
     """A kernel that yields ``amps`` in pieces cut at ``edges`` and at the
     row bounds of ``rows``, in the precision asked for."""
-    def kernel(w, th, start, step, n, rows=None, dtype=complex, tables=None):
+    def kernel(w, tables, rows=None, dtype=complex):
+        n = tables.count
         assert n == len(amps)
         block = tables.block
         lo, hi = (0, n) if rows is None else (rows[0] * block, min(n, rows[1] * block))
@@ -841,13 +838,14 @@ def test_fold_keeps_the_first_maximum_across_run_edges(monkeypatch):
         tau = np.arange(count, dtype=float) * SCAN_STEP
         n_cycles = int(np.floor(tau[-1] / period))
         heights, peak_taus = mask_envelope(tau, np.abs(amps) ** 2, period, n_cycles)
-        tables = SimpleNamespace(block=math.isqrt(count))
+        tables = SimpleNamespace(block=math.isqrt(count), count=count, start=0.0,
+                                 step=SCAN_STEP)
         screened = np.concatenate([h for _, h in revival._screened_heights(
-            None, None, count, period, n_cycles, tables)])
+            None, tables, period, n_cycles)])
         assert np.array_equal(screened, heights)
         starts = revival._cycle_starts(0, n_cycles + 1, period)
         for k in range(n_cycles):
-            assert revival._float64_peak(None, None, count, tables, starts[k],
+            assert revival._float64_peak(None, tables, starts[k],
                                          starts[k + 1]) == (heights[k], peak_taus[k])
 
 
@@ -939,7 +937,7 @@ def consumed_runs(monkeypatch):
     kernel = revival._blocked_amplitudes
 
     def spy(*args, **kwargs):
-        call = [args[4], 0, 0, kwargs.get("dtype", complex), kwargs.get("rows")]
+        call = [args[1].count, 0, 0, kwargs.get("dtype", complex), kwargs.get("rows")]
         calls.append(call)
         for j0, amps in kernel(*args, **kwargs):
             call[1:3] = call[1] + 1, j0 + len(amps)
@@ -980,7 +978,7 @@ def test_scan_stops_with_the_run_that_completes_the_recovery(consumed_runs):
     w, rates, period, horizon = fig5_scan_inputs()
     assert scan_superrevival(w, rates, horizon, period) == 31.372
     [(count, taken, end, _, _)] = screen_calls(consumed_runs)
-    every = len(list(revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, 600001)))
+    every = len(list(kernel_runs(w, rates, 0.0, SCAN_STEP, 600001)))
     assert count == 600001 and taken == 1 < every
     assert 31372 < end < count
     # the head, then the recovering cycle: two or three rows of 774 samples
@@ -1024,10 +1022,8 @@ def test_screen_stays_within_its_margin_at_every_sample(inputs, box_state):
     w = np.ldexp(w, unit_scale(w))
     taus = scan_grid(horizon)
     exact = autocorrelation(w, rates, taus).values
-    tables = revival._BlockTables(rates, SCAN_STEP, len(taus))
     screen = np.empty(len(taus), dtype=np.float32)
-    for j0, amps in revival._blocked_amplitudes(w, rates, 0.0, SCAN_STEP, len(taus),
-                                                dtype=np.complex64, tables=tables):
+    for j0, amps in kernel_runs(w, rates, 0.0, SCAN_STEP, len(taus), dtype=np.complex64):
         screen[j0:j0 + len(amps)] = np.square(amps.real) + np.square(amps.imag)
     margin = revival._screen_margin(len(rates))
     assert np.max(np.abs(screen - exact)) <= margin
