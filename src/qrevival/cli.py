@@ -22,7 +22,7 @@ from .anharmonic import (coherent_weights, oscillator_phase_rates,
                          oscillator_timescales, squeezed_weights)
 from .csvtext import csv_rows, json_floats
 from .errors import (AmbiguousWindowError, CompletenessWarning, ConvergenceError,
-                     CutoffTooSmallError, EdgePeakError, HorizonTooShortError)
+                     EdgePeakError, HorizonTooShortError)
 from .revival import (DETECTION_MAX_STEP, ENVELOPE_STEP, autocorrelation,
                       detection_grid, principal_revival, scan_superrevival)
 from .scenarios import (OscillatorSystem, ScenarioConfig, load_scenario,
@@ -60,46 +60,37 @@ def _json_dump(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, each
     numpy array in ``payload`` standing for its ``tolist()``.
 
-    ``indent`` sends every value through the pure-Python encoder.  A flat
-    float64 array is instead printed whole by ``json_floats``, one array at
-    a time; parts of ``payload`` that hold no array go to ``json.dumps``
-    unchanged.
+    One pass of the pure-Python encoder, which ``indent`` selects.  It calls
+    ``park`` for an array just before it yields that value's chunk: ``park``
+    prints a flat, non-empty float64 array whole with ``json_floats``, one
+    level below the current line, and returns ``""``, whose chunk that text
+    then replaces.
     """
-    return _json_text(payload, "\n") + "\n"
+    chunks, parked = [], []
 
+    def park(value):
+        if not isinstance(value, np.ndarray):
+            return json.JSONEncoder().default(value)
+        if value.ndim != 1 or value.dtype != np.float64 or not len(value):
+            return value.tolist()
+        # the newline chunk that opened this line ends in its indentation
+        line = next((c for c in reversed(chunks) if "\n" in c), "\n")
+        outer = line[line.rindex("\n"):]
+        inner = outer + "  "
+        text = "[" + inner + json_floats(value, "," + inner) + outer + "]"
+        parked.append((len(chunks), text))
+        return ""
 
-def _json_text(value, newline):
-    """The indented JSON of ``value``, every line break in it written as
-    ``newline``; objects that hold arrays need string keys."""
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype == np.float64 and len(value):
-            inner = newline + "  "
-            return "[" + inner + json_floats(value, "," + inner) + newline + "]"
-        value = value.tolist()
-    try:
-        return json.dumps(value, indent=2, sort_keys=True,
-                          default=_refuse_array).replace("\n", newline)
-    except _HoldsArray:
-        pass
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("an object holding arrays needs string keys")
-        items = [inner + json.dumps(key) + ": " + _json_text(item, inner)
-                 for key, item in sorted(value.items())]
-        return "{" + ",".join(items) + newline + "}"
-    items = [inner + _json_text(item, inner) for item in value]
-    return "[" + ",".join(items) + newline + "]"
-
-
-class _HoldsArray(Exception):
-    """``json.dumps`` met a numpy array."""
-
-
-def _refuse_array(value):
-    if isinstance(value, np.ndarray):
-        raise _HoldsArray
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # extend appends each chunk as the encoder yields it, so park sees the
+    # ones before it; like json.dumps' own join, it loops in C
+    chunks.extend(json.JSONEncoder(indent=2, sort_keys=True,
+                                   default=park).iterencode(payload))
+    for at, text in parked:
+        chunks[at] = text
+    chunks.append("\n")
+    text = "".join(chunks)
+    del chunks[:], parked[:]  # json's closures hold park in a cycle until a collection
+    return text
 
 
 def cli_errors(fn):
@@ -127,18 +118,21 @@ def cli_errors(fn):
         except ConvergenceError as exc:
             sys.stderr.write(f"error: {exc}\n")
             sys.exit(3)
-        except (ValueError, CutoffTooSmallError, TypeError, OSError) as exc:
+        except (ValueError, TypeError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             sys.exit(2)
     return wrapper
 
 
-def output_options(default="csv", formats=("csv", "json")):
-    """``--format`` and ``--out``, which every command takes."""
+out_option = click.option("--out", type=click.Path(), default=None)
+
+
+def output_options(default="csv"):
+    """``--format`` and ``--out``, which every command but ``revivals``
+    takes; ``revivals`` prints JSON only."""
     def decorate(fn):
-        fn = click.option("--out", type=click.Path(), default=None)(fn)
-        return click.option("--format", "fmt", type=click.Choice(formats),
-                            default=default)(fn)
+        return click.option("--format", "fmt", type=click.Choice(("csv", "json")),
+                            default=default)(out_option(fn))
     return decorate
 
 
@@ -197,44 +191,26 @@ def _echo(cfg: ScenarioConfig) -> dict:
     return data
 
 
-def _fock_for(cfg: ScenarioConfig):
-    """Number-basis weights of an oscillator scenario; None for a well.
-
-    Built once per command and passed to each helper that needs them.
-    """
+def _system(cfg: ScenarioConfig, reference=False):
+    """Weights, phase rates, completeness and predicted revival time of the
+    scenario's system; with ``reference``, of its dashed-line counterpart:
+    the box for a well, ``beta = 0`` for an oscillator."""
     osc = cfg.oscillator
     if osc is None:
-        return None
-    if osc.kind == "coherent":
-        return coherent_weights(osc.alpha)
-    return squeezed_weights(osc.squeeze, osc.alpha)
+        return _well(math.inf if reference else cfg.epsilon, cfg.packet)
+    fock = (coherent_weights(osc.alpha) if osc.kind == "coherent"
+            else squeezed_weights(osc.squeeze, osc.alpha))
+    beta = 0.0 if reference else osc.beta
+    return (fock.weights, oscillator_phase_rates(fock.n, beta), 1.0,
+            oscillator_timescales(fock, beta).revival_time)
 
 
-def _series_inputs(cfg: ScenarioConfig, fock):
-    """Weights, phase rates and completeness for a scenario's system."""
-    if cfg.epsilon is not None:
-        return _well_inputs(cfg.epsilon, cfg.packet)
-    return fock.weights, oscillator_phase_rates(fock.n, cfg.oscillator.beta), 1.0
-
-
-def _reference_inputs(cfg: ScenarioConfig, fock):
-    """Dashed-line counterpart: the box for wells, the quadratic-spectrum
-    oscillator for oscillator scenarios."""
-    if cfg.epsilon is not None:
-        return _well_inputs(math.inf, cfg.packet)[:2]
-    return fock.weights, oscillator_phase_rates(fock.n, 0.0)
-
-
-def _well_inputs(epsilon, packet):
-    states = solve_spectrum(WellConfig(epsilon))
+def _well(epsilon, packet):
+    """``_system`` of a well of strength ``epsilon`` holding ``packet``."""
+    well = WellConfig(epsilon)
+    states = solve_spectrum(well)
     decomp = project(packet, states)
-    return decomp.weights, states.rates, decomp.completeness
-
-
-def _revival_prediction(cfg: ScenarioConfig, fock) -> float:
-    if cfg.epsilon is not None:
-        return barker(WellConfig(cfg.epsilon))
-    return oscillator_timescales(fock, cfg.oscillator.beta).revival_time
+    return decomp.weights, states.rates, decomp.completeness, barker(well)
 
 
 def _revival_report(weights, rates, predicted) -> dict:
@@ -295,27 +271,16 @@ def cmd_autocorr(tau_max, tau_step, reference, fmt, out, **system):
     """Squared autocorrelation series over the scenario's time grid."""
     cfg = _resolve_scenario(tau_max=tau_max, tau_step=tau_step, **system)
     taus = detection_grid(0.0, cfg.tau_max, cfg.tau_step)
-    fock = _fock_for(cfg)
-    weights, rates, _completeness = _series_inputs(cfg, fock)
+    weights, rates = _system(cfg)[:2]
     series = autocorrelation(weights, rates, taus)
-    ref_values = None
+    columns = {"tau": series.tau, "autocorr": series.values}
     if reference:
-        ref_w, ref_rates = _reference_inputs(cfg, fock)
-        ref_values = autocorrelation(ref_w, ref_rates, taus).values
-
+        weights, rates = _system(cfg, reference=True)[:2]
+        columns["reference"] = autocorrelation(weights, rates, taus).values
     if fmt == "csv":
-        columns = [series.tau, series.values]
-        header = "tau,autocorr"
-        if ref_values is not None:
-            columns.append(ref_values)
-            header += ",reference"
-        _emit(header + "\n" + csv_rows(columns), out)
+        _emit(",".join(columns) + "\n" + csv_rows(list(columns.values())), out)
     else:
-        payload = {"scenario": _echo(cfg), "tau": series.tau,
-                   "autocorr": series.values}
-        if ref_values is not None:
-            payload["reference"] = ref_values
-        _emit(_json_dump(payload), out)
+        _emit(_json_dump({"scenario": _echo(cfg), **columns}), out)
 
 
 @main.command("table1")
@@ -334,8 +299,8 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
     packet = GaussianSpec(x0=x0, sigma=sigma)
     rows = []
     for eps in eps_list:
-        weights, rates, completeness = _well_inputs(eps, packet)
-        report = _revival_report(weights, rates, barker(WellConfig(eps)))
+        weights, rates, completeness, predicted = _well(eps, packet)
+        report = _revival_report(weights, rates, predicted)
         rows.append({"epsilon": eps, "detected": report["detected_revival"],
                      "barker": report["barker_predicted"],
                      "percent_error": report["percent_error"],
@@ -354,16 +319,14 @@ def cmd_table1(x0, sigma, epsilons, fmt, out):
               help="Scan horizon; defaults to the scenario's.")
 @click.option("--superrevival", is_flag=True, default=False,
               help="Also scan the peak envelope for a recovery.")
-@output_options("json", ("json",))
+@out_option
 @cli_errors
-def cmd_revivals(horizon, superrevival, fmt, out, **system):
+def cmd_revivals(horizon, superrevival, out, **system):
     """Detect the principal revival (and optionally the first superrevival)."""
     cfg = _resolve_scenario(horizon=horizon, **system)
     if not cfg.horizon >= 2.0:
         raise ValueError(f"horizon must be at least 2, got {cfg.horizon}")
-    fock = _fock_for(cfg)
-    weights, rates, completeness = _series_inputs(cfg, fock)
-    predicted = _revival_prediction(cfg, fock)
+    weights, rates, completeness, predicted = _system(cfg)
     report = _revival_report(weights, rates, predicted)
 
     super_tau = None
@@ -452,7 +415,6 @@ def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
                 "t_classical": _json_safe(scales.classical_time),
                 "t_revival": revival,
                 "t_superrevival": superrevival,
-                "nbar": fock.mean_n,
                 "n_center": scales.n_center,
             },
         }

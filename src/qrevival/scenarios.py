@@ -85,35 +85,54 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """The scenario ``to_dict`` wrote; a missing key or a value that
+        cannot be read is refused, naming its dotted path."""
         epsilon = None
         if "well" in data:
-            value = data["well"]["epsilon"]
             # strict JSON has no infinity: it writes the box's strength as null
-            epsilon = math.inf if value is None else float(value)
+            epsilon = _field(data, "well.epsilon",
+                             lambda value: math.inf if value is None else float(value))
         osc = None
         if "oscillator" in data:
-            block = data["oscillator"]
             osc = OscillatorSystem(
-                beta=float(block["beta"]),
-                kind=str(block["kind"]),
-                alpha=float(block.get("alpha", 0.0)),
-                squeeze=(float(block["squeeze"]) if "squeeze" in block else None),
+                beta=_field(data, "oscillator.beta"),
+                kind=_field(data, "oscillator.kind", str),
+                alpha=_field(data, "oscillator.alpha", default=0.0),
+                squeeze=_field(data, "oscillator.squeeze", default=None),
             )
         packet = None
         if "packet" in data:
-            packet = GaussianSpec(x0=float(data["packet"]["x0"]),
-                                  sigma=float(data["packet"]["sigma"]))
+            packet = GaussianSpec(x0=_field(data, "packet.x0"),
+                                  sigma=_field(data, "packet.sigma"))
         return cls(
-            name=str(data["name"]),
-            tau_max=float(data["tau_max"]),
-            tau_step=float(data["tau_step"]),
-            horizon=float(data["horizon"]),
+            name=_field(data, "name", str),
+            tau_max=_field(data, "tau_max"),
+            tau_step=_field(data, "tau_step"),
+            horizon=_field(data, "horizon"),
             epsilon=epsilon, oscillator=osc, packet=packet,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _field(data: dict, path: str, read=float, default=...):
+    """``read`` of the value at the dotted ``path`` in ``data``, or
+    ``default``, if given, where its key is missing; refusals name the path."""
+    *blocks, key = path.split(".")
+    for block in blocks:
+        data = data[block]
+        if not isinstance(data, dict):
+            raise ValueError(f"{block!r} must be an object, got {data!r}")
+    if key not in data:
+        if default is ...:
+            raise ValueError(f"the key {path!r} is missing")
+        return default
+    try:
+        return read(data[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot read {path!r} from {data[key]!r}") from None
 
 
 def _well_scenario(name, epsilon, x0, tau_max, tau_step, horizon, sigma=0.1):
@@ -145,11 +164,16 @@ def load_scenario(ref: str) -> ScenarioConfig:
         return BUILTIN_SCENARIOS[ref]
     try:
         with open(ref, "r", encoding="utf-8") as fh:
-            return ScenarioConfig.from_json(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         names = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise ValueError(
             f"unknown scenario {ref!r}: not a built-in ({names}) "
             f"and no such file") from None
-    except KeyError as exc:
-        raise ValueError(f"scenario file {ref!r} lacks the key {exc.args[0]!r}") from None
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("the top level must be a JSON object")
+        return ScenarioConfig.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"scenario file {ref!r}: {exc}") from None

@@ -53,8 +53,20 @@ def test_unknown_scenario_is_rejected():
         load_scenario("fig99")
 
 
+# A malformed scenario file: its content, and what the error line must name
+# besides the file.
+_FIG1A = BUILTIN_SCENARIOS["fig1a"].to_dict()
+MALFORMED = {
+    "tau_max=null": (dict(_FIG1A, tau_max=None), "cannot read 'tau_max' from None"),
+    "top-level list": ([_FIG1A], "the top level must be a JSON object"),
+    "packet.x0=left": (dict(_FIG1A, packet={"x0": "left", "sigma": 0.1}),
+                       "cannot read 'packet.x0' from 'left'"),
+    "well=12.0": (dict(_FIG1A, well=12.0), "'well' must be an object, got 12.0"),
+}
+
+
 @pytest.mark.parametrize("case", ["tau_max", "packet.sigma", "oscillator.kind",
-                                  "directory", "out"])
+                                  "directory", "out", *MALFORMED])
 def test_file_and_schema_errors_exit_2(runner, tmp_path, case):
     scenario = tmp_path / "scenario.json"
     args = ["revivals", "--scenario", str(scenario)]
@@ -65,11 +77,15 @@ def test_file_and_schema_errors_exit_2(runner, tmp_path, case):
         named = str(tmp_path / "missing" / "out.csv")
         args = ["spectrum", "--epsilon", "12", "--out", named]
     else:
-        *block, key = case.split(".")
-        data = BUILTIN_SCENARIOS["fig5" if key == "kind" else "fig1a"].to_dict()
-        del (data[block[0]] if block else data)[key]
+        if case in MALFORMED:
+            data, named = MALFORMED[case]
+        else:
+            *block, key = case.split(".")
+            data = BUILTIN_SCENARIOS["fig5" if key == "kind" else "fig1a"].to_dict()
+            del (data[block[0]] if block else data)[key]
+            named = f"the key {case!r} is missing"
         scenario.write_text(json.dumps(data), encoding="utf-8")
-        named = f"lacks the key {key!r}"
+        named = f"scenario file {str(scenario)!r}: {named}"
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
@@ -609,12 +625,12 @@ COMMAND_OPTIONS = {
                  "--out"],
     "table1": ["--x0", "--sigma", "--epsilons", "--format", "--out"],
     "revivals": ["--scenario", "--epsilon", "--x0", "--sigma", "--beta", "--alpha",
-                 "--squeeze", "--horizon", "--superrevival", "--format", "--out"],
+                 "--squeeze", "--horizon", "--superrevival", "--out"],
     "snapshot": ["--scenario", "--epsilon", "--x0", "--sigma", "--tau", "--grid",
                  "--format", "--out"],
     "oscillator": ["--beta", "--alpha", "--squeeze", "--cutoff", "--format", "--out"],
 }
-FORMATS = {"revivals": ("json", ["json"]), "oscillator": ("json", ["csv", "json"])}
+FORMATS = {"oscillator": ("json", ["csv", "json"])}
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
@@ -623,9 +639,18 @@ def test_command_options(name):
     assert sorted(main.commands) == sorted(COMMAND_OPTIONS)
     params = main.commands[name].params
     assert [opt for p in params for opt in p.opts] == COMMAND_OPTIONS[name]
+    if name == "revivals":
+        return
     fmt = next(p for p in params if p.name == "fmt")
     assert (fmt.default, list(fmt.type.choices)) == \
         FORMATS.get(name, ("csv", ["csv", "json"]))
+
+
+def test_revivals_prints_json_only(runner):
+    result = runner.invoke(main, ["revivals", "--epsilon", "12", "--format", "json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: No such option '--format'" in result.stderr
 
 
 # --- oscillator command ------------------------------------------------------------
@@ -637,12 +662,11 @@ def test_oscillator_json_timescales(runner):
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     scales = payload["timescales"]
-    assert sorted(scales) == ["n_center", "nbar", "revival_closed_form",
+    assert sorted(scales) == ["n_center", "revival_closed_form",
                               "superrevival_closed_form", "t_classical",
                               "t_revival", "t_superrevival"]
     assert scales["superrevival_closed_form"] == scales["t_superrevival"] == 500.0
     assert scales["t_revival"] == scales["revival_closed_form"]
-    assert scales["nbar"] == payload["mean_n"]
     assert abs(payload["mean_n"] - 2.025) < 1e-6
     # central differences of the phase rates at n_center, exact for a cubic
     c = scales["n_center"]
@@ -821,12 +845,11 @@ def _oracle_autocorr(name):
     """The ``autocorr --reference`` text of a scenario and, from the same
     rows, the text without the reference column."""
     cfg = cli._resolve_scenario(name)
-    fock = cli._fock_for(cfg)
-    weights, rates, _ = cli._series_inputs(cfg, fock)
+    weights, rates = cli._system(cfg)[:2]
     n_steps = int(math.floor(cfg.tau_max / cfg.tau_step + 1e-9))
     taus = np.arange(0, n_steps + 1, dtype=float) * cfg.tau_step
     series = autocorrelation(weights, rates, taus)
-    ref_w, ref_rates = cli._reference_inputs(cfg, fock)
+    ref_w, ref_rates = cli._system(cfg, reference=True)[:2]
     columns = [series.tau.tolist(), series.values.tolist(),
                autocorrelation(ref_w, ref_rates, taus).values.tolist()]
     lines = list(map("{:.16e},{:.16e},{:.16e}".format, *columns))
@@ -929,6 +952,14 @@ def _as_lists(value):
     [{"tau": 0.5, "xbar": np.linspace(-1.25, 1.25, 3), "density": np.ones(3)}, []],
     {"name": "Schr\u00f6dinger \u03c8 \"\\\n", "tau": np.arange(3.0), "none": None},
     np.array([1.5, -2.0]),
+    # arrays three levels deep, inside lists of dicts
+    {"runs": [{"snapshots": [{"tau": 0.5, "density": np.ones(2)}, {}],
+               "grid": np.arange(2.0)}, [np.zeros(1), [np.linspace(0.0, 1.0, 3)]]]},
+    # an array next to "" values, a user string like a control chunk, an empty key
+    {"a": np.arange(2.0), "b": "", "": "\u00001", "c": ["", np.ones(1), ""]},
+    [np.arange(2.0), "", "\u00001"],
+    # json.dumps quotes a key that is not a string, beside an array too
+    {1: np.arange(2.0), 2.5: "x", 3: {True: np.ones(1)}},
 ])
 def test_json_writer_prints_the_bytes_of_json_dumps(payload):
     expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
@@ -936,8 +967,5 @@ def test_json_writer_prints_the_bytes_of_json_dumps(payload):
 
 
 def test_json_writer_refuses_what_it_cannot_print_as_json_dumps_would():
-    # json.dumps would quote the key of an object holding an array
-    with pytest.raises(TypeError, match="needs string keys"):
-        cli._json_dump({1: np.arange(2.0)})
     with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
         cli._json_dump({"levels": {1, 2}, "tau": np.arange(2.0)})
