@@ -20,19 +20,17 @@ import numpy as np
 from .errors import CutoffTooSmallError
 
 FOCK_CUTOFF_CAP = 2048
-_TAIL_MASS = 1e-10
-# The automatic truncation grows a little past the acceptance threshold so
+# The kept levels leave out at most this much of the weight, little enough
 # that weighted moments (not just the total mass) stay accurate.
 _TAIL_MASS_AUTO = 1e-12
-# The raw weights are computed over 64, 128, ... levels, or from the cutoff
-# on, until the last four are at most 2**-60 of their sum.
 _FIRST_RANGE = 64
 _RUN_OUT = 2.0 ** -60
 
 
 @dataclass(frozen=True)
 class FockWeights:
-    """Normalized number-basis weights ``|c_n|^2`` for ``n = 0..cutoff``."""
+    """Normalized number-basis weights ``|c_n|^2`` of the levels a state has,
+    ``n = 0..len(weights) - 1``."""
 
     weights: np.ndarray
     mean_n: float
@@ -85,22 +83,18 @@ def _log_factorials(n_raw: int) -> np.ndarray:
     return np.array([math.lgamma(k) for k in range(1, n_raw + 2)])
 
 
-def _reaching(raw, cutoff):
-    """The raw weights over the first range of levels in which they run out.
+def _levels(raw, source: str) -> FockWeights:
+    """The weights of the levels a state has, from ``raw(n_raw)``, its
+    unnormalized weights of levels ``0..n_raw``.
 
-    A ``cutoff`` outside ``0..FOCK_CUTOFF_CAP`` is refused before any weight
-    is computed.  The ranges double from ``_FIRST_RANGE``, or from the cutoff
-    if that is larger, to ``FOCK_CUTOFF_CAP``; a range is enough once its sum
-    is positive and its last four weights are at most ``_RUN_OUT`` of it.
-    The levels past it then carry too little to move the sum, so the weights
-    that ``_finalize`` keeps are those of the full range.  A range whose
-    weights all underflow, below a large mean, is not enough.
+    The ranges double from ``_FIRST_RANGE`` to ``FOCK_CUTOFF_CAP``; a range
+    is enough once its sum is positive and its last four weights are at most
+    ``_RUN_OUT`` of it, so the levels past it could not move the sum (a range
+    whose weights all underflow, below a large mean, is not enough).  The
+    kept levels end at the first holding all but ``_TAIL_MASS_AUTO`` of that
+    sum, on an even level of at least 4; each range ends on an even level.
     """
     n_raw = _FIRST_RANGE
-    if cutoff is not None:
-        if not 0 <= cutoff <= FOCK_CUTOFF_CAP:
-            raise ValueError(f"cutoff must be in 0..{FOCK_CUTOFF_CAP}, got {cutoff}")
-        n_raw = max(n_raw, cutoff)
     weights = raw(n_raw)
     while n_raw < FOCK_CUTOFF_CAP:
         total = weights.sum()
@@ -108,39 +102,26 @@ def _reaching(raw, cutoff):
             break
         n_raw = min(2 * n_raw, FOCK_CUTOFF_CAP)
         weights = raw(n_raw)
-    return weights
-
-
-def _finalize(raw: np.ndarray, cutoff, source: str) -> FockWeights:
-    """Truncate raw weights, guarding the mass left outside the kept modes."""
-    total = raw.sum()
+    total = weights.sum()
     if total <= 0:
         raise ValueError("weight distribution has no mass")
-    # The raw range must itself exhaust the distribution before truncation
+    # The range must itself exhaust the distribution before truncation
     # fidelity can be judged; the max dodges structural parity zeros.
-    if raw[-4:].max() > 1e-13 * total:
+    if weights[-4:].max() > 1e-13 * total:
         raise CutoffTooSmallError(
             "weight distribution is not exhausted within the computed range")
-    if cutoff is not None:
-        kept = raw[:cutoff + 1]
-        tail = 1.0 - kept.sum() / total
-        if tail > _TAIL_MASS:
-            raise CutoffTooSmallError(
-                f"cutoff {cutoff} leaves weight {tail:.2e} outside the basis")
-    else:
-        cumulative = np.cumsum(raw) / total
-        reached = np.flatnonzero(cumulative >= 1.0 - _TAIL_MASS_AUTO)
-        end = int(reached[0]) if len(reached) else len(raw) - 1
-        end = max(end, 4)
-        end += end % 2  # even cutoff by convention
-        end = min(end, FOCK_CUTOFF_CAP)
-        kept = raw[:end + 1]
+    cumulative = np.cumsum(weights) / total
+    reached = np.flatnonzero(cumulative >= 1.0 - _TAIL_MASS_AUTO)
+    end = int(reached[0]) if len(reached) else len(weights) - 1
+    end = max(end, 4)
+    end += end % 2  # even last level by convention
+    kept = weights[:end + 1]
     w = kept / kept.sum()
     return FockWeights(weights=w, mean_n=float((np.arange(len(w)) * w).sum()),
                        source=source)
 
 
-def coherent_weights(alpha: complex, cutoff: int | None = None) -> FockWeights:
+def coherent_weights(alpha: complex) -> FockWeights:
     """Poissonian weights of a coherent amplitude, computed in log space."""
     mean = abs(alpha) ** 2
 
@@ -152,11 +133,10 @@ def coherent_weights(alpha: complex, cutoff: int | None = None) -> FockWeights:
         n = np.arange(n_raw + 1)
         return np.exp(-mean + n * math.log(mean) - _log_factorials(n_raw))
 
-    return _finalize(_reaching(raw, cutoff), cutoff, source=f"coherent(alpha={alpha})")
+    return _levels(raw, source=f"coherent(alpha={alpha})")
 
 
-def squeezed_weights(s: float, alpha: float,
-                     cutoff: int | None = None) -> FockWeights:
+def squeezed_weights(s: float, alpha: float) -> FockWeights:
     """Number-basis weights of a squeezed state with real displacement.
 
     ``s`` is the intensity-like squeeze parameter, mapped to the squeeze
@@ -170,7 +150,7 @@ def squeezed_weights(s: float, alpha: float,
     if not np.isfinite(alpha):
         raise ValueError(f"displacement must be finite, got {alpha}")
     if s == 1.0:
-        return coherent_weights(alpha, cutoff)
+        return coherent_weights(alpha)
 
     t = (s - 1.0) / (s + 1.0)  # tanh r
     x_h = s * math.sqrt(2.0) * alpha / math.sqrt(s * s - 1.0)
@@ -184,8 +164,7 @@ def squeezed_weights(s: float, alpha: float,
             - _log_factorials(n_raw) + 2.0 * h_logs
         return np.where(h_signs == 0.0, 0.0, np.exp(logs))
 
-    return _finalize(_reaching(raw, cutoff), cutoff,
-                     source=f"squeezed(s={s}, alpha={alpha})")
+    return _levels(raw, source=f"squeezed(s={s}, alpha={alpha})")
 
 
 def oscillator_phase_rates(n, beta: float) -> np.ndarray:
@@ -200,10 +179,10 @@ def oscillator_timescales(weights: FockWeights, beta: float) -> OscillatorTimesc
     beta n^3)``, so ``2 pi / |d^k theta/dn^k / k!|`` gives ``t_cl = 1 / |2c
     + 3 beta c^2|``, ``t_rv = 1 / |1 + 3 c beta|`` and ``t_sr = 1 / |beta|``
     (Averbukh & Perelman, Phys. Lett. A 139, 449, 1989).  ``c`` is the level
-    nearest the mean occupation, kept two levels inside ``0..cutoff``.
+    nearest the mean occupation, kept two levels inside the weights' range.
     """
     if len(weights.weights) < 5:
-        raise ValueError("need at least five levels (a cutoff of 4 or more)")
+        raise ValueError("need at least five levels")
     c = int(np.clip(round(weights.mean_n), 2, len(weights.weights) - 3))
     return OscillatorTimescales(
         classical_time=_period(2.0 * c + 3.0 * beta * c * c),

@@ -198,11 +198,17 @@ def _system(cfg: ScenarioConfig, reference=False):
     osc = cfg.oscillator
     if osc is None:
         return _well(math.inf if reference else cfg.epsilon, cfg.packet)
-    fock = (coherent_weights(osc.alpha) if osc.kind == "coherent"
-            else squeezed_weights(osc.squeeze, osc.alpha))
+    fock = _fock(osc)
     beta = 0.0 if reference else osc.beta
     return (fock.weights, oscillator_phase_rates(fock.n, beta), 1.0,
             oscillator_timescales(fock, beta).revival_time)
+
+
+def _fock(osc: OscillatorSystem):
+    """The number-basis weights of the oscillator's initial state."""
+    if osc.kind == "coherent":
+        return coherent_weights(osc.alpha)
+    return squeezed_weights(osc.squeeze, osc.alpha)
 
 
 def _well(epsilon, packet):
@@ -388,16 +394,12 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
 @click.option("--alpha", type=float, default=0.0, show_default=True)
 @click.option("--squeeze", type=float, default=None,
               help="Squeeze parameter; omit for a coherent state.")
-@click.option("--cutoff", type=int, default=None)
 @output_options("json")
 @cli_errors
-def cmd_oscillator(beta, alpha, squeeze, cutoff, fmt, out):
+def cmd_oscillator(beta, alpha, squeeze, fmt, out):
     """Number-basis weights and recurrence timescales."""
-    require_finite(beta=beta, alpha=alpha, squeeze=squeeze)
-    if squeeze is None:
-        fock = coherent_weights(alpha, cutoff)
-    else:
-        fock = squeezed_weights(squeeze, alpha, cutoff)
+    kind = "coherent" if squeeze is None else "squeezed"
+    fock = _fock(OscillatorSystem(beta=beta, kind=kind, alpha=alpha, squeeze=squeeze))
     scales = oscillator_timescales(fock, beta)
     if fmt == "csv":
         _emit("n,weight\n" + csv_rows([fock.weights], lead=fock.n), out)

@@ -18,7 +18,8 @@ class HorizonTooShortError(RuntimeError):
 
 
 class CutoffTooSmallError(ValueError):
-    """A basis truncation leaves too much weight outside the kept modes."""
+    """A weight distribution is not exhausted within the largest range of
+    levels computed."""
 
 
 class CompletenessWarning(UserWarning):

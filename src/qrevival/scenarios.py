@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .spectrum import WellConfig
 from .wavepacket import GaussianSpec
 
 
@@ -37,6 +38,9 @@ class OscillatorSystem:
             raise ValueError(f"unknown oscillator state kind {self.kind!r}")
         if self.kind == "squeezed" and self.squeeze is None:
             raise ValueError("squeezed state needs a squeeze parameter")
+        if self.kind == "coherent" and self.squeeze is not None:
+            raise ValueError(f"coherent state takes no squeeze parameter, "
+                             f"got {self.squeeze}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ class ScenarioConfig:
         if (self.epsilon is None) == (self.oscillator is None):
             raise ValueError("scenario must define exactly one system block")
         if self.epsilon is not None:
-            if not self.epsilon > 0:
-                raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            WellConfig(self.epsilon)
             if self.packet is None:
                 raise ValueError("well scenarios need a packet block")
         if not (self.tau_step > 0):
@@ -119,7 +122,8 @@ class ScenarioConfig:
 
 def _field(data: dict, path: str, read=float, default=...):
     """``read`` of the value at the dotted ``path`` in ``data``, or
-    ``default``, if given, where its key is missing; refusals name the path."""
+    ``default``, if given, where its key is missing; refusals name the path.
+    A JSON boolean is refused: ``float(True)`` would read it as 1."""
     *blocks, key = path.split(".")
     for block in blocks:
         data = data[block]
@@ -129,10 +133,13 @@ def _field(data: dict, path: str, read=float, default=...):
         if default is ...:
             raise ValueError(f"the key {path!r} is missing")
         return default
-    try:
-        return read(data[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot read {path!r} from {data[key]!r}") from None
+    value = data[key]
+    if not isinstance(value, bool):
+        try:
+            return read(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"cannot read {path!r} from {value!r}")
 
 
 def _well_scenario(name, epsilon, x0, tau_max, tau_step, horizon, sigma=0.1):

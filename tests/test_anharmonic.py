@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
 from qrevival import anharmonic
-from qrevival import (CutoffTooSmallError, autocorrelation, coherent_weights,
-                      hermite_log, oscillator_phase_rates,
+from qrevival import (CutoffTooSmallError, FockWeights, autocorrelation,
+                      coherent_weights, hermite_log, oscillator_phase_rates,
                       oscillator_timescales, squeezed_weights)
 
 
@@ -64,26 +64,25 @@ def test_large_amplitude_stays_in_log_space():
     assert abs(fock.mean_n - 64.0) < 1e-7
 
 
-def test_undersized_cutoff_is_refused():
-    with pytest.raises(CutoffTooSmallError):
-        coherent_weights(2.0, cutoff=6)
+def ranges_from(first):
+    """The ranges that double from ``first`` levels to the cap."""
+    ranges = [first]
+    while ranges[-1] < anharmonic.FOCK_CUTOFF_CAP:
+        ranges.append(min(2 * ranges[-1], anharmonic.FOCK_CUTOFF_CAP))
+    return ranges
 
 
-@pytest.mark.parametrize("cutoff", [-1, anharmonic.FOCK_CUTOFF_CAP + 1, 300000])
-@pytest.mark.parametrize("s", [1.0, 3.0])
-def test_cutoff_outside_the_cap_is_refused_before_any_weight(monkeypatch, s, cutoff):
-    def no_weights(n_raw):
-        raise AssertionError("weights computed before the cutoff was checked")
-
-    monkeypatch.setattr(anharmonic, "_log_factorials", no_weights)
-    with pytest.raises(ValueError, match=f"cutoff must be in 0..2048, got {cutoff}"):
-        squeezed_weights(s, 2.0, cutoff)
+# every weight of every range underflows below the mean of alpha = 300
+REFUSALS = {(1.0, 300.0): "no mass", (100.0, 30.0): "not exhausted"}
 
 
-@pytest.mark.parametrize("s, alpha, cutoff", [(1.0, 300.0, 10), (1.0, 2.0, 2048),
-                                              (3.0, 1.0, 100), (100.0, 30.0, 2048)])
+@pytest.mark.parametrize("s, alpha, cutoff", [
+    (1.0, 300.0, 10), (1.0, 2.0, 2048), (3.0, 1.0, 100), (100.0, 30.0, 2048),
+    (1.0, 300.0, 64), (1.0, 2.0, 64), (3.0, 1.0, 64), (100.0, 30.0, 64),
+])
 def test_a_cutoff_computes_at_most_the_cap(monkeypatch, s, alpha, cutoff):
-    # the ranges double from the cutoff to the cap, whatever the mean
+    # the ranges double from the first, 64 unless set here, to the cap,
+    # whatever the mean; a state that runs out stops at its first range
     sizes = []
     log_factorials = anharmonic._log_factorials
 
@@ -92,12 +91,16 @@ def test_a_cutoff_computes_at_most_the_cap(monkeypatch, s, alpha, cutoff):
         return log_factorials(n_raw)
 
     monkeypatch.setattr(anharmonic, "_log_factorials", counted)
-    try:
-        squeezed_weights(s, alpha, cutoff)
-    except (ValueError, CutoffTooSmallError):
-        pass
-    assert sizes and max(sizes) <= anharmonic.FOCK_CUTOFF_CAP
-    assert sizes[0] == max(64, cutoff)
+    monkeypatch.setattr(anharmonic, "_FIRST_RANGE", cutoff)
+    refusal = REFUSALS.get((s, alpha))
+    if refusal is None:
+        squeezed_weights(s, alpha)
+        assert sizes == [cutoff]
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            squeezed_weights(s, alpha)
+        assert sizes == ranges_from(cutoff)
+    assert ranges_from(64) == [64, 128, 256, 512, 1024, 2048]
 
 
 # --- squeezed ------------------------------------------------------------
@@ -154,8 +157,11 @@ def test_squeeze_below_unity_is_rejected():
 # --- the computed range --------------------------------------------------
 
 
-def full_range_weights(s, alpha, cutoff=None):
-    """Weights computed over every level up to the cap, then truncated."""
+def full_range_weights(s, alpha):
+    """Weights computed over every level up to the cap, then truncated.
+
+    Whatever range it is asked for, ``raw`` gives all of them, so the check
+    sees the levels past the range the constructors stop at."""
     n_raw = anharmonic.FOCK_CUTOFF_CAP
     n = np.arange(n_raw + 1)
     log_factorials = np.array([math.lgamma(k + 1) for k in n])
@@ -173,7 +179,8 @@ def full_range_weights(s, alpha, cutoff=None):
             - log_factorials + 2.0 * h_logs
         raw = np.where(h_signs == 0.0, 0.0, np.exp(logs))
         source = f"squeezed(s={s}, alpha={alpha})"
-    return anharmonic._finalize(np.asarray(raw, dtype=float), cutoff, source)
+    raw = np.asarray(raw, dtype=float)
+    return anharmonic._levels(lambda n_raw: raw, source)
 
 
 RANGE_STATES = ([(1.0, a) for a in (0.0, 0.1, 8.0, 40.0)]
@@ -199,15 +206,17 @@ def test_weights_match_the_full_range_bit_for_bit(s, alpha):
 
 @pytest.mark.parametrize("cutoff", [40, 300, 2048])
 @pytest.mark.parametrize("s, alpha", RANGE_STATES)
-def test_cutoff_weights_match_the_full_range_bit_for_bit(s, alpha, cutoff):
-    # a cutoff's ranges double from it to the cap, as the automatic ones do
+def test_cutoff_weights_match_the_full_range_bit_for_bit(monkeypatch, s, alpha, cutoff):
+    # ranges that double from another first range, even one at the cap,
+    # must keep the same bits as the ones that start from 64
+    monkeypatch.setattr(anharmonic, "_FIRST_RANGE", cutoff)
     try:
-        expected = full_range_weights(s, alpha, cutoff)
+        expected = full_range_weights(s, alpha)
     except CutoffTooSmallError:
         with pytest.raises(CutoffTooSmallError):
-            squeezed_weights(s, alpha, cutoff)
+            squeezed_weights(s, alpha)
         return
-    fock = squeezed_weights(s, alpha, cutoff)
+    fock = squeezed_weights(s, alpha)
     assert fock.weights.tobytes() == expected.weights.tobytes()
     assert fock.mean_n == expected.mean_n
 
@@ -359,8 +368,10 @@ def test_negative_nonlinearity_gives_positive_times():
 
 
 def test_too_few_levels_are_refused():
+    fock = FockWeights(weights=np.array([1.0, 0.0, 0.0, 0.0]), mean_n=0.0,
+                       source="four levels")
     with pytest.raises(ValueError, match="five levels"):
-        oscillator_timescales(coherent_weights(0.0, cutoff=3), 0.002)
+        oscillator_timescales(fock, 0.002)
 
 
 STATES = st.one_of(

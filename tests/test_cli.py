@@ -56,12 +56,20 @@ def test_unknown_scenario_is_rejected():
 # A malformed scenario file: its content, and what the error line must name
 # besides the file.
 _FIG1A = BUILTIN_SCENARIOS["fig1a"].to_dict()
+_FIG5 = BUILTIN_SCENARIOS["fig5"].to_dict()
 MALFORMED = {
     "tau_max=null": (dict(_FIG1A, tau_max=None), "cannot read 'tau_max' from None"),
     "top-level list": ([_FIG1A], "the top level must be a JSON object"),
     "packet.x0=left": (dict(_FIG1A, packet={"x0": "left", "sigma": 0.1}),
                        "cannot read 'packet.x0' from 'left'"),
     "well=12.0": (dict(_FIG1A, well=12.0), "'well' must be an object, got 12.0"),
+    # float(True) is 1.0, which would run as sigma = 1
+    "packet.sigma=true": (dict(_FIG1A, packet={"x0": 0.2, "sigma": True}),
+                          "cannot read 'packet.sigma' from True"),
+    # the echo would name a squeeze that the coherent state never ran with
+    "coherent with squeeze": (
+        dict(_FIG5, oscillator=dict(_FIG5["oscillator"], kind="coherent", alpha=2.0)),
+        "coherent state takes no squeeze parameter, got 10.0"),
 }
 
 
@@ -137,6 +145,19 @@ def test_spectrum_rejects_bad_strength(runner):
     result = runner.invoke(main, ["spectrum", "--epsilon", "-4"])
     assert result.exit_code == 2
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["spectrum", "--epsilon", "-4"],
+                                  ["table1", "--epsilons", "-4"],
+                                  ["revivals", "--epsilon", "-4"],
+                                  ["autocorr", "--epsilon", "-4"]])
+def test_a_bad_strength_gets_one_message(runner, args):
+    # WellConfig alone checks a strength, wherever it comes from
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == \
+        "error: well strength must be at least 1.5e-154 or inf, got -4.0\n"
 
 
 @pytest.mark.parametrize("args", [["spectrum", "--epsilon"], ["table1", "--epsilons"]])
@@ -628,7 +649,7 @@ COMMAND_OPTIONS = {
                  "--squeeze", "--horizon", "--superrevival", "--out"],
     "snapshot": ["--scenario", "--epsilon", "--x0", "--sigma", "--tau", "--grid",
                  "--format", "--out"],
-    "oscillator": ["--beta", "--alpha", "--squeeze", "--cutoff", "--format", "--out"],
+    "oscillator": ["--beta", "--alpha", "--squeeze", "--format", "--out"],
 }
 FORMATS = {"oscillator": ("json", ["csv", "json"])}
 
@@ -702,21 +723,21 @@ def test_oscillator_refuses_non_finite_parameters(runner, args):
     assert "must be finite" in result.stderr
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--alpha", "2", "--cutoff", "-1"], "cutoff must be in 0..2048, got -1"),
-    (["--alpha", "2", "--cutoff", "2049"], "cutoff must be in 0..2048, got 2049"),
-    (["--alpha", "2", "--squeeze", "3", "--cutoff", "300000"],
-     "cutoff must be in 0..2048, got 300000"),
-    # every weight of every range up to the cap underflows below this mean
-    (["--alpha", "300", "--cutoff", "10"], "weight distribution has no mass"),
-])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_oscillator_refuses_a_cutoff_out_of_range(runner, args, message, fmt):
-    result = runner.invoke(main, ["oscillator", "--beta", "0.002", *args,
+def test_oscillator_refuses_a_state_with_no_mass(runner, fmt):
+    # every weight of every range up to the cap underflows below this mean
+    result = runner.invoke(main, ["oscillator", "--beta", "0.002", "--alpha", "300",
                                   "--format", fmt])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == f"error: {message}\n"
+    assert result.stderr == "error: weight distribution has no mass\n"
+
+
+def test_oscillator_takes_no_cutoff(runner):
+    result = runner.invoke(main, ["oscillator", "--beta", "0.002", "--cutoff", "10"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: No such option '--cutoff'" in result.stderr
 
 
 def test_oscillator_zero_beta_reports_no_superrevival_scale(runner):
