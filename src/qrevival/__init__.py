@@ -2,8 +2,8 @@
 oscillator cross-check.
 
 The public surface mirrors the pipeline: solve a spectrum, project an initial
-state, evolve it, sample the squared autocorrelation, and detect revival and
-superrevival times.
+state, sample the squared autocorrelation or the density snapshots, and detect
+revival and superrevival times.
 """
 
 from .anharmonic import (FockWeights, OscillatorTimescales, coherent_weights,
@@ -18,8 +18,7 @@ from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
 from .spectrum import (Spectrum, WellConfig, barker, orthonormality_matrix,
                        solve_spectrum, transcendental_residual)
-from .wavepacket import (GaussianSpec, SpectralDecomposition, evolve, project,
-                         snapshot)
+from .wavepacket import GaussianSpec, SpectralDecomposition, project, snapshot
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "ScenarioConfig", "SpectralDecomposition", "Spectrum",
     "WellConfig", "autocorrelation", "barker",
     "coherent_weights", "detect_revival",
-    "detection_grid", "evolve",
+    "detection_grid",
     "hermite_log", "load_scenario",
     "orthonormality_matrix", "oscillator_phase_rates",
     "oscillator_timescales", "principal_revival",

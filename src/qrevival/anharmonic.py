@@ -25,6 +25,8 @@ FOCK_CUTOFF_CAP = 2048
 _TAIL_MASS_AUTO = 1e-12
 _FIRST_RANGE = 64
 _RUN_OUT = 2.0 ** -60
+# exp(-x) underflows to zero for x above this.
+_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,19 @@ def _levels(raw, source: str) -> FockWeights:
 
 
 def coherent_weights(alpha: complex) -> FockWeights:
-    """Poissonian weights of a coherent amplitude, computed in log space."""
+    """Poissonian weights of a coherent amplitude, computed in log space.
+
+    A mean occupation above ``FOCK_CUTOFF_CAP`` puts the range's largest
+    weight at the cap, below ``exp(-cap (x - 1 - log x))`` for ``x = mean /
+    cap`` (Stirling).  Where that bound underflows, no range has any mass,
+    and the state is refused before one is computed.
+    """
+    a = float(abs(alpha))
+    x = a * a / FOCK_CUTOFF_CAP  # inf past 1.3e154, where ``a ** 2`` raises
+    if x > 1.0:
+        log_x = 2.0 * math.log(a) - math.log(FOCK_CUTOFF_CAP)
+        if FOCK_CUTOFF_CAP * (x - 1.0 - log_x) > _UNDERFLOW:
+            raise ValueError("weight distribution has no mass")
     mean = abs(alpha) ** 2
 
     def raw(n_raw):
@@ -156,6 +170,8 @@ def squeezed_weights(s: float, alpha: float) -> FockWeights:
     x_h = s * math.sqrt(2.0) * alpha / math.sqrt(s * s - 1.0)
     prefactor = math.log(2.0 * math.sqrt(s) / (s + 1.0)) \
         - 2.0 * s * alpha * alpha / (s + 1.0)
+    if prefactor == -math.inf:  # 2 s alpha^2 overflows: every weight is 0
+        raise ValueError("weight distribution has no mass")
 
     def raw(n_raw):
         n = np.arange(n_raw + 1)

@@ -366,25 +366,23 @@ def cmd_snapshot(tau_list, grid_n, fmt, out, **system):
     cfg = _resolve_scenario(**system)
     if cfg.epsilon is None or math.isinf(cfg.epsilon):
         raise ValueError("snapshot requires a finite-well scenario")
-    taus = [float(tok) for tok in tau_list.split(",") if tok.strip()]
-    if not taus:
+    taus = np.array([float(tok) for tok in tau_list.split(",") if tok.strip()])
+    if not len(taus):
         raise ValueError("no times given")
-    for t in taus:
-        require_finite(tau=t)
     states = solve_spectrum(WellConfig(cfg.epsilon))
     decomp = project(cfg.packet, states)
     grid = np.linspace(-1.25, 1.25, grid_n)
+    densities = snapshot(decomp, states, taus, grid)
 
     if fmt == "csv":
         text = []
-        for t, label in zip(taus, csv_rows([taus]).splitlines()):
-            dens = snapshot(decomp, states, t, grid)
+        for label, dens in zip(csv_rows([taus]).splitlines(), densities):
             text += [f"# tau = {label}\nxbar,density\n", csv_rows([grid, dens])]
         _emit("".join(text), out)
     else:
         payload = {"scenario": _echo(cfg), "snapshots": [
-            {"tau": t, "xbar": grid, "density": snapshot(decomp, states, t, grid)}
-            for t in taus
+            {"tau": t, "xbar": grid, "density": dens}
+            for t, dens in zip(taus.tolist(), densities)
         ]}
         _emit(_json_dump(payload), out)
 

@@ -14,8 +14,15 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .anharmonic import FOCK_CUTOFF_CAP
 from .spectrum import WellConfig
 from .wavepacket import GaussianSpec
+
+
+# Largest |beta| whose phase rate 2 pi beta n^3 stays finite up to the cap.
+MAX_BETA = np.finfo(float).max / (2.0 * math.pi * FOCK_CUTOFF_CAP ** 3)
 
 
 def require_finite(**values):
@@ -34,6 +41,9 @@ class OscillatorSystem:
 
     def __post_init__(self):
         require_finite(beta=self.beta, alpha=self.alpha, squeeze=self.squeeze)
+        if abs(self.beta) > MAX_BETA:
+            raise ValueError(f"beta must be at most {MAX_BETA:.4g} in magnitude, "
+                             f"got {self.beta}")
         if self.kind not in ("coherent", "squeezed"):
             raise ValueError(f"unknown oscillator state kind {self.kind!r}")
         if self.kind == "squeezed" and self.squeeze is None:

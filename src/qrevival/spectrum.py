@@ -43,6 +43,9 @@ _NEWTON_CAP = 16
 _THRESHOLD_GAP = 1e4 * np.finfo(float).eps
 # Levels of the box (epsilon = inf), which has infinitely many.
 BOX_LEVELS = 512
+# Most levels solve_spectrum solves, refused before it allocates them;
+# epsilon = 1e6 binds 636,620.
+MAX_LEVELS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,13 @@ def _solve_roots(config: WellConfig):
     iterate falls any further.  ``arcsin(alpha / eps)`` is evaluated as
     ``atan2(alpha, beta)``, which is defined for every level.
     """
-    eps, count = config.epsilon, config.predicted_state_count
+    eps = config.epsilon
+    # on floats, before the count is an int or any array exists
+    levels = eps / (np.pi / 2.0) + 1.0
+    if levels > MAX_LEVELS:
+        raise ValueError(f"a well of strength {eps} binds about {levels:.7g} "
+                         f"levels, more than MAX_LEVELS = {MAX_LEVELS}")
+    count = config.predicted_state_count
     gap = eps - (count - 1) * (np.pi / 2.0)
     if gap <= _THRESHOLD_GAP * eps:
         raise ConvergenceError(
@@ -181,7 +190,8 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
     Each accepted root satisfies the defining transcendental equation to
     ``RESIDUAL_TOL``, or to the precision achievable in double arithmetic
     for very strong wells (the residual's condition number grows like
-    ``epsilon^2 / alpha``).  The box's levels are closed forms.
+    ``epsilon^2 / alpha``).  The box's levels are closed forms.  A strength
+    that binds more than ``MAX_LEVELS`` levels is refused with ``ValueError``.
     """
     if math.isinf(config.epsilon):
         n = np.arange(1, BOX_LEVELS + 1)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessWarning
+from .revival import MAX_SAMPLES
 from .spectrum import Spectrum, edge_values, eigenfunction_rows
 
 COMPLETENESS_FLOOR = 0.999
@@ -32,9 +33,9 @@ class GaussianSpec:
     sigma: float
 
     def __post_init__(self):
-        # a subnormal width leaves the wall distances in its units infinite
-        if not (np.isfinite(self.sigma) and self.sigma >= np.finfo(float).tiny):
-            raise ValueError(f"sigma must be positive and at least 2.2e-308, "
+        # subnormal: inf wall distances in its units; past 1e100: (sigma alpha)^2 overflows
+        if not np.finfo(float).tiny <= self.sigma <= 1e100:
+            raise ValueError(f"sigma must be at least 2.2e-308 and at most 1e100, "
                              f"got {self.sigma}")
         if not (np.isfinite(self.x0) and abs(self.x0) < 0.5):
             raise ValueError(f"packet must start inside the well, got x0={self.x0}")
@@ -175,37 +176,38 @@ def project(initial, states: Spectrum) -> SpectralDecomposition:
         else:
             message = f"bound states capture only {completeness:.6f} of the initial state"
         warnings.warn(message, CompletenessWarning, stacklevel=2)
-    return SpectralDecomposition(coefficients=coeffs.astype(complex),
-                                 completeness=completeness)
+    return SpectralDecomposition(coefficients=coeffs, completeness=completeness)
 
 
-def evolve(decomp: SpectralDecomposition, states: Spectrum, tau: float) -> np.ndarray:
-    """Coefficients after scaled time ``tau``; magnitudes are preserved."""
-    return decomp.coefficients * np.exp(-1j * states.rates * tau)
-
-
-def snapshot(decomp: SpectralDecomposition, states: Spectrum, tau: float,
+def snapshot(decomp: SpectralDecomposition, states: Spectrum, taus,
              grid) -> np.ndarray:
-    """Probability density on the given sorted position grid at time ``tau``.
+    """Probability density on the sorted position grid, one row per time.
 
-    The levels' terms are summed in level order, a block of levels at a
-    time, so memory stays at about ``_SNAPSHOT_BLOCK`` values, or one level
-    on a longer grid, however many levels there are.
+    The profiles of a block of grid points, about ``_SNAPSHOT_BLOCK`` values
+    or one point of every level, are built once and multiplied by each
+    time's real and imaginary parts of ``c_n exp(-i rate_n tau)`` in a real
+    product of its own.  Sizes past ``MAX_SAMPLES`` and overflowing phases
+    are refused before any table is built.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be a finite 1-d array")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted")
-    c = evolve(decomp, states, tau)
-    psi = np.zeros(len(grid), dtype=complex)
-    rows = max(1, _SNAPSHOT_BLOCK // max(1, len(grid)))
-    for lo in range(0, len(states), rows):
-        part = slice(lo, lo + rows)
-        terms = c[part, None] * eigenfunction_rows(
-            states.alpha[part], states.beta[part], states.even[part],
-            states.norm[part], grid)
-        terms[0] += psi
-        # a sum over the slow axis adds the rows one after another
-        psi = terms.sum(axis=0)
-    return np.abs(psi) ** 2
+    taus, grid = np.asarray(taus, dtype=float), np.asarray(grid, dtype=float)
+    if taus.ndim != 1 or grid.ndim != 1:
+        raise ValueError("times and grid must be 1-d arrays")
+    for count, what in ((len(grid), "grid points"), (len(states), "levels")):
+        if len(taus) * count > MAX_SAMPLES:
+            raise ValueError(f"{len(taus)} times at {count} {what} would hold "
+                             f"{len(taus) * count} values, more than {MAX_SAMPLES}")
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be finite and sorted")
+    largest = float(np.abs(taus).max(initial=0.0)) * float(states.rates.max())
+    if not math.isfinite(largest):  # the largest phase; so then is every one
+        raise ValueError("times must be finite, and so must their phases")
+    c = decomp.coefficients * np.exp(-1j * np.multiply.outer(taus, states.rates))
+    parts = np.stack([c.real, c.imag], axis=1)
+    density = np.empty((len(taus), len(grid)))
+    points = max(1, _SNAPSHOT_BLOCK // len(states))
+    for lo in range(0, len(grid), points):
+        rows = eigenfunction_rows(states.alpha, states.beta, states.even,
+                                  states.norm, grid[lo:lo + points])
+        psi = parts @ rows  # matmul loops over the stacked times
+        density[:, lo:lo + points] = psi[:, 0] ** 2 + psi[:, 1] ** 2
+    return density

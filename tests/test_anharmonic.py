@@ -72,8 +72,9 @@ def ranges_from(first):
     return ranges
 
 
-# every weight of every range underflows below the mean of alpha = 300
-REFUSALS = {(1.0, 300.0): "no mass", (100.0, 30.0): "not exhausted"}
+# Every weight of every range underflows below the mean of alpha = 300,
+# which is refused before any range; s = 100, alpha = 30 runs to the cap.
+REFUSALS = {(1.0, 300.0): ("no mass", False), (100.0, 30.0): ("not exhausted", True)}
 
 
 @pytest.mark.parametrize("s, alpha, cutoff", [
@@ -82,7 +83,8 @@ REFUSALS = {(1.0, 300.0): "no mass", (100.0, 30.0): "not exhausted"}
 ])
 def test_a_cutoff_computes_at_most_the_cap(monkeypatch, s, alpha, cutoff):
     # the ranges double from the first, 64 unless set here, to the cap,
-    # whatever the mean; a state that runs out stops at its first range
+    # whatever the mean, unless no range could hold any mass; a state that
+    # runs out stops at its first range
     sizes = []
     log_factorials = anharmonic._log_factorials
 
@@ -92,15 +94,56 @@ def test_a_cutoff_computes_at_most_the_cap(monkeypatch, s, alpha, cutoff):
 
     monkeypatch.setattr(anharmonic, "_log_factorials", counted)
     monkeypatch.setattr(anharmonic, "_FIRST_RANGE", cutoff)
-    refusal = REFUSALS.get((s, alpha))
+    refusal, ranges = REFUSALS.get((s, alpha), (None, None))
     if refusal is None:
         squeezed_weights(s, alpha)
         assert sizes == [cutoff]
     else:
         with pytest.raises(ValueError, match=refusal):
             squeezed_weights(s, alpha)
-        assert sizes == ranges_from(cutoff)
+        assert sizes == (ranges_from(cutoff) if ranges else [])
     assert ranges_from(64) == [64, 128, 256, 512, 1024, 2048]
+
+
+def counted_ranges(monkeypatch):
+    """The ranges the constructors go on to compute, as they compute them."""
+    sizes = []
+    log_factorials = anharmonic._log_factorials
+
+    def counted(n_raw):
+        sizes.append(n_raw)
+        return log_factorials(n_raw)
+
+    monkeypatch.setattr(anharmonic, "_log_factorials", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("s, alpha", [
+    (1.0, 66.0), (1.0, -300.0), (1.0, 1e100), (1.0, 1e200), (1.0, 1.7e308),
+    (1.0, 1e200j), (2.0, 1e200), (1e308, 1e308),
+])
+def test_a_hopeless_displacement_is_refused_before_any_range(monkeypatch, s, alpha):
+    # 1e200 squared overflows, where ``alpha ** 2`` used to raise
+    sizes = counted_ranges(monkeypatch)
+    with pytest.raises(ValueError, match="^weight distribution has no mass$"):
+        squeezed_weights(s, alpha)
+    assert sizes == []
+
+
+def outcome(weights):
+    try:
+        return weights().weights.tobytes()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_early_refusal_gives_the_full_ranges_answer():
+    # Stirling's bound refuses from a mean of about 4329; every weight of the
+    # cap's range underflows from about 4316, and up to there the refusal is
+    # "not exhausted"
+    for alpha in np.arange(44.0, 70.0, 0.5):
+        assert outcome(lambda: coherent_weights(alpha)) == outcome(
+            lambda: full_range_weights(1.0, alpha)), alpha
 
 
 # --- squeezed ------------------------------------------------------------

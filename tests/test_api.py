@@ -4,7 +4,7 @@ DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
            "timescales", "TimescaleHierarchy", "BoundState",
            "eigenfunction_value", "infinite_evolve", "parity_filtered",
            "InfiniteWellState", "infinite_project", "table1_report",
-           "RevivalReport", "BarkerApproximation")
+           "RevivalReport", "BarkerApproximation", "evolve")
 
 
 def test_every_exported_name_resolves():

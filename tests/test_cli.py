@@ -160,6 +160,24 @@ def test_a_bad_strength_gets_one_message(runner, args):
         "error: well strength must be at least 1.5e-154 or inf, got -4.0\n"
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--epsilon", "{}"],
+                                     ["revivals", "--epsilon", "{}"],
+                                     ["autocorr", "--epsilon", "{}"],
+                                     ["table1", "--epsilons", "12,{}"],
+                                     ["snapshot", "--tau", "0", "--epsilon", "{}"]])
+@pytest.mark.parametrize("epsilon, levels", [("1e308", "6.366198e+307"),
+                                             ("1e9", "6.366198e+08"),
+                                             ("1647100", "1048577")])
+def test_a_well_past_the_level_cap_is_refused(runner, command, epsilon, levels):
+    # 1e308 used to overflow int() and 1e9 to allocate 636,619,773 levels;
+    # (2**20 - 1) pi / 2 is the strongest that solves
+    result = runner.invoke(main, [arg.format(epsilon) for arg in command])
+    assert result.exit_code == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == (f"error: a well of strength {float(epsilon)} binds about "
+                             f"{levels} levels, more than MAX_LEVELS = 1048576\n")
+
+
 @pytest.mark.parametrize("args", [["spectrum", "--epsilon"], ["table1", "--epsilons"]])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -629,12 +647,34 @@ def test_snapshot_rejects_oscillator_scenarios(runner):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("taus", ["inf", "nan", "0.5,-inf"])
+@pytest.mark.parametrize("taus", ["inf", "nan", "0.5,-inf", "0.5,1e308"])
 def test_snapshot_refuses_non_finite_times(runner, taus):
+    # 1e308 is finite, but its phases overflow
     result = runner.invoke(main, ["snapshot", "--scenario", "fig1a", "--tau", taus,
                                   "--grid", "32", "--format", "json"])
     assert result.exit_code == 2
     assert result.stdout == ""
+    assert result.stderr == "error: times must be finite, and so must their phases\n"
+
+
+def test_snapshot_refuses_more_values_than_the_sample_budget(runner):
+    # 11 times at a 10**6-point grid would print 11 million densities
+    result = runner.invoke(main, ["snapshot", "--epsilon", "12", "--grid", "1000000",
+                                  "--tau", ",".join(["0"] * 11)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: 11 times at 1000000 grid points would hold "
+                             "11000000 values, more than 10000000\n")
+
+
+def test_snapshot_prints_a_time_alone_as_among_others(runner):
+    # the tau = 0.5 block of a two-time run, and a negative time's density
+    alone = runner.invoke(main, ["snapshot", "--epsilon", "100", "--tau", "0.5"]).stdout
+    both = runner.invoke(main, ["snapshot", "--epsilon", "100", "--tau", "0,0.5"]).stdout
+    back = runner.invoke(main, ["snapshot", "--epsilon", "100", "--tau", "-0.5"]).stdout
+    assert "# tau = " + both.split("# tau = ")[2] == alone
+    assert back.split("\n", 1)[1] == alone.split("\n", 1)[1]
+    assert back.split("\n", 1)[0] == "# tau = -5.0000000000000000e-01"
 
 
 # --- options -----------------------------------------------------------------------
@@ -731,6 +771,28 @@ def test_oscillator_refuses_a_state_with_no_mass(runner, fmt):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: weight distribution has no mass\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["oscillator", "--beta", "0.002", "--alpha", "1e200"],
+    ["revivals", "--beta", "0.002", "--alpha", "1e200"],
+    ["oscillator", "--beta", "0.002", "--alpha", "-1e100", "--format", "csv"],
+    ["revivals", "--beta", "0.002", "--alpha", "1e308", "--squeeze", "2"],
+])
+def test_a_hopeless_displacement_has_no_mass(runner, args):
+    # alpha = 1e200 used to raise OverflowError at its square
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: weight distribution has no mass\n"
+
+
+@pytest.mark.parametrize("beta", ["1e308", "-3.4e297"])
+def test_a_beta_whose_rates_overflow_is_refused(runner, beta):
+    result = runner.invoke(main, ["revivals", "--beta", beta, "--alpha", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: beta must be at most 3.3")
 
 
 def test_oscillator_takes_no_cutoff(runner):
@@ -908,8 +970,8 @@ def test_snapshot_csv_bytes_match_python_formatting(runner):
     decomp = project(cfg.packet, states)
     grid = np.linspace(-1.25, 1.25, 512)
     lines = []
-    for t in (0.0, 0.59, -0.3):
-        dens = snapshot(decomp, states, t, grid)
+    taus = (0.0, 0.59, -0.3)
+    for t, dens in zip(taus, snapshot(decomp, states, taus, grid)):
         lines.append(f"# tau = {_fmt(t)}")
         lines.append("xbar,density")
         lines.extend(f"{_fmt(x)},{_fmt(d)}" for x, d in zip(grid, dens))

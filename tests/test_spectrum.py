@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -207,6 +208,21 @@ def test_barker_identity_and_monotonicity():
 def test_rejects_invalid_strength(bad):
     with pytest.raises(ValueError):
         WellConfig(epsilon=bad)
+
+
+@pytest.mark.parametrize("epsilon", [1647100.0, 1e9, 1e308])
+def test_a_well_past_the_level_cap_is_refused_before_any_array(epsilon):
+    # WellConfig takes the strength, as barker needs no levels; solving it
+    # is refused on floats before its count is an int or any array exists
+    config = WellConfig(epsilon=epsilon)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than MAX_LEVELS = 1048576$"):
+            solve_spectrum(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
 
 
 def test_weakly_bound_flag_for_vanishing_well():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from scipy.optimize import brentq
 from scipy.special import wofz
 
 from qrevival import (CompletenessWarning, GaussianSpec, SpectralDecomposition,
-                      Spectrum, WellConfig, evolve, orthonormality_matrix,
-                      project, snapshot, solve_spectrum)
+                      Spectrum, WellConfig, orthonormality_matrix, project,
+                      snapshot, solve_spectrum)
+from qrevival.revival import MAX_SAMPLES
 from qrevival.spectrum import edge_values, eigenfunction_rows
 from qrevival.wavepacket import faddeeva
 
@@ -136,7 +138,7 @@ def test_centered_packet_leakage_warns(well12):
 def eigenstate_decomposition(states, k):
     """Level ``k`` expanded over ``states``: row ``k`` of the Gram matrix."""
     row = orthonormality_matrix(states)[k]
-    return SpectralDecomposition(coefficients=row.astype(complex),
+    return SpectralDecomposition(coefficients=row,
                                  completeness=float(np.sum(row ** 2)))
 
 
@@ -147,28 +149,72 @@ def test_eigenstate_projects_to_kronecker_delta(well12):
     assert np.abs(np.abs(decomp.coefficients) - expected).max() < 1e-8
 
 
+def level_sum(terms, rows):
+    """``sum_n terms_n rows_n``, added one level after another."""
+    psi = np.zeros(rows.shape[1], dtype=terms.dtype)
+    for term, row in zip(terms, rows):
+        psi += term * row
+    return psi
+
+
+def rounding_bound(terms, rows):
+    """Bound, at each point, on the difference between two computed
+    densities ``|sum_n terms_n rows_n|^2`` summed in any order.
+
+    The real and imaginary sums of N terms, each a product that may also
+    differ by a rounding in its phase, are each within ``gamma S`` of the
+    exact ones, ``S = sum_n |terms_n rows_n|`` and ``gamma = (N + 2) u / (1
+    - (N + 2) u)``.  So a density, with the rounding of its squares and
+    their sum, is within ``(4 gamma (1 + gamma) + 4u) S^2`` of the exact one,
+    and two densities are within twice that.
+    """
+    u = np.finfo(float).eps / 2.0
+    gamma = (len(terms) + 2) * u / (1.0 - (len(terms) + 2) * u)
+    total = np.abs(terms) @ np.abs(rows)
+    return 2.0 * (4.0 * gamma * (1.0 + gamma) + 4.0 * u) * total ** 2
+
+
+def profiles(states, grid):
+    return eigenfunction_rows(states.alpha, states.beta, states.even, states.norm, grid)
+
+
 def test_evolution_at_zero_time_is_identity(decomp12, well12):
-    c = evolve(decomp12, well12, 0.0)
-    assert np.array_equal(c, decomp12.coefficients)
+    # at tau = 0 every phase is exactly 1: the density is the square of the
+    # unevolved real sum
+    grid = np.linspace(-1.25, 1.25, 512)
+    rows = profiles(well12, grid)
+    psi = level_sum(decomp12.coefficients, rows)
+    dens = snapshot(decomp12, well12, [0.0], grid)[0]
+    assert np.all(np.abs(dens - psi ** 2) <= rounding_bound(decomp12.coefficients, rows))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.77, 5.3, -2.1])
 def test_evolution_is_unitary(decomp12, well12, tau):
-    c = evolve(decomp12, well12, tau)
-    assert abs(np.sum(np.abs(c) ** 2) - decomp12.completeness) < 1e-12
+    # the density's mass is the completeness at every time; the trapezoid
+    # rule on this grid errs by about 5e-11
+    grid = np.linspace(-2.0, 2.0, 4001)
+    dens = snapshot(decomp12, well12, [tau], grid)[0]
+    assert abs(np.trapezoid(dens, grid) - decomp12.completeness) < 1e-9
 
 
-def test_stationary_state_overlap_stays_unity(well12):
-    decomp = eigenstate_decomposition(well12, 3)
-    for tau in (0.3, 1.7, 9.2):
-        c = evolve(decomp, well12, tau)
-        overlap = np.vdot(decomp.coefficients, c)
-        assert abs(abs(overlap) - decomp.completeness) < 1e-10
+def test_stationary_state_density_stays_put(well12):
+    # an eigenstate's density is the same at every time, to within rounding
+    # and the Gram matrix's off-diagonal entries, which rotate: they move the
+    # density by at most 4 |c_k phi_k| sum_{n != k} |c_n phi_n|
+    k = 3
+    decomp = eigenstate_decomposition(well12, k)
+    grid = np.linspace(-1.25, 1.25, 512)
+    rows = profiles(well12, grid)
+    terms = np.abs(decomp.coefficients[:, None] * rows)
+    mixing = 4.0 * terms[k] * (terms.sum(axis=0) - terms[k])
+    dens = snapshot(decomp, well12, [0.0, 0.3, 1.7, 9.2], grid)
+    bound = rounding_bound(decomp.coefficients, rows) + mixing
+    assert np.all(np.abs(dens - dens[0]) <= bound)
 
 
 def test_snapshot_reproduces_initial_density(decomp12, well12):
     grid = np.linspace(-1.25, 1.25, 2001)
-    dens = snapshot(decomp12, well12, 0.0, grid)
+    dens = snapshot(decomp12, well12, [0.0], grid)[0]
     norm = np.sqrt(np.sqrt(np.pi) * PAPER_PACKET.sigma)
     truth = (PAPER_PACKET.amplitude(grid) / norm) ** 2
     # truncated-state density differs in L1 by at most 2 sqrt(m) + m where
@@ -182,41 +228,83 @@ def test_snapshot_parity_conservation(well12):
     with pytest.warns(CompletenessWarning):
         decomp = project(CENTERED_PACKET, well12)
     grid = np.linspace(-1.2, 1.2, 801)
-    for tau in (0.0, 0.21, 0.5):
-        dens = snapshot(decomp, well12, tau, grid)
+    for dens in snapshot(decomp, well12, [0.0, 0.21, 0.5], grid):
         assert np.abs(dens - dens[::-1]).max() < 1e-10
 
 
 def test_snapshot_at_revival_is_closer_than_midcycle(decomp12, well12):
     detected = 1.1864599470705903  # principal revival of this packet
     grid = np.linspace(-1.25, 1.25, 2001)
-    dens0 = snapshot(decomp12, well12, 0.0, grid)
-    at_revival = snapshot(decomp12, well12, detected, grid)
-    midcycle = snapshot(decomp12, well12, 0.5, grid)
+    dens0, at_revival, midcycle = snapshot(decomp12, well12, [0.0, detected, 0.5], grid)
     l2 = lambda a: np.sqrt(np.trapezoid((a - dens0) ** 2, grid))
     assert l2(at_revival) < l2(midcycle)
 
 
-@pytest.mark.parametrize("epsilon", [12.0, 100.0, 2500.0])
-def test_snapshot_sums_the_levels_in_order(epsilon):
+@pytest.mark.parametrize("epsilon", [12.0, 100.0, 2500.0, 1e4])
+def test_snapshot_matches_the_level_sum(epsilon):
     states = solve_spectrum(WellConfig(epsilon=epsilon))
     decomp = project(PAPER_PACKET, states)
-    grid = np.linspace(-1.25, 1.25, 512)
-    c = evolve(decomp, states, 0.37)
-    psi = np.zeros(len(grid), dtype=complex)
-    for k in range(len(states)):
-        level = slice(k, k + 1)
-        psi += c[k] * eigenfunction_rows(states.alpha[level], states.beta[level],
-                                         states.even[level], states.norm[level],
-                                         grid)[0]
-    assert np.array_equal(snapshot(decomp, states, 0.37, grid), np.abs(psi) ** 2)
+    grid = np.linspace(-1.25, 1.25, 64 if epsilon >= 1e4 else 512)
+    rows = profiles(states, grid)
+    taus = [0.37, -2.9]
+    for tau, dens in zip(taus, snapshot(decomp, states, taus, grid)):
+        terms = decomp.coefficients * np.exp(-1j * (states.rates * tau))
+        direct = np.abs(level_sum(terms, rows)) ** 2
+        assert np.all(np.abs(dens - direct) <= rounding_bound(terms, rows)), tau
+
+
+@pytest.fixture(scope="module", params=[12.0, 100.0, 2500.0])
+def snapshot_case(request):
+    states = solve_spectrum(WellConfig(epsilon=request.param))
+    taus = np.array([0.0, 0.37, -1.1, 1e3])
+    return project(PAPER_PACKET, states), states, taus, np.linspace(-1.25, 1.25, 256)
+
+
+def test_snapshot_is_even_in_time_bit_for_bit(snapshot_case):
+    decomp, states, taus, grid = snapshot_case
+    assert np.array_equal(snapshot(decomp, states, -taus, grid),
+                          snapshot(decomp, states, taus, grid))
+
+
+def test_a_time_has_the_same_bits_whatever_else_is_asked(snapshot_case):
+    decomp, states, taus, grid = snapshot_case
+    together = snapshot(decomp, states, taus, grid)
+    for tau, dens in zip(taus, together):
+        assert np.array_equal(snapshot(decomp, states, [tau], grid)[0], dens), tau
+    assert np.array_equal(snapshot(decomp, states, taus[::-1], grid), together[::-1])
 
 
 def test_snapshot_validates_grid(decomp12, well12):
     with pytest.raises(ValueError):
-        snapshot(decomp12, well12, 0.0, np.array([0.2, 0.1]))
+        snapshot(decomp12, well12, [0.0], np.array([0.2, 0.1]))
     with pytest.raises(ValueError):
-        snapshot(decomp12, well12, 0.0, np.array([0.0, np.inf]))
+        snapshot(decomp12, well12, [0.0], np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize("taus", [[np.nan], [np.inf], [0.5, -np.inf], [1e308], 0.5,
+                                  [[0.5]]])
+def test_snapshot_refuses_times_it_cannot_evolve_to(decomp12, well12, taus):
+    # 1e308 is finite, but its phases overflow
+    with pytest.raises(ValueError, match="times"):
+        snapshot(decomp12, well12, taus, np.linspace(-1.0, 1.0, 32))
+
+
+@pytest.mark.parametrize("points, times, named", [
+    (32, MAX_SAMPLES // 32 + 1, f"{MAX_SAMPLES // 32 + 1} times at 32 grid points"),
+    (2, MAX_SAMPLES // 8 + 1, f"{MAX_SAMPLES // 8 + 1} times at 8 levels"),
+])
+def test_snapshot_refuses_more_values_than_the_sample_budget(decomp12, well12, points,
+                                                             times, named):
+    # refused on the counts, before any table of times by levels or points
+    taus, grid = np.zeros(times), np.linspace(-1.0, 1.0, points)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=named):
+            snapshot(decomp12, well12, taus, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < taus.nbytes
 
 
 def test_project_requires_states():
