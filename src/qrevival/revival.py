@@ -181,9 +181,10 @@ class _BlockTables:
         return self._lead
 
 
-def _blocked_amplitudes(w, tables, rows=None, dtype=complex):
-    """``A`` at ``start + j*step``, ``j < count``, the grid ``tables``
-    (:class:`_BlockTables`), by one factored GEMM.
+def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
+    """``A`` at ``start + j*step``, ``first <= j < end``, on the grid
+    ``tables`` (:class:`_BlockTables`) of ``count`` samples, by one factored
+    GEMM.
 
     With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
     the phase factors into a lead ``exp(-i th (start + b*B*step))`` and a
@@ -195,25 +196,29 @@ def _blocked_amplitudes(w, tables, rows=None, dtype=complex):
     multiplies' roundings, a few ulps each, besides the ``th*tau*eps`` of
     its rounded phase, which a direct exponential shares.  A call takes about
     ``N*(2*ceil(log2 B) + count/B**2 + runs)`` exponentials in place of
-    ``N*count``.  The product is taken in balanced runs of whole rows,
-    yielded as ``(j0, amps)`` with ``amps`` holding ``A`` from ``j0`` on, so
-    no caller need hold more than one run.  A run holds at most ``_CHUNK``
-    samples, or two or three rows when fewer than three fit, and it is
-    never a single row of a longer product: numpy sends a one-row product
-    to GEMV, which sums in another order, while longer runs give the bits
-    of the whole product.  The cap on ``B`` keeps the tail operand in cache
-    on long grids, at the price of more, shorter rows.  Every factor of
-    sample ``j`` is a function of ``j`` alone, and the weights enter one
-    GEMM operand linearly, so mirrored grids and power-of-two weight
-    scalings give bit-identical and exactly scaled series.
-
-    ``rows = (b0, b1)``, at least two rows, takes only the rows ``b0:b1``
-    of the same product, with the bits of the whole.  ``dtype`` complex64
-    casts both factors, built in float64 as always, before the product.
+    ``N*count``.  The product is taken over the rows that hold the samples
+    ``samples = (first, end)``, the whole grid by default, in balanced runs
+    of whole rows, so no caller need hold more than one run.  A run holds at
+    most ``_CHUNK`` samples, or two or three rows when fewer than three fit,
+    and it is never a single row while the grid has two: numpy sends a
+    one-row product to GEMV, which sums in another order, while longer runs
+    give the bits of the whole product.  Each run is yielded as ``(j, amps)``
+    with ``amps`` holding ``A`` from ``j`` on; together they tile exactly
+    ``first:end``.  The cap on ``B`` keeps the tail operand in cache on long
+    grids, at the price of more, shorter rows.  Every factor of sample ``j``
+    is a function of ``j`` alone, and the weights enter one GEMM operand
+    linearly, so mirrored grids and power-of-two weight scalings give
+    bit-identical and exactly scaled series.  ``dtype`` complex64 casts
+    both factors, built in float64 as always, before the product.
     """
     th, start, step, count = tables.th, tables.start, tables.step, tables.count
     block = tables.block
-    b_lo, b_hi = rows or (0, -(-count // block))
+    first, end = samples or (0, count)
+    rows = -(-count // block)
+    b_lo, b_hi = first // block, -(-end // block)
+    if b_hi - b_lo < 2 <= rows:
+        b_lo = min(b_lo, rows - 2)
+        b_hi = b_lo + 2
     span = b_hi - b_lo
     runs = max(1, min(-(-span // max(1, _CHUNK // block)), span // 2))
     tail = tables.tail.T.astype(dtype, copy=False)
@@ -227,8 +232,9 @@ def _blocked_amplitudes(w, tables, rows=None, dtype=complex):
             np.multiply(block_steps[lo - a * block:hi - a * block], head,
                         out=lead[lo - b0:hi - b0])
         lead *= w
-        j0 = b0 * block
-        yield j0, (lead.astype(dtype, copy=False) @ tail).ravel()[:count - j0]
+        amps = (lead.astype(dtype, copy=False) @ tail).ravel()
+        j0, j = b0 * block, max(first, b0 * block)
+        yield j, amps[j - j0:min(end, b1 * block) - j0]
 
 
 def _window_bounds(tau, window):
@@ -362,11 +368,11 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
     heights of any cycle.  A cycle whose screened height lies further than
     that from the level is decided by it.  The others, and the recovering
     cycle, whose first maximum gives the time, are recomputed in float64
-    from whole rows of the same product, as is ``|A(0)|^2``: every float64
-    value has the bits of the whole product, which are those of
+    from their own samples of the same product, as is ``|A(0)|^2``: every
+    float64 value has the bits of the whole product, which are those of
     ``autocorrelation`` on the grid whenever it infers ``ENVELOPE_STEP`` as
     the grid's step.  The scan holds one kernel run and one cycle's maximum
-    however long the horizon.
+    however long the horizon, and samples nothing past the last whole cycle.
     """
     period = revival_period
     if not math.isfinite(horizon):
@@ -412,22 +418,14 @@ def scan_superrevival(weights, rates, horizon: float, revival_period: float):
 
 def _float64_peak(w, tables, lo, hi):
     """Float64 maximum of ``|A|^2`` over samples ``lo:hi`` of the grid
-    ``tables`` and the time of the first sample that reaches it, from at
-    least two whole rows of the kernel's product.  A later run's sample of
-    the same height does not move the peak."""
-    block = tables.block
-    rows = -(-tables.count // block)
-    b0, b1 = lo // block, -(-hi // block)
-    if b1 - b0 < 2:
-        b0, b1 = (b0, b0 + 2) if b0 + 2 <= rows else (rows - 2, rows)
+    ``tables`` and the time of the first sample that reaches it.  A later
+    run's sample of the same height does not move the peak."""
     height, peak = -math.inf, lo
-    for j0, amps in _blocked_amplitudes(w, tables, rows=(b0, b1)):
-        a, b = max(lo, j0), min(hi, j0 + len(amps))
-        if a < b:
-            values = np.abs(amps[a - j0:b - j0]) ** 2
-            i = int(np.argmax(values))
-            if values[i] > height:
-                height, peak = values[i], a + i
+    for j, amps in _blocked_amplitudes(w, tables, samples=(lo, hi)):
+        values = np.abs(amps) ** 2
+        i = int(np.argmax(values))
+        if values[i] > height:
+            height, peak = values[i], j + i
     return height, tables.start + float(peak) * tables.step
 
 
@@ -440,40 +438,24 @@ def _screen_margin(levels):
     The float64 factors, lead times weight ``L_n`` and tail ``T_n``, are
     products of a few dozen unit exponentials and complex multiplies, so
     ``S = sum |L_n T_n| < 1 + 2**-30`` bounds ``|A|``.  In a precision of
-    unit roundoff ``u``, with ``gamma_k = k*u / (1 - k*u)``:
-
-    - casting moves each factor ``z`` by at most ``u*|z|``, so the product
-      of the two cast factors moves by at most ``(2u + u**2)|L_n T_n|``;
-    - the GEMM sums ``2N`` real products into the real part and ``2N`` into
-      the imaginary part, in any order and with or without fused
-      multiply-adds, so each part errs by at most ``gamma_2N`` times the sum
-      of its terms' moduli, and ``A`` by at most ``sqrt(2) * gamma_2N *
-      (1 + u)**2 * S``.
-
-    That gives ``|A' - A| <= d``, ``d = (2u + u**2 + sqrt(2) * gamma_2N *
-    (1 + u)**2) * S``, and ``||A'|^2 - |A|^2| <= d * (2S + d)``.  Squaring
-    adds ``e * (S + d)**2``: ``e = gamma_2`` for two squares and a sum in
-    float32, and ``e = 64u`` in float64, which covers any ``|a|`` within a
-    few ulps.  The margin is the sum of the float32 and the float64 bound,
-    the latter counting casts that do not happen, widened by ``2**-20`` of
-    itself and by ``2**-50``: that absorbs the rounding of ``level +-
-    margin`` and float32 underflow, at most ``2**-120`` per level.  It does
-    not depend on ``tau``, since both series share every factor and so every
-    rounding of the phase: about ``(6 + 4*sqrt(2)*N) * 2**-24``.  Past
-    ``2**20`` levels it is infinite and every cycle is recomputed.
+    unit roundoff ``u``, casting moves each factor by at most ``u`` of
+    itself, and the GEMM sums ``2N`` real products into each part of ``A``
+    in any order, with or without fused multiply-adds, so ``A`` errs by at
+    most ``d = (2u + u**2 + sqrt(2) * gamma_2N * (1 + u)**2) * S``,
+    ``gamma_k = k*u / (1 - k*u)``, and ``|A|^2`` by ``d * (2S + d)`` plus
+    its squaring's ``gamma_2 * (S + d)**2``.  Summed over float32 and
+    float64 (whose squares may err by ``64u``), widened by ``2**-20`` of
+    itself and by ``2**-50`` for the rounding of ``level +- margin`` and
+    float32 underflow, that is about ``(6 + 4*sqrt(2)*N) * 2**-24``.  The
+    margin is the closed form ``(6 + 5.7*N) / (1 - N*2**-21) * 2**-24``,
+    which exceeds it at every ``N`` below ``2**20``, by 0.4-0.9 % up to
+    6,400 levels.  It does not depend on ``tau``, since both series share
+    every factor and so every rounding of the phase.  From ``2**20`` levels
+    on it is infinite and every cycle is recomputed.
     """
     if not levels < 2 ** 20:
         return math.inf
-    s = 1.0 + 2.0 ** -30
-
-    def bound(u, square):
-        gamma = 2 * levels * u / (1.0 - 2 * levels * u)
-        d = (2 * u + u * u + math.sqrt(2.0) * gamma * (1.0 + u) ** 2) * s
-        return d * (2 * s + d) + square * (s + d) ** 2
-
-    u32, u64 = 2.0 ** -24, 2.0 ** -53
-    screen = bound(u32, 2 * u32 / (1.0 - 2 * u32)) + bound(u64, 64 * u64)
-    return screen * (1.0 + 2.0 ** -20) + 2.0 ** -50
+    return (6 + 5.7 * levels) / (1 - levels * 2.0 ** -21) * 2.0 ** -24
 
 
 def _screened_heights(w, tables, period, n_cycles):
@@ -484,21 +466,19 @@ def _screened_heights(w, tables, period, n_cycles):
     A run folds into per-cycle maxima by one ``np.maximum.reduceat`` over
     the cycle starts inside it; the cycle it leaves open carries its maximum
     into the next run.  ``|A|^2`` is the sum of the squared parts, rounded
-    three times in float32 and written over the run.  Samples past the last
-    whole cycle are drawn but join no cycle.
+    three times in float32 and written over the run.  The runs end with the
+    last whole cycle.
     """
     k, carried = 0, -math.inf
-    for j0, amps in _blocked_amplitudes(w, tables, dtype=np.complex64):
-        if k == n_cycles:
-            continue
-        done = min(n_cycles, math.floor(float(j0 + len(amps)) * ENVELOPE_STEP / period))
+    end = int(_cycle_starts(n_cycles, n_cycles + 1, period)[0])
+    for j0, amps in _blocked_amplitudes(w, tables, samples=(0, end), dtype=np.complex64):
+        done = math.floor(float(j0 + len(amps)) * ENVELOPE_STEP / period)
         # cycles k..done-1 end in this run, at these offsets
         ends = _cycle_starts(k + 1, done + 1, period) - j0
-        stop = ends[-1] if done == n_cycles else len(amps)
-        parts = amps[:stop].view(np.float32)
+        parts = amps.view(np.float32)
         np.square(parts, out=parts)
         values = np.add(parts[0::2], parts[1::2], out=parts[0::2])
-        maxima = np.maximum.reduceat(values, np.r_[0, ends[ends < stop]]).astype(float)
+        maxima = np.maximum.reduceat(values, np.r_[0, ends[ends < len(amps)]]).astype(float)
         maxima[0] = max(maxima[0], carried)
         carried = maxima[done - k] if len(maxima) > done - k else -math.inf
         if done > k:

@@ -125,10 +125,6 @@ class ScenarioConfig:
             epsilon=epsilon, oscillator=osc, packet=packet,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def _field(data: dict, path: str, read=float, default=...):
     """``read`` of the value at the dotted ``path`` in ``data``, or

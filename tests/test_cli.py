@@ -38,7 +38,7 @@ def rows(csv_text):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_scenario_json_round_trip(name):
     cfg = BUILTIN_SCENARIOS[name]
-    assert ScenarioConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_scenario_file_loading(tmp_path):
@@ -657,6 +657,19 @@ def test_snapshot_refuses_non_finite_times(runner, taus):
     assert result.stderr == "error: times must be finite, and so must their phases\n"
 
 
+@pytest.mark.parametrize("tau, code", [("1e3", 0), ("1e9", 2), ("-1e15", 2)])
+def test_snapshot_refuses_times_past_its_phase_rounding_bound(runner, tau, code):
+    # at epsilon 100 the density at 1e9 differs from that at the next double
+    # by 1.3e-5 of its peak
+    result = runner.invoke(main, ["snapshot", "--epsilon", "100", "--tau", f"0,{tau}",
+                                  "--grid", "32"])
+    assert result.exit_code == code
+    if code:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: |tau| = ")
+        assert "more than 2**33" in result.stderr and result.stderr.count("\n") == 1
+
+
 def test_snapshot_refuses_more_values_than_the_sample_budget(runner):
     # 11 times at a 10**6-point grid would print 11 million densities
     result = runner.invoke(main, ["snapshot", "--epsilon", "12", "--grid", "1000000",
@@ -943,7 +956,11 @@ def _oracle_autocorr(name):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_autocorr_csv_bytes_match_python_formatting(runner, name):
-    with_ref, without = _oracle_autocorr(name)
+    # fig2's bound states capture only 0.998962 of its packet, a physical fact
+    captured = (pytest.warns(qrevival.CompletenessWarning, match="0.998962")
+                if name == "fig2" else contextlib.nullcontext())
+    with captured:
+        with_ref, without = _oracle_autocorr(name)
     for extra, expected in (([], without), (["--reference"], with_ref)):
         result = runner.invoke(main, ["autocorr", "--scenario", name, *extra])
         assert result.exit_code == 0, result.stderr

@@ -288,6 +288,15 @@ def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     assert all(2 * block <= len(amps) <= max(chunk, 3 * block) for _, amps in runs[:-1])
     assert len(runs[-1][1]) > block
     assert np.array_equal(np.concatenate([amps for _, amps in runs]), whole)
+    # any sample range: one sample, one row, rows' edges, the last partial row
+    for first, end in [(0, 1), (45123, 45124), (count - 1, count), (150 * block, 151 * block),
+                       (block - 1, block + 1), (block * block, count), (12345, 67890),
+                       (0, count)]:
+        runs = list(kernel_runs(w, rates, 0.0, step, count, samples=(first, end)))
+        starts = [j for j, _ in runs]
+        ends = [j + len(amps) for j, amps in runs]
+        assert starts[0] == first and ends[-1] == end and starts[1:] == ends[:-1]
+        assert np.array_equal(np.concatenate([amps for _, amps in runs]), whole[first:end])
 
 
 def test_phase_table_rows_are_products_of_direct_powers():
@@ -813,13 +822,11 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
 
 
 def fake_kernel(amps, edges):
-    """A kernel that yields ``amps`` in pieces cut at ``edges`` and at the
-    row bounds of ``rows``, in the precision asked for."""
-    def kernel(w, tables, rows=None, dtype=complex):
-        n = tables.count
-        assert n == len(amps)
-        block = tables.block
-        lo, hi = (0, n) if rows is None else (rows[0] * block, min(n, rows[1] * block))
+    """A kernel that yields the ``samples`` of ``amps`` in pieces cut at
+    ``edges``, in the precision asked for."""
+    def kernel(w, tables, samples=None, dtype=complex):
+        assert tables.count == len(amps)
+        lo, hi = samples or (0, len(amps))
         cuts = np.unique(np.clip(np.r_[lo, edges, hi], lo, hi))
         for a, b in zip(cuts[:-1], cuts[1:]):
             yield int(a), amps[a:b].astype(dtype)
@@ -931,13 +938,13 @@ def test_long_horizon_scan_holds_no_per_cycle_arrays():
 
 @pytest.fixture()
 def consumed_runs(monkeypatch):
-    """``[count, runs taken, end of the last run taken, dtype, rows]`` per
-    kernel call."""
+    """``[count, runs taken, end of the last run taken, dtype, samples]``
+    per kernel call."""
     calls = []
     kernel = revival._blocked_amplitudes
 
     def spy(*args, **kwargs):
-        call = [args[1].count, 0, 0, kwargs.get("dtype", complex), kwargs.get("rows")]
+        call = [args[1].count, 0, 0, kwargs.get("dtype", complex), kwargs.get("samples")]
         calls.append(call)
         for j0, amps in kernel(*args, **kwargs):
             call[1:3] = call[1] + 1, j0 + len(amps)
@@ -951,9 +958,9 @@ def screen_calls(calls):
     return [call for call in calls if call[3] is np.complex64]
 
 
-def float64_rows(calls):
-    """Row ranges of the scan's float64 products: the head's, then one per
-    cycle recomputed."""
+def float64_samples(calls):
+    """Sample ranges of the scan's float64 products: the head's, then one
+    per cycle recomputed."""
     return [tuple(map(int, call[4])) for call in calls
             if call[3] is complex and call[4] is not None]
 
@@ -968,9 +975,13 @@ def test_full_horizon_scan_holds_one_run_in_memory(consumed_runs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [(count, taken, end, _, _)] = screen_calls(consumed_runs)
-    assert count == end == 4000001 and taken > 1  # the whole grid
-    assert float64_rows(consumed_runs)[0] == (0, 2)
+    [(count, taken, end, _, samples)] = screen_calls(consumed_runs)
+    # the grid holds 4,000,001 samples; its last whole cycle ends at 3,999,813
+    n_cycles = int(4000.0 // period)
+    assert count == 4000001 and taken > 1
+    assert samples == (0, end) and end == revival._cycle_starts(n_cycles, n_cycles + 1,
+                                                                period)[0] == 3999813
+    assert float64_samples(consumed_runs)[0] == (0, 1)
     assert peak < 16 * 2 ** 20
 
 
@@ -981,10 +992,12 @@ def test_scan_stops_with_the_run_that_completes_the_recovery(consumed_runs):
     every = len(list(kernel_runs(w, rates, 0.0, SCAN_STEP, 600001)))
     assert count == 600001 and taken == 1 < every
     assert 31372 < end < count
-    # the head, then the recovering cycle: two or three rows of 774 samples
-    (head, recovery) = float64_rows(consumed_runs)
-    assert head == (0, 2) and recovery[0] * 774 <= 31372 < recovery[1] * 774
-    assert 2 <= recovery[1] - recovery[0] <= 3
+    # the head, then the recovering cycle's own samples
+    (head, recovery) = float64_samples(consumed_runs)
+    cycle = int(31.372 // period)
+    assert head == (0, 1)
+    assert recovery == tuple(revival._cycle_starts(cycle, cycle + 2, period))
+    assert recovery[0] <= 31372 < recovery[1]
 
 
 @pytest.mark.parametrize("case", ["none", "short"])
@@ -997,8 +1010,12 @@ def test_scan_without_a_recovery_takes_every_run(case, box_state, consumed_runs,
     }[case]
     expected = {"none": None, "short": HorizonTooShortError}[case]
     assert outcome(lambda: scan_superrevival(w, rates, horizon, period)) == expected
-    [(count, taken, end, _, _)] = screen_calls(consumed_runs)
-    assert end == count and taken > 10
+    [(count, taken, end, _, samples)] = screen_calls(consumed_runs)
+    # every sample up to the end of the last whole cycle, and none past it
+    n_cycles = int((count - 1) * SCAN_STEP // period)
+    assert end == revival._cycle_starts(n_cycles, n_cycles + 1, period)[0] <= count
+    every = len(list(kernel_runs([1.0], [0.0], 0.0, SCAN_STEP, count, samples=(0, end))))
+    assert samples == (0, end) and taken == every >= 10
 
 
 # --- single-precision screen ----------------------------------------------
@@ -1032,6 +1049,33 @@ def test_screen_stays_within_its_margin_at_every_sample(inputs, box_state):
     assert margin < (7 + 6 * len(rates)) * 2.0 ** -24
 
 
+def derived_screen_margin(levels):
+    """The bound that ``_screen_margin``'s closed form must dominate, for
+    an array of level counts below ``2**20``: ``d * (2S + d)`` plus the
+    squaring's error ``e * (S + d)**2``, summed over the float32 screen and
+    the float64 kernel, widened by ``2**-20`` of itself and by ``2**-50``."""
+    s = 1.0 + 2.0 ** -30
+
+    def bound(u, square):
+        gamma = 2 * levels * u / (1.0 - 2 * levels * u)
+        d = (2 * u + u * u + math.sqrt(2.0) * gamma * (1.0 + u) ** 2) * s
+        return d * (2 * s + d) + square * (s + d) ** 2
+
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    screen = bound(u32, 2 * u32 / (1.0 - 2 * u32)) + bound(u64, 64 * u64)
+    return screen * (1.0 + 2.0 ** -20) + 2.0 ** -50
+
+
+def test_screen_margin_dominates_its_derivation():
+    levels = np.arange(1, 2 ** 20)
+    margin = np.fromiter(map(revival._screen_margin, levels.tolist()), float, len(levels))
+    derived = derived_screen_margin(levels.astype(float))
+    assert np.all(margin >= derived)
+    # by under 1 % up to 6,400 levels, so the float64 recomputes stay as rare
+    assert np.all(margin[:6400] < 1.01 * derived[:6400])
+    assert revival._screen_margin(2 ** 20) == math.inf
+
+
 def test_a_cycle_the_screen_cannot_decide_is_recomputed(consumed_runs, monkeypatch):
     w, rates, period, horizon = fig2_scan_inputs()
     series, (heights, _) = materialised_envelope(w, rates, period, horizon)
@@ -1042,11 +1086,10 @@ def test_a_cycle_the_screen_cannot_decide_is_recomputed(consumed_runs, monkeypat
     detected = outcome(lambda: scan_superrevival(w, rates, horizon, period))
     assert detected == mask_superrevival(series, period, threshold)
     # the head, the cycle at the level and the recovering cycle after it
-    head, *cycles, recovery = float64_rows(consumed_runs)
-    lo, hi = revival._cycle_starts(first_dip, first_dip + 2, period)
-    block = math.isqrt(len(series.tau))
-    assert head == (0, 2) and recovery[0] * block > hi
-    assert any(b0 * block <= lo and hi <= b1 * block for b0, b1 in cycles)
+    head, *cycles, recovery = float64_samples(consumed_runs)
+    dip = tuple(revival._cycle_starts(first_dip, first_dip + 2, period))
+    assert head == (0, 1) and recovery[0] >= dip[1]
+    assert dip in cycles
 
 
 @pytest.mark.parametrize("inputs", [fig2_scan_inputs, coherent_scan_inputs, "box",

@@ -15,7 +15,7 @@ from qrevival import (CompletenessWarning, GaussianSpec, SpectralDecomposition,
                       snapshot, solve_spectrum)
 from qrevival.revival import MAX_SAMPLES
 from qrevival.spectrum import edge_values, eigenfunction_rows
-from qrevival.wavepacket import faddeeva
+from qrevival.wavepacket import MAX_PHASE, faddeeva
 
 PAPER_PACKET = GaussianSpec(x0=0.2, sigma=0.1)
 CENTERED_PACKET = GaussianSpec(x0=0.0, sigma=0.1)
@@ -287,6 +287,18 @@ def test_snapshot_refuses_times_it_cannot_evolve_to(decomp12, well12, taus):
     # 1e308 is finite, but its phases overflow
     with pytest.raises(ValueError, match="times"):
         snapshot(decomp12, well12, taus, np.linspace(-1.0, 1.0, 32))
+
+
+def test_snapshot_refuses_phases_past_the_rounding_bound(decomp12, well12):
+    # each phase rate_n tau is rounded by up to 2**-53 of itself, which
+    # moves psi by at most 2**-53 |tau| sum |c_n| rate_n max |u_n|
+    grid = np.linspace(-1.0, 1.0, 32)
+    edge = MAX_PHASE / float(np.abs(decomp12.coefficients) @ well12.rates)
+    for tau in (edge, -edge):
+        assert snapshot(decomp12, well12, [0.0, tau], grid).shape == (2, 32)
+    for tau in (np.nextafter(edge, np.inf), -1e15):
+        with pytest.raises(ValueError, match=r"more than 2\*\*33"):
+            snapshot(decomp12, well12, [0.0, tau], grid)
 
 
 @pytest.mark.parametrize("points, times, named", [
