@@ -19,8 +19,8 @@ from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
 
 # Most samples in one run of the kernel's product.
 _CHUNK = 65536
-# Widest block of the factored kernel: its N x B tail stays in cache.
-_MAX_BLOCK = 2048
+# Widest block of the factored kernel: its N x B tables stay in cache.
+_MAX_BLOCK = 256
 DETECTION_MAX_STEP = 1e-4
 REFINE_TOL = 1e-9
 _NEWTON_STEPS = 20
@@ -202,14 +202,19 @@ def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
     most ``_CHUNK`` samples, or two or three rows when fewer than three fit,
     and it is never a single row while the grid has two: numpy sends a
     one-row product to GEMV, which sums in another order, while longer runs
-    give the bits of the whole product.  Each run is yielded as ``(j, amps)``
+    give the bits of the whole product whenever BLAS takes one path for
+    both (threaded OpenBLAS need not, above about 128 levels).  Each run is yielded as ``(j, amps)``
     with ``amps`` holding ``A`` from ``j`` on; together they tile exactly
-    ``first:end``.  The cap on ``B`` keeps the tail operand in cache on long
-    grids, at the price of more, shorter rows.  Every factor of sample ``j``
-    is a function of ``j`` alone, and the weights enter one GEMM operand
-    linearly, so mirrored grids and power-of-two weight scalings give
-    bit-identical and exactly scaled series.  ``dtype`` complex64 casts
-    both factors, built in float64 as always, before the product.
+    ``first:end``.  The call allocates its lead, cast and product buffers
+    once, for its widest run, and every run is written into them: ``amps``
+    is a view that the caller may overwrite and that stays valid only until
+    the next run is drawn.  The cap on ``B`` keeps the phase tables and the
+    tail operand in cache on long grids, at the price of more, shorter
+    rows.  Every factor of sample ``j`` is a function of ``j`` alone, and
+    the weights enter one GEMM operand linearly, so mirrored grids and
+    power-of-two weight scalings give bit-identical and exactly scaled
+    series.  ``dtype`` complex64 casts both factors, built in float64 as
+    always, before the product.
     """
     th, start, step, count = tables.th, tables.start, tables.step, tables.count
     block = tables.block
@@ -222,17 +227,25 @@ def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
     span = b_hi - b_lo
     runs = max(1, min(-(-span // max(1, _CHUNK // block)), span // 2))
     tail = tables.tail.T.astype(dtype, copy=False)
+    # one set of buffers, as wide as the widest run, that each run overwrites
+    width = -(-span // runs)
+    leads = np.empty((width, len(th)), dtype=complex)
+    casts = leads if leads.dtype == dtype else np.empty((width, len(th)), dtype=dtype)
+    products = np.empty((width, block), dtype=dtype)
     for k in range(runs):
         b0, b1 = b_lo + k * span // runs, b_lo + (k + 1) * span // runs
         block_steps = tables.lead_steps(min(b1, block))
-        lead = np.empty((b1 - b0, len(th)), dtype=complex)
+        lead = leads[:b1 - b0]
         for a in range(b0 // block, (b1 - 1) // block + 1):
             lo, hi = max(b0, a * block), min(b1, (a + 1) * block)
             head = np.exp(-1j * (th * (start + (a * block * block) * step)))
             np.multiply(block_steps[lo - a * block:hi - a * block], head,
                         out=lead[lo - b0:hi - b0])
         lead *= w
-        amps = (lead.astype(dtype, copy=False) @ tail).ravel()
+        cast = casts[:b1 - b0]
+        if casts is not leads:
+            np.copyto(cast, lead)
+        amps = np.matmul(cast, tail, out=products[:b1 - b0]).ravel()
         j0, j = b0 * block, max(first, b0 * block)
         yield j, amps[j - j0:min(end, b1 * block) - j0]
 

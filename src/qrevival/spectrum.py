@@ -112,7 +112,11 @@ def barker(config: WellConfig) -> float:
 
 def transcendental_residual(alpha, beta, even):
     """Residual of the defining equation, in its textbook tan/cot form."""
-    tangent = np.tan(alpha)
+    return _residual(alpha, beta, even, np.tan(alpha))
+
+
+def _residual(alpha, beta, even, tangent):
+    """:func:`transcendental_residual` given ``tangent = tan(alpha)``."""
     return np.where(even, alpha * tangent - beta, alpha / tangent + beta)
 
 
@@ -125,7 +129,10 @@ def _solve_roots(config: WellConfig):
     concave and decreasing, from an upper bound on ``beta``.  Either way
     Newton falls monotonically onto the root, so iteration stops once no
     iterate falls any further.  ``arcsin(alpha / eps)`` is evaluated as
-    ``atan2(alpha, beta)``, which is defined for every level.
+    ``atan2(alpha, beta)``, which is defined for every level.  With ``x``
+    the unknown and ``other`` the remaining one of ``alpha`` and ``beta``,
+    both laws take ``t = atan2(x, other)``, so a step takes one arctangent
+    and one quotient by ``other`` for every level.
     """
     eps = config.epsilon
     # on floats, before the count is an int or any array exists
@@ -151,16 +158,20 @@ def _solve_roots(config: WellConfig):
     # within rounding of the root just above a threshold
     beta_hi[-1] = min(beta_hi[-1], eps * np.tan(gap))
     x = np.where(deep, alpha_hi, beta_hi)
+    # with t = atan2(x, other): law = (2 alpha + sign*t) - offset and slope =
+    # num / other + base, num = 2 for deep levels and -2 (x + 1) for shallow
+    sign = np.where(deep, 2.0, -2.0)
+    offset = np.where(deep, n * np.pi, (n - 1) * np.pi)
+    base = np.where(deep, 2.0, 0.0)
     for _ in range(_NEWTON_CAP):
         other = np.sqrt((eps - x) * (eps + x))
-        alpha, beta = np.where(deep, x, other), np.where(deep, other, x)
-        law = np.where(deep, 2.0 * alpha + 2.0 * np.arctan2(alpha, beta) - n * np.pi,
-                       2.0 * alpha - 2.0 * np.arctan2(beta, alpha) - (n - 1) * np.pi)
-        slope = np.where(deep, 2.0 + 2.0 / beta, -2.0 * (beta + 1.0) / alpha)
+        alpha = np.where(deep, x, other)
+        law = (2.0 * alpha + sign * np.arctan2(x, other)) - offset
+        slope = np.where(deep, 2.0, -2.0 * (x + 1.0)) / other + base
         step = x - law / slope
         falls = step < x
         if not falls.any():
-            return alpha, beta, n % 2 == 1
+            return alpha, np.where(deep, other, x), n % 2 == 1
         x = np.where(falls, step, x)
     raise ConvergenceError(
         f"Newton did not settle within {_NEWTON_CAP} steps for epsilon={eps}")
@@ -200,8 +211,8 @@ def solve_spectrum(config: WellConfig) -> Spectrum:
     root, beta, even_mask = _solve_roots(config)
 
     # Residual acceptance accounts for the conditioning of the tan/cot form.
-    residual = transcendental_residual(root, beta, even_mask)
     tangent = np.tan(root)
+    residual = _residual(root, beta, even_mask, tangent)
     slope = np.where(even_mask, np.abs(tangent), np.abs(1.0 / tangent))
     cond = slope + root * (1.0 + slope ** 2) + root / np.maximum(beta, 1e-30)
     achievable = 64.0 * np.finfo(float).eps * cond * np.maximum(1.0, root)

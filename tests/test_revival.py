@@ -188,9 +188,11 @@ def direct_series(weights, rates, taus):
 
 
 def kernel_runs(w, rates, start, step, count, **kwargs):
-    """The runs of the blocked kernel over the grid ``start + j*step``."""
+    """The runs of the blocked kernel over the grid ``start + j*step``, each
+    copied out of the buffers that the kernel writes the next run into."""
     tables = revival._BlockTables(np.asarray(rates, dtype=float), start, step, count)
-    return revival._blocked_amplitudes(np.asarray(w, dtype=float), tables, **kwargs)
+    for j, amps in revival._blocked_amplitudes(np.asarray(w, dtype=float), tables, **kwargs):
+        yield j, amps.copy()
 
 
 @pytest.mark.parametrize("first", [0, 12345])
@@ -228,6 +230,18 @@ def test_blocked_kernel_matches_the_direct_sum(scan):
     assert gap.max() < 1e-9
 
 
+def test_grids_past_the_block_cap_match_the_direct_sum_and_mirror():
+    # more than _MAX_BLOCK**2 samples: the block width is capped, and the
+    # lead rows take several heads exp(-i th a*B*B*step)
+    w, rates, _ = well_inputs(12.0, PAPER_PACKET)
+    count = 3 * revival._MAX_BLOCK ** 2 + 1234
+    assert math.isqrt(count) > revival._MAX_BLOCK
+    taus = np.arange(count, dtype=float) * 1e-5
+    fwd = autocorrelation(w, rates, taus).values
+    assert np.abs(fwd - direct_series(w, rates, taus)).max() < 1e-12
+    assert np.array_equal(autocorrelation(w, rates, -taus[::-1]).values[::-1], fwd)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 6001, revival._CHUNK])
 def test_blocked_kernel_takes_every_uniform_grid(count):
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
@@ -238,7 +252,7 @@ def test_blocked_kernel_takes_every_uniform_grid(count):
 
 @pytest.mark.parametrize("count", [3, revival._CHUNK, LONG, 600001, 4000001])
 def test_blocked_runs_tile_the_grid_in_whole_rows(count):
-    block = int(np.sqrt(count))
+    block = min(math.isqrt(count), revival._MAX_BLOCK)
     runs = list(kernel_runs([1.0, 0.5], [1.0, 7.0], 0.0, 1e-3, count))
     starts = [j0 for j0, _ in runs]
     ends = [j0 + len(amps) for j0, amps in runs]
@@ -251,17 +265,18 @@ def test_blocked_runs_tile_the_grid_in_whole_rows(count):
 
 
 def test_long_grids_cap_the_block_width():
-    # 2e8 samples would give B = 14142; the cap keeps the N x B tail small.
+    # 2e8 samples would give B = 14142; the cap keeps the N x B tables small.
     w, rates = np.array([0.6, 0.4]), np.array([1.0, 7.0])
     count, step = 200_000_000, 1e-3
-    assert revival._MAX_BLOCK == 2048 < math.isqrt(count)
+    block = revival._MAX_BLOCK
+    assert block < math.isqrt(count)
     runs = kernel_runs(w, rates, 0.0, step, count)
     (j0, first), (j1, second) = next(runs), next(runs)
     runs.close()
     assert j0 == 0 and j1 == len(first)
-    # balanced runs of whole 2048-sample rows, at most _CHUNK samples each
-    assert len(first) % 2048 == 0 and len(second) % 2048 == 0
-    assert revival._CHUNK - 2 * 2048 < len(first) <= revival._CHUNK
+    # balanced runs of whole B-sample rows, at most _CHUNK samples each
+    assert len(first) % block == 0 and len(second) % block == 0
+    assert revival._CHUNK - 2 * block < len(first) <= revival._CHUNK
     taus = np.arange(len(first) + len(second)) * step
     direct = np.exp(-1j * np.outer(taus, rates)) @ w
     assert np.abs(np.concatenate([first, second]) - direct).max() < 1e-12
@@ -269,12 +284,15 @@ def test_long_grids_cap_the_block_width():
 
 @pytest.mark.parametrize("chunk", [500, 700, 1000, revival._CHUNK])
 def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
-    # 90,007 samples: B = 300 columns and 301 rows.  A _CHUNK of 500 or 700
-    # holds fewer than three rows, so runs of two or three rows replace it.
-    # The whole product is built in one piece from the kernel's own tables.
+    # 90,007 samples: B = _MAX_BLOCK = 256 columns and 352 rows, and the
+    # lead rows past the first 256 take a second head.  A _CHUNK of 500 or
+    # 700 holds fewer than three rows, so runs of two or three rows replace
+    # it.  The whole product is built in one piece from the kernel's own
+    # tables.
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     count, step = 90007, 1e-3
-    block = math.isqrt(count)
+    block = revival._MAX_BLOCK
+    assert block < math.isqrt(count)
     b = np.arange(-(-count // block))
     a = b // block
     steps = revival._BlockTables(rates, 0.0, block * step, block * block).tail
@@ -919,6 +937,29 @@ def test_streamed_scan_holds_one_run_in_memory():
         tracemalloc.stop()
     assert detected == 201.472  # 4,000,001 samples
     assert peak < 16 * 2 ** 20
+
+
+def test_scan_memory_follows_its_levels_not_its_horizon():
+    # a coherent state of the superrevival_scan bench: 83 levels carried
+    # over 600,001 samples, scanned to the end
+    w, rates, period, horizon = oscillator_scan_inputs(1.0 / 450, alpha=5.8)
+    levels = len(revival._carried_levels(w, rates)[0])
+    count = len(scan_grid(horizon))
+    block = min(math.isqrt(count), revival._MAX_BLOCK)
+    width = max(revival._CHUNK // block, 3)
+    # the complex128 tail and lead tables and the complex64 tail, then one
+    # run's complex128 lead, complex64 cast and complex64 product; a tenth
+    # more for the float64 recomputes beside it and their temporaries
+    tables = block * levels * (16 + 16 + 8)
+    run = width * levels * (16 + 8) + width * block * 8
+    tracemalloc.start()
+    try:
+        detected = scan_superrevival(w, rates, horizon, period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (levels, count, detected) == (83, 600001, 450.0)
+    assert peak < (tables + run) * 11 // 10
 
 
 def test_long_horizon_scan_holds_no_per_cycle_arrays():

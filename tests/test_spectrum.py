@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from qrevival import (ConvergenceError, Spectrum, WellConfig, barker,
                       orthonormality_matrix, solve_spectrum,
                       transcendental_residual)
-from qrevival.spectrum import edge_values, eigenfunction_rows
+from qrevival.spectrum import (_NEWTON_CAP, _THRESHOLD_GAP, _solve_roots,
+                               edge_values, eigenfunction_rows)
 
 
 def closed_form_norm(beta):
@@ -266,6 +267,51 @@ def test_top_beta_near_a_threshold_keeps_twelve_digits():
     epsilon = 4.712860219282728
     states = solve_spectrum(WellConfig(epsilon=epsilon))
     assert abs(states.beta[-1] / float(mp_beta(epsilon, 4)) - 1) < 1e-12
+
+
+def two_branch_roots(eps):
+    """The Newton solve with one arctangent and one quotient per branch,
+    each evaluated over every level: the reference that the one-branch
+    iteration of ``_solve_roots`` must reproduce bit for bit."""
+    count = WellConfig(eps).predicted_state_count
+    gap = eps - (count - 1) * (np.pi / 2.0)
+    if gap <= _THRESHOLD_GAP * eps:
+        return ConvergenceError
+    n = np.arange(1, count + 1)
+    alpha_hi = (n * (np.pi / 2.0)) / (1.0 + 1.0 / eps)
+    deep = alpha_hi <= eps / np.sqrt(2.0)
+    beta_hi = eps * np.sqrt((2.0 * eps - (n - 1) * np.pi)
+                            * (2.0 * eps + (n + 1) * np.pi)) / (2.0 * eps + np.pi)
+    beta_hi[-1] = min(beta_hi[-1], eps * np.tan(gap))
+    x = np.where(deep, alpha_hi, beta_hi)
+    for _ in range(_NEWTON_CAP):
+        other = np.sqrt((eps - x) * (eps + x))
+        alpha, beta = np.where(deep, x, other), np.where(deep, other, x)
+        law = np.where(deep, 2.0 * alpha + 2.0 * np.arctan2(alpha, beta) - n * np.pi,
+                       2.0 * alpha - 2.0 * np.arctan2(beta, alpha) - (n - 1) * np.pi)
+        slope = np.where(deep, 2.0 + 2.0 / beta, -2.0 * (beta + 1.0) / alpha)
+        step = x - law / slope
+        falls = step < x
+        if not falls.any():
+            return alpha, beta, n % 2 == 1
+        x = np.where(falls, step, x)
+    return ConvergenceError
+
+
+def test_one_branch_newton_gives_the_bits_of_the_two_branch_solve():
+    # log-spread strengths, then strengths from just past the refusal band
+    # to 1e-2 above the first 120 thresholds and as far below them
+    near = [k * np.pi / 2 * (1 + sign * delta) for k in range(1, 121) for sign in (1, -1)
+            for delta in (3e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
+    strengths = np.concatenate([np.geomspace(1e-3, 3e3, 600), near])
+    for eps in map(float, strengths):
+        expected = two_branch_roots(eps)
+        if expected is ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                _solve_roots(WellConfig(eps))
+        else:
+            roots = _solve_roots(WellConfig(eps))
+            assert all(np.array_equal(a, b) for a, b in zip(roots, expected)), eps
 
 
 STRENGTHS = st.one_of(
