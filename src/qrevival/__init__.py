@@ -16,8 +16,8 @@ from .revival import (AutocorrSeries, autocorrelation, detect_revival,
                       detection_grid, principal_revival, scan_superrevival)
 from .scenarios import (BUILTIN_SCENARIOS, OscillatorSystem, ScenarioConfig,
                         load_scenario)
-from .spectrum import (Spectrum, WellConfig, barker, orthonormality_matrix,
-                       solve_spectrum, transcendental_residual)
+from .spectrum import (Spectrum, WellConfig, barker, solve_spectrum,
+                       transcendental_residual)
 from .wavepacket import GaussianSpec, SpectralDecomposition, project, snapshot
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "coherent_weights", "detect_revival",
     "detection_grid",
     "hermite_log", "load_scenario",
-    "orthonormality_matrix", "oscillator_phase_rates",
+    "oscillator_phase_rates",
     "oscillator_timescales", "principal_revival",
     "project", "scan_superrevival",
     "snapshot", "solve_spectrum", "squeezed_weights",

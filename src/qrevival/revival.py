@@ -19,6 +19,8 @@ from .errors import AmbiguousWindowError, EdgePeakError, HorizonTooShortError
 
 # Most samples in one run of the kernel's product.
 _CHUNK = 65536
+# Fewest samples in one run: threaded BLAS may sum shorter products otherwise.
+_MIN_RUN = 512
 # Widest block of the factored kernel: its N x B tables stay in cache.
 _MAX_BLOCK = 256
 DETECTION_MAX_STEP = 1e-4
@@ -131,54 +133,38 @@ def _uniform_progression(taus):
     raise ValueError("|tau| of the time grid must form one uniform progression")
 
 
-def _fill_phase_rows(table, th, step, lo, hi):
-    """Rows ``lo:hi`` of the table ``exp(-i th r*step)``, one row per ``r``,
-    written into ``table``, whose rows below ``lo`` hold it already.
+def _phase_table(th, step, size):
+    """The table ``exp(-i th r*step)``, one row per ``r < size``.
 
     Row ``r`` is row ``r - 2**k`` times ``exp(-i th 2**k*step)``, ``2**k``
     the highest power of two in ``r``: the product, in ascending order, of
-    the direct exponentials at the powers of two in ``r``.  A table of
-    ``size`` rows so costs ``N*ceil(log2 size)`` exponentials and
-    ``N*size`` complex multiplies, and each row is a function of ``r``
-    alone.
+    the direct exponentials at the powers of two in ``r``.  The table so
+    costs ``N*ceil(log2 size)`` exponentials and ``N*size`` complex
+    multiplies, and each row is a function of ``r`` alone.
     """
+    table = np.empty((size, len(th)), dtype=complex)
+    table[0] = 1.0
     width = 1
-    while width < hi:
-        a, b = max(lo, width), min(hi, 2 * width)
-        if a < b:
-            power = np.exp(-1j * (th * (width * step)))
-            np.multiply(table[a - width:b - width], power, out=table[a:b])
+    while width < size:
+        power = np.exp(-1j * (th * (width * step)))
+        np.multiply(table[:min(width, size - width)], power, out=table[width:2 * width])
         width *= 2
+    return table
 
 
 class _BlockTables:
     """The grid ``start + j*step``, ``j < count``, of phase rates ``th``
     that :func:`_blocked_amplitudes` samples, with its block width ``B`` and
-    the phase tables shared by the products taken over it.
-
-    The tail ``exp(-i th r*step)``, ``r < B``, is built whole.  The lead
-    steps ``exp(-i th s*B*step)`` are filled only as far as a product has
-    reached, at least doubling each time, so a scan that stops early builds
-    few of them.  :func:`_fill_phase_rows` fills both.
+    the two phase tables (:func:`_phase_table`) that the products taken
+    over it share: the tail ``exp(-i th r*step)`` and the lead steps
+    ``exp(-i th s*B*step)``, for ``r, s < B``.
     """
 
     def __init__(self, th, start, step, count):
         self.th, self.start, self.step, self.count = th, start, step, count
         self.block = min(math.isqrt(count), _MAX_BLOCK)
-        self.tail = np.empty((self.block, len(th)), dtype=complex)
-        self._lead = np.empty((self.block, len(th)), dtype=complex)
-        self.tail[0] = self._lead[0] = 1.0
-        _fill_phase_rows(self.tail, th, step, 1, self.block)
-        self._filled = 1
-
-    def lead_steps(self, rows):
-        """The lead-step table, filled at least for ``s < rows``."""
-        if self._filled < rows:
-            hi = min(self.block, max(rows, 2 * self._filled))
-            _fill_phase_rows(self._lead, self.th, self.block * self.step,
-                             self._filled, hi)
-            self._filled = hi
-        return self._lead
+        self.tail = _phase_table(th, step, self.block)
+        self.lead = _phase_table(th, self.block * step, self.block)
 
 
 def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
@@ -188,23 +174,24 @@ def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
 
     With ``B = min(floor(sqrt(count)), _MAX_BLOCK)`` and ``j = b*B + r``,
     the phase factors into a lead ``exp(-i th (start + b*B*step))`` and a
-    tail ``exp(-i th r*step)``.  The tail is one table of
-    :func:`_fill_phase_rows`; with ``b = a*B + s`` the lead is row ``s`` of
-    the table at step ``B*step`` times ``exp(-i th (start + a*B*B*step))``.
-    Each factor is then a product of at most ``ceil(log2 B) + 1`` direct
-    exponentials, so it errs by at most that many exponentials' and complex
-    multiplies' roundings, a few ulps each, besides the ``th*tau*eps`` of
-    its rounded phase, which a direct exponential shares.  A call takes about
-    ``N*(2*ceil(log2 B) + count/B**2 + runs)`` exponentials in place of
-    ``N*count``.  The product is taken over the rows that hold the samples
-    ``samples = (first, end)``, the whole grid by default, in balanced runs
-    of whole rows, so no caller need hold more than one run.  A run holds at
-    most ``_CHUNK`` samples, or two or three rows when fewer than three fit,
-    and it is never a single row while the grid has two: numpy sends a
-    one-row product to GEMV, which sums in another order, while longer runs
-    give the bits of the whole product whenever BLAS takes one path for
-    both (threaded OpenBLAS need not, above about 128 levels).  Each run is yielded as ``(j, amps)``
-    with ``amps`` holding ``A`` from ``j`` on; together they tile exactly
+    tail ``exp(-i th r*step)``, row ``r`` of the tail table; with ``b = a*B +
+    s`` the lead is row ``s`` of the lead-step table times ``exp(-i th (start
+    + a*B*B*step))``.  Each factor is then a product of at most ``ceil(log2
+    B) + 1`` direct exponentials, so it errs by at most that many
+    exponentials' and complex multiplies' roundings, a few ulps each,
+    besides the ``th*tau*eps`` of its rounded phase, which a direct
+    exponential shares.  A grid takes about ``N*(2*ceil(log2 B) +
+    count/B**2 + runs)`` exponentials in place of ``N*count``.  The product
+    is taken over the rows that hold the samples ``samples = (first, end)``,
+    the whole grid by default, in balanced runs of whole rows, so no caller
+    need hold more than one run.  A run holds at least ``ceil(_MIN_RUN /
+    B)`` rows, or the whole grid when it has fewer, and a shorter range is
+    widened to that; above the floor it holds at most ``_CHUNK`` samples.
+    The floor gives every run the bits of the whole product: numpy sends a
+    one-row product to GEMV, and threaded OpenBLAS sends products of fewer
+    than about 512 samples over more than 128 levels down another path, and
+    both sum in another order.  Each run is yielded as ``(j, amps)`` with
+    ``amps`` holding ``A`` from ``j`` on; together they tile exactly
     ``first:end``.  The call allocates its lead, cast and product buffers
     once, for its widest run, and every run is written into them: ``amps``
     is a view that the caller may overwrite and that stays valid only until
@@ -220,12 +207,13 @@ def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
     block = tables.block
     first, end = samples or (0, count)
     rows = -(-count // block)
+    least = min(-(-_MIN_RUN // block), rows)
     b_lo, b_hi = first // block, -(-end // block)
-    if b_hi - b_lo < 2 <= rows:
-        b_lo = min(b_lo, rows - 2)
-        b_hi = b_lo + 2
+    if b_hi - b_lo < least:
+        b_lo = min(b_lo, rows - least)
+        b_hi = b_lo + least
     span = b_hi - b_lo
-    runs = max(1, min(-(-span // max(1, _CHUNK // block)), span // 2))
+    runs = min(-(-span // max(least, _CHUNK // block)), span // least)
     tail = tables.tail.T.astype(dtype, copy=False)
     # one set of buffers, as wide as the widest run, that each run overwrites
     width = -(-span // runs)
@@ -234,12 +222,11 @@ def _blocked_amplitudes(w, tables, samples=None, dtype=complex):
     products = np.empty((width, block), dtype=dtype)
     for k in range(runs):
         b0, b1 = b_lo + k * span // runs, b_lo + (k + 1) * span // runs
-        block_steps = tables.lead_steps(min(b1, block))
         lead = leads[:b1 - b0]
         for a in range(b0 // block, (b1 - 1) // block + 1):
             lo, hi = max(b0, a * block), min(b1, (a + 1) * block)
             head = np.exp(-1j * (th * (start + (a * block * block) * step)))
-            np.multiply(block_steps[lo - a * block:hi - a * block], head,
+            np.multiply(tables.lead[lo - a * block:hi - a * block], head,
                         out=lead[lo - b0:hi - b0])
         lead *= w
         cast = casts[:b1 - b0]

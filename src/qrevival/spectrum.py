@@ -243,20 +243,3 @@ def eigenfunction_rows(alpha, beta, even, norm, x):
     out[:, ~inside] = np.where(e, np.cos(a), np.sign(x_out) * np.sin(a)) * decay
     out *= norm[:, None]
     return out
-
-
-def orthonormality_matrix(states: Spectrum) -> np.ndarray:
-    """Gram matrix of overlaps between the given states.
-
-    Opposite-parity entries vanish identically by symmetry of the integrand
-    and are returned as exact zeros.  Same-parity entries come from the
-    closed-form overlap of the computed roots, whose off-diagonal terms
-    cancel only at true roots, so the matrix still checks the spectrum.
-    """
-    if not states:
-        raise ValueError("need at least one state")
-    alpha, beta, even, norm = states.alpha, states.beta, states.even, states.norm
-    same = even[:, None] == even[None, :]
-    overlaps = profile_overlaps(alpha[:, None], beta[:, None], alpha[None, :],
-                                beta[None, :], even[:, None])
-    return np.where(same, norm[:, None] * norm[None, :] * overlaps, 0.0)

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from qrevival import (BUILTIN_SCENARIOS, CompletenessWarning, GaussianSpec,
                       WellConfig, autocorrelation, barker, detect_revival,
-                      detection_grid, orthonormality_matrix,
+                      detection_grid,
                       oscillator_phase_rates, oscillator_timescales,
                       project, scan_superrevival, solve_spectrum,
                       squeezed_weights)
@@ -273,7 +273,7 @@ def test_criterion_4_oscillator_superrevival(fig5_scan):
                f"; first superrevival at {detected}"))
 
 
-def test_criterion_5_property_suite():
+def test_criterion_5_property_suite(gram_matrix):
     problems = []
 
     projections = {(12.0, packet): well_projection(12.0, packet)
@@ -282,7 +282,7 @@ def test_criterion_5_property_suite():
     w12 = np.abs(decomp12.coefficients) ** 2
     rates12 = states12.rates
 
-    gram_dev = np.abs(orthonormality_matrix(states12) - np.eye(len(states12))).max()
+    gram_dev = np.abs(gram_matrix(states12) - np.eye(len(states12))).max()
     if gram_dev > 1e-8:
         problems.append(f"overlap matrix deviates by {gram_dev:.2e}")
 

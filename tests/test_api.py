@@ -4,7 +4,8 @@ DELETED = ("closed_form_norm", "detect_superrevival", "oscillator_autocorr",
            "timescales", "TimescaleHierarchy", "BoundState",
            "eigenfunction_value", "infinite_evolve", "parity_filtered",
            "InfiniteWellState", "infinite_project", "table1_report",
-           "RevivalReport", "BarkerApproximation", "evolve")
+           "RevivalReport", "BarkerApproximation", "evolve",
+           "orthonormality_matrix")
 
 
 def test_every_exported_name_resolves():

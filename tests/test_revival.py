@@ -258,10 +258,12 @@ def test_blocked_runs_tile_the_grid_in_whole_rows(count):
     ends = [j0 + len(amps) for j0, amps in runs]
     assert starts[0] == 0 and ends[-1] == count and starts[1:] == ends[:-1]
     assert all(j0 % block == 0 for j0 in starts)
-    # no run is a lone row, which numpy would sum by GEMV in another order
+    # no run is a lone row, which numpy would sum by GEMV in another order,
+    # and every run but the last, partial one holds _MIN_RUN samples or more
     assert all(len(amps) <= revival._CHUNK for _, amps in runs)
     if len(runs) > 1:
         assert all(len(amps) > block for _, amps in runs)
+        assert all(len(amps) >= revival._MIN_RUN for _, amps in runs[:-1])
 
 
 def test_long_grids_cap_the_block_width():
@@ -286,24 +288,26 @@ def test_long_grids_cap_the_block_width():
 def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     # 90,007 samples: B = _MAX_BLOCK = 256 columns and 352 rows, and the
     # lead rows past the first 256 take a second head.  A _CHUNK of 500 or
-    # 700 holds fewer than three rows, so runs of two or three rows replace
-    # it.  The whole product is built in one piece from the kernel's own
-    # tables.
+    # 700 holds fewer rows than _MIN_RUN samples take, so runs of that many
+    # rows, or of up to one less than twice as many, replace it.  The whole
+    # product is built in one piece from the kernel's own tables.
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     count, step = 90007, 1e-3
     block = revival._MAX_BLOCK
     assert block < math.isqrt(count)
     b = np.arange(-(-count // block))
     a = b // block
-    steps = revival._BlockTables(rates, 0.0, block * step, block * block).tail
-    lead = steps[b - a * block]
+    tables = revival._BlockTables(rates, 0.0, step, count)
+    lead = tables.lead[b - a * block]
     lead *= np.exp(-1j * np.outer((a * (block * block)) * step, rates))
     lead *= w
-    whole = (lead @ revival._BlockTables(rates, 0.0, step, count).tail.T).ravel()[:count]
+    whole = (lead @ tables.tail.T).ravel()[:count]
     monkeypatch.setattr(revival, "_CHUNK", chunk)
     runs = list(kernel_runs(w, rates, 0.0, step, count))
     assert len(runs) > 1
-    assert all(2 * block <= len(amps) <= max(chunk, 3 * block) for _, amps in runs[:-1])
+    least = -(-revival._MIN_RUN // block)
+    assert all(least * block <= len(amps) <= max(chunk, (2 * least - 1) * block)
+               for _, amps in runs[:-1])
     assert len(runs[-1][1]) > block
     assert np.array_equal(np.concatenate([amps for _, amps in runs]), whole)
     # any sample range: one sample, one row, rows' edges, the last partial row
@@ -319,18 +323,56 @@ def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
 
 def test_phase_table_rows_are_products_of_direct_powers():
     rates = np.array([0.0, 1.0, 2.0 * np.pi * 512 ** 2, 7.3e3])
-    step = 1e-3
-    # a grid of 37**2 samples has a tail of 37 rows
-    table = revival._BlockTables(rates, 0.0, step, 37 ** 2).tail
-    phases = np.outer(np.arange(37) * step, rates)
-    # each of the six factors rounds its phase and its value once
-    bound = 4 * np.finfo(float).eps * (6 + phases)
-    assert np.all(np.abs(table - np.exp(-1j * phases)) <= bound)
-    # row 21 = 1 + 4 + 16 multiplies the direct powers in ascending order
-    powers = [np.exp(-1j * (rates * (2 ** k * step))) for k in (0, 2, 4)]
-    assert np.array_equal(table[21], (powers[0] * powers[1]) * powers[2])
-    # a row depends on its index alone, not on the length of the table
-    assert np.array_equal(revival._BlockTables(rates, 0.0, step, 20 ** 2).tail, table[:20])
+    # a grid of 37**2 samples has a tail of 37 rows, and as many lead steps
+    # of 37 grid steps each
+    tables = revival._BlockTables(rates, 0.0, 1e-3, 37 ** 2)
+    for table, step in ((tables.tail, 1e-3), (tables.lead, 37 * 1e-3)):
+        phases = np.outer(np.arange(37) * step, rates)
+        # each of the six factors rounds its phase and its value once
+        bound = 4 * np.finfo(float).eps * (6 + phases)
+        assert np.all(np.abs(table - np.exp(-1j * phases)) <= bound)
+        # row 21 = 1 + 4 + 16 multiplies the direct powers in ascending order
+        powers = [np.exp(-1j * (rates * (2 ** k * step))) for k in (0, 2, 4)]
+        assert np.array_equal(table[21], (powers[0] * powers[1]) * powers[2])
+        # a row depends on its index alone, not on the length of the table
+        assert np.array_equal(revival._phase_table(rates, step, 20), table[:20])
+
+
+def found_example_inputs():
+    """137 levels over 32,769 samples, B = 181: with 2 OpenBLAS threads,
+    runs of two rows once summed these in another order than one run."""
+    rng = np.random.default_rng(0)
+    w = rng.random(137)
+    w /= w.sum()
+    return w, rng.uniform(0.0, 1.0, 137), (1 + np.arange(32769)) * 1e-4
+
+
+@pytest.mark.parametrize("chunk", [500, 32768])
+def test_short_runs_over_many_levels_give_the_bits_of_one_run(chunk, monkeypatch):
+    w, rates, taus = found_example_inputs()
+    assert len(list(kernel_runs(w, rates, taus[0], 1e-4, len(taus)))) == 1
+    whole = autocorrelation(w, rates, taus).values
+    monkeypatch.setattr(revival, "_CHUNK", chunk)
+    assert len(list(kernel_runs(w, rates, taus[0], 1e-4, len(taus)))) > 1
+    assert np.array_equal(autocorrelation(w, rates, taus).values, whole)
+
+
+@pytest.mark.parametrize("levels, block", [(137, 181), (137, 77), (300, 16)])
+def test_products_of_the_least_run_give_the_bits_of_a_taller_one(levels, block):
+    # A run's product as the kernel takes it, of the fewest rows a run may
+    # hold, against the same rows of a product of _CHUNK samples.
+    rng = np.random.default_rng(levels * block)
+    least = -(-revival._MIN_RUN // block)
+    height = revival._CHUNK // block
+    lead = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, (height, levels))) / levels
+    tail = revival._phase_table(rng.uniform(0.0, 1e3, levels), 1e-3, block).T
+    whole = np.matmul(lead, tail)
+    leads, products = np.empty((least, levels), dtype=complex), np.empty((least, block),
+                                                                        dtype=complex)
+    for row in (0, height // 2, height - least):
+        leads[...] = lead[row:row + least]
+        run = np.matmul(leads, tail, out=products)
+        assert np.array_equal(run, whole[row:row + least])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -828,7 +870,9 @@ def test_streamed_scan_folds_across_short_runs(monkeypatch):
     w, rates, period, _ = fig2_scan_inputs()
     horizon = 10.5
     reference, _ = materialised_envelope(w, rates, period, horizon)
+    # fig2's few levels give every run the bits of one at any height
     monkeypatch.setattr(revival, "_CHUNK", 400)
+    monkeypatch.setattr(revival, "_MIN_RUN", 200)
     runs = list(kernel_runs(reference.weights, reference.rates, 0.0, SCAN_STEP,
                             len(reference.tau)))
     assert len(runs) > 10 and all(0 < len(a) <= 400 for _, a in runs)
@@ -946,7 +990,7 @@ def test_scan_memory_follows_its_levels_not_its_horizon():
     levels = len(revival._carried_levels(w, rates)[0])
     count = len(scan_grid(horizon))
     block = min(math.isqrt(count), revival._MAX_BLOCK)
-    width = max(revival._CHUNK // block, 3)
+    width = max(revival._CHUNK // block, 2 * -(-revival._MIN_RUN // block) - 1)
     # the complex128 tail and lead tables and the complex64 tail, then one
     # run's complex128 lead, complex64 cast and complex64 product; a tenth
     # more for the float64 recomputes beside it and their temporaries
@@ -1045,6 +1089,7 @@ def test_scan_stops_with_the_run_that_completes_the_recovery(consumed_runs):
 def test_scan_without_a_recovery_takes_every_run(case, box_state, consumed_runs,
                                                  monkeypatch):
     monkeypatch.setattr(revival, "_CHUNK", 400)
+    monkeypatch.setattr(revival, "_MIN_RUN", 200)
     w, rates, period, horizon = {
         "none": (box_state.weights, box_state.rates, 1.0, 8.0),
         "short": fig2_scan_inputs()[:3] + (4.0,),

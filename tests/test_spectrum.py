@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qrevival import (ConvergenceError, Spectrum, WellConfig, barker,
-                      orthonormality_matrix, solve_spectrum,
-                      transcendental_residual)
+                      solve_spectrum, transcendental_residual)
 from qrevival.spectrum import (_NEWTON_CAP, _THRESHOLD_GAP, _solve_roots,
                                edge_values, eigenfunction_rows)
 
@@ -130,13 +129,13 @@ def test_numerical_norm_confirms_closed_form(well12):
     assert gaps.max() < 1e-10
 
 
-def test_gram_matrix_is_identity(well12):
-    gram = orthonormality_matrix(well12)
+def test_gram_matrix_is_identity(well12, gram_matrix):
+    gram = gram_matrix(well12)
     assert np.abs(gram - np.eye(len(well12))).max() < 1e-8
 
 
-def test_opposite_parity_overlaps_are_exact_zeros(well12):
-    gram = orthonormality_matrix(well12)
+def test_opposite_parity_overlaps_are_exact_zeros(well12, gram_matrix):
+    gram = gram_matrix(well12)
     opposite = well12.even[:, None] != well12.even[None, :]
     assert opposite.sum() == 32
     assert np.all(gram[opposite] == 0.0)
@@ -178,7 +177,7 @@ def test_barker_infinite_depth_limit():
     assert barker(WellConfig(epsilon=math.inf)) == 1.0
 
 
-def test_box_spectrum_is_closed_form_and_orthonormal():
+def test_box_spectrum_is_closed_form_and_orthonormal(gram_matrix):
     box = solve_spectrum(WellConfig(epsilon=math.inf))
     n = np.arange(1, len(box) + 1)
     assert len(box) == 512 == WellConfig(epsilon=math.inf).predicted_state_count
@@ -189,7 +188,7 @@ def test_box_spectrum_is_closed_form_and_orthonormal():
     assert np.all(box.beta == math.inf)
     assert np.array_equal(box.even, n % 2 == 1)
     assert np.abs(box.rates / (2.0 * math.pi * n ** 2) - 1.0).max() < 1e-15
-    gram = orthonormality_matrix(box)
+    gram = gram_matrix(box)
     assert np.abs(gram - np.eye(len(box))).max() < 1e-13
 
 
@@ -365,11 +364,6 @@ def test_count_tracks_strength_formula():
     for eps in (0.5, 2.0, 7.7, 48.0, 333.0):
         states = solve_spectrum(WellConfig(epsilon=eps))
         assert abs(len(states) - (2.0 * eps / np.pi + 1.0)) < 1.0
-
-
-def test_orthonormality_requires_states():
-    with pytest.raises(ValueError):
-        orthonormality_matrix([])
 
 
 def test_phase_rate_convention(well12):

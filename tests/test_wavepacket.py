@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import wofz
 
 from qrevival import (CompletenessWarning, GaussianSpec, SpectralDecomposition,
-                      Spectrum, WellConfig, orthonormality_matrix, project,
+                      Spectrum, WellConfig, project,
                       snapshot, solve_spectrum)
 from qrevival.revival import MAX_SAMPLES
 from qrevival.spectrum import edge_values, eigenfunction_rows
@@ -135,15 +135,14 @@ def test_centered_packet_leakage_warns(well12):
     assert 0.99 < decomp.completeness < 0.999
 
 
-def eigenstate_decomposition(states, k):
-    """Level ``k`` expanded over ``states``: row ``k`` of the Gram matrix."""
-    row = orthonormality_matrix(states)[k]
+def eigenstate_decomposition(row):
+    """A level expanded over the states: its row of the Gram matrix."""
     return SpectralDecomposition(coefficients=row,
                                  completeness=float(np.sum(row ** 2)))
 
 
-def test_eigenstate_projects_to_kronecker_delta(well12):
-    decomp = eigenstate_decomposition(well12, 2)
+def test_eigenstate_projects_to_kronecker_delta(well12, gram_matrix):
+    decomp = eigenstate_decomposition(gram_matrix(well12)[2])
     expected = np.zeros(len(well12))
     expected[2] = 1.0
     assert np.abs(np.abs(decomp.coefficients) - expected).max() < 1e-8
@@ -197,12 +196,12 @@ def test_evolution_is_unitary(decomp12, well12, tau):
     assert abs(np.trapezoid(dens, grid) - decomp12.completeness) < 1e-9
 
 
-def test_stationary_state_density_stays_put(well12):
+def test_stationary_state_density_stays_put(well12, gram_matrix):
     # an eigenstate's density is the same at every time, to within rounding
     # and the Gram matrix's off-diagonal entries, which rotate: they move the
     # density by at most 4 |c_k phi_k| sum_{n != k} |c_n phi_n|
     k = 3
-    decomp = eigenstate_decomposition(well12, k)
+    decomp = eigenstate_decomposition(gram_matrix(well12)[k])
     grid = np.linspace(-1.25, 1.25, 512)
     rows = profiles(well12, grid)
     terms = np.abs(decomp.coefficients[:, None] * rows)
