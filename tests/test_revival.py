@@ -288,9 +288,9 @@ def test_long_grids_cap_the_block_width():
 def test_blocked_runs_give_the_bits_of_the_whole_product(chunk, monkeypatch):
     # 90,007 samples: B = _MAX_BLOCK = 256 columns and 352 rows, and the
     # lead rows past the first 256 take a second head.  A _CHUNK of 500 or
-    # 700 holds fewer rows than _MIN_RUN samples take, so runs of that many
-    # rows, or of up to one less than twice as many, replace it.  The whole
-    # product is built in one piece from the kernel's own tables.
+    # 700 holds no more rows than the floor of ceil(_MIN_RUN / B) = 2, so
+    # runs of two or three rows take its place.  The whole product is built
+    # in one piece from the kernel's own tables.
     w, rates, _ = well_inputs(12.0, PAPER_PACKET)
     count, step = 90007, 1e-3
     block = revival._MAX_BLOCK
